@@ -9,12 +9,10 @@
 // outputs must stay bit-identical to the healthy run, and the analytic
 // compute cost must degrade gracefully), a tracing overhead gate (the
 // chunked cell re-run with the flight recorder at full detail must stay
-// within 5% tokens/s of untraced and bit-identical), an overlapped-execution
-// gate (decode/prefill + all-to-all pipelining on the chunked 2-shard trace
-// must stay bit-identical to serial with non-negative modeled savings and no
-// modeled-throughput regression), and an open-loop async-serving family:
-// wall-clock Poisson arrivals served live through the AsyncServer, reporting
-// p95 TTFT and goodput for sync vs async vs async + decode-priority.
+// within 5% tokens/s of untraced and bit-identical), and an open-loop
+// async-serving family: wall-clock Poisson arrivals served live through the
+// AsyncServer, reporting p95 TTFT and goodput for sync vs async vs async +
+// decode-priority next to the modeled steps, occupancy and compute.
 //
 // `--json=PATH` emits every sweep cell as machine-readable JSON (the
 // committed BENCH_serving.json is a pinned-seed full run), so the serving
@@ -161,19 +159,16 @@ struct ChunkRun {
 };
 
 ChunkRun RunChunkCell(uint64_t seed, int64_t budget, int64_t chunk_tokens, int requests,
-                      int shards = 1, bool overlap = false,
-                      serving::ChunkPolicy chunk_policy = serving::ChunkPolicy::kFixed) {
+                      int shards = 1) {
   Rng rng(seed);
   serving::EngineConfig cfg;
   cfg.heads = kHeads;
   cfg.top_k = kTopK;
   cfg.threads = 2;
   cfg.shards = shards;
-  cfg.overlap = overlap;
   cfg.scheduler.policy = serving::SchedulerPolicy::kTokenBudget;
   cfg.scheduler.token_budget = budget;
   cfg.scheduler.chunk_tokens = chunk_tokens;
-  cfg.scheduler.chunk_policy = chunk_policy;
   cfg.scheduler.max_resident_tokens = 4096;
   serving::ServingEngine engine(BuildModel(rng, /*skew=*/2.0), cfg);
 
@@ -209,16 +204,14 @@ struct OpenLoopRun {
   double goodput_tokens_per_s = 0.0;
 };
 
-OpenLoopRun RunOpenLoopCell(uint64_t seed, bool async, bool overlap,
-                            serving::ChunkPolicy chunk_policy, int requests,
-                            double mean_gap_ms) {
+OpenLoopRun RunOpenLoopCell(uint64_t seed, bool async, serving::ChunkPolicy chunk_policy,
+                            int requests, double mean_gap_ms) {
   Rng rng(seed);
   serving::EngineConfig cfg;
   cfg.heads = kHeads;
   cfg.top_k = kTopK;
   cfg.threads = 2;
   cfg.shards = 2;
-  cfg.overlap = overlap;
   cfg.scheduler.policy = serving::SchedulerPolicy::kTokenBudget;
   cfg.scheduler.token_budget = 32;
   cfg.scheduler.chunk_tokens = 8;
@@ -908,123 +901,42 @@ int main(int argc, char** argv) {
     ++trace_failures;
   }
 
-  // ---- Overlapped execution (also a CI gate) -------------------------------
-  // The chunked long-prompt cell (budget 32, chunk 8) re-run on 2 shards:
-  // serial vs overlapped decode/prefill + all-to-all pipelining, and
-  // overlapped with the decode-priority chunk policy. Gates: both overlap
-  // modes stay bit-identical to serial (execution overlap must be lossless),
-  // the modeled savings are non-negative, and — for the plain overlap mode —
-  // the modeled overlapped throughput (tokens over est compute + est
-  // all-to-all − est saved) does not regress the serial modeled throughput.
-  // Decode-priority is exempt from the throughput gate by design: it shrinks
-  // prefill chunks to protect decode latency, trading modeled throughput
-  // (more passes, more fixed overheads) for TTFT under load.
-  const int overlap_requests = smoke ? 6 : 16;
-  int overlap_failures = 0;
-  PrintHeader("Overlapped execution: decode/prefill + all-to-all pipelining "
-              "(budget 32, chunk 8, 2 shards; bit-identical, modeled throughput "
-              "must not regress serial)");
-  std::printf("%12s %9s %12s %12s %11s %14s %10s\n", "mode", "finished", "est serial",
-              "est overlap", "saved ms", "modeled tok/s", "identical");
-  const ChunkRun serial_run = RunChunkCell(/*seed=*/7, /*budget=*/32, /*chunk_tokens=*/8,
-                                           overlap_requests, /*shards=*/2);
-  const double serial_total_ms =
-      serial_run.report.est_compute_ms + serial_run.report.est_alltoall_ms;
-  const double serial_tokens = static_cast<double>(serial_run.report.prefill_rows +
-                                                   serial_run.report.decode_rows);
-  const double serial_modeled_tps =
-      serial_total_ms > 0.0 ? 1000.0 * serial_tokens / serial_total_ms : 0.0;
-  cells.Add("overlapped_execution",
-            Params("\"mode\": \"serial\", \"est_overlap_saved_ms\": 0.000, "
-                   "\"modeled_tokens_per_second\": %.1f", serial_modeled_tps),
-            serial_run.report);
-  std::printf("%12s %9lld %12.3f %12.3f %11.3f %14.1f %10s\n", "serial",
-              static_cast<long long>(serial_run.finished), serial_total_ms, serial_total_ms,
-              0.0, serial_modeled_tps, "base");
-  struct OverlapMode {
-    const char* name;
-    serving::ChunkPolicy policy;
-    bool gate_throughput;
-  };
-  for (const OverlapMode& mode :
-       {OverlapMode{"overlap", serving::ChunkPolicy::kFixed, true},
-        OverlapMode{"overlap+dp", serving::ChunkPolicy::kDecodePriority, false}}) {
-    const ChunkRun run = RunChunkCell(/*seed=*/7, /*budget=*/32, /*chunk_tokens=*/8,
-                                      overlap_requests, /*shards=*/2, /*overlap=*/true,
-                                      mode.policy);
-    bool identical = run.finished == overlap_requests &&
-                     serial_run.finished == overlap_requests &&
-                     run.outputs.size() == serial_run.outputs.size();
-    for (size_t i = 0; identical && i < run.outputs.size(); ++i) {
-      identical = run.outputs[i] == serial_run.outputs[i];
-    }
-    const double total_ms = run.report.est_compute_ms + run.report.est_alltoall_ms;
-    const double saved_ms = run.report.est_overlap_saved_ms;
-    const double overlapped_ms = total_ms - saved_ms;
-    const double tokens =
-        static_cast<double>(run.report.prefill_rows + run.report.decode_rows);
-    const double modeled_tps = overlapped_ms > 0.0 ? 1000.0 * tokens / overlapped_ms : 0.0;
-    if (!identical) {
-      std::fprintf(stderr, "FAIL: overlap mode '%s' diverged bit-wise from serial\n",
-                   mode.name);
-      ++overlap_failures;
-    }
-    if (saved_ms < 0.0) {
-      std::fprintf(stderr, "FAIL: overlap mode '%s' reports negative savings (%.3f ms)\n",
-                   mode.name, saved_ms);
-      ++overlap_failures;
-    }
-    if (mode.gate_throughput && modeled_tps < serial_modeled_tps) {
-      std::fprintf(stderr,
-                   "FAIL: overlap mode '%s' modeled throughput regressed serial "
-                   "(%.1f vs %.1f tok/s)\n",
-                   mode.name, modeled_tps, serial_modeled_tps);
-      ++overlap_failures;
-    }
-    cells.Add("overlapped_execution",
-              Params("\"mode\": \"%s\", \"est_overlap_saved_ms\": %.3f, "
-                     "\"modeled_tokens_per_second\": %.1f",
-                     mode.name, saved_ms, modeled_tps),
-              run.report, identical ? 1 : 0);
-    std::printf("%12s %9lld %12.3f %12.3f %11.3f %14.1f %10s\n", mode.name,
-                static_cast<long long>(run.finished), total_ms, overlapped_ms, saved_ms,
-                modeled_tps, identical ? "yes" : "NO");
-  }
-
   // ---- Async serving: open-loop wall-clock Poisson arrivals ----------------
   // Requests arrive via a Poisson process (identical pre-drawn gaps across
   // modes) and are served live: the sync mode steps the engine between
   // arrivals on the client thread, the async modes run an AsyncServer whose
   // driver thread overlaps service with arrival gaps. Wall-clock numbers, so
-  // these cells are reported but not gated.
+  // these cells are reported but not gated; steps, occupancy and est compute
+  // state the same comparison on the modeled clock.
   const int openloop_requests = smoke ? 8 : 20;
   const double mean_gap_ms = 2.0;
   PrintHeader("Async serving: open-loop Poisson arrivals (wall clock, mean gap 2 ms) — "
               "sync serve loop vs async server vs async + decode-priority");
-  std::printf("%12s %9s %10s %13s %13s %15s %7s\n", "mode", "finished", "wall ms",
-              "p95 TTFT ms", "p95 turn ms", "goodput tok/s", "steps");
+  std::printf("%12s %9s %10s %13s %13s %15s %7s %9s %13s\n", "mode", "finished", "wall ms",
+              "p95 TTFT ms", "p95 turn ms", "goodput tok/s", "steps", "occupancy",
+              "est compute");
   struct AsyncMode {
     const char* name;
     bool async;
-    bool overlap;
     serving::ChunkPolicy policy;
   };
   for (const AsyncMode& mode :
-       {AsyncMode{"sync", false, false, serving::ChunkPolicy::kFixed},
-        AsyncMode{"async", true, true, serving::ChunkPolicy::kFixed},
-        AsyncMode{"async+dp", true, true, serving::ChunkPolicy::kDecodePriority}}) {
-    const OpenLoopRun run = RunOpenLoopCell(/*seed=*/7, mode.async, mode.overlap,
-                                            mode.policy, openloop_requests, mean_gap_ms);
+       {AsyncMode{"sync", false, serving::ChunkPolicy::kFixed},
+        AsyncMode{"async", true, serving::ChunkPolicy::kFixed},
+        AsyncMode{"async+dp", true, serving::ChunkPolicy::kDecodePriority}}) {
+    const OpenLoopRun run = RunOpenLoopCell(/*seed=*/7, mode.async, mode.policy,
+                                            openloop_requests, mean_gap_ms);
     cells.Add("async_open_loop",
               Params("\"mode\": \"%s\", \"wall_ms\": %.1f, \"goodput_tokens_per_second\": "
                      "%.1f, \"p95_ttft_ms\": %.3f",
                      mode.name, run.wall_ms, run.goodput_tokens_per_s,
                      run.report.p95_ttft_ms),
               run.report);
-    std::printf("%12s %9lld %10.1f %13.3f %13.3f %15.1f %7lld\n", mode.name,
+    std::printf("%12s %9lld %10.1f %13.3f %13.3f %15.1f %7lld %9.3f %13.3f\n", mode.name,
                 static_cast<long long>(run.finished), run.wall_ms, run.report.p95_ttft_ms,
                 run.report.p95_turnaround_ms, run.goodput_tokens_per_s,
-                static_cast<long long>(run.report.steps));
+                static_cast<long long>(run.report.steps), run.report.mean_occupancy,
+                run.report.est_compute_ms);
   }
 
   if (!json_path.empty() && !cells.Write(json_path, smoke)) {
@@ -1040,14 +952,8 @@ int main(int argc, char** argv) {
                  "FAIL: %d sharded run(s) diverged bit-wise from the unsharded baseline\n",
                  divergences);
   }
-  if (overlap_failures > 0) {
-    std::fprintf(stderr,
-                 "FAIL: %d overlapped-execution gate(s) failed (bit identity, "
-                 "non-negative savings, or modeled throughput)\n",
-                 overlap_failures);
-  }
   return (divergences > 0 || chunk_divergences > 0 || trace_failures > 0 ||
-          prefix_failures > 0 || degraded_failures > 0 || overlap_failures > 0)
+          prefix_failures > 0 || degraded_failures > 0)
              ? 1
              : 0;
 }

@@ -88,9 +88,10 @@ int main() {
                   serving::RequestStatusName(polled.status()));
     }
     if (steps == 3 && doomed.status() == serving::RequestStatus::kRunning) {
-      doomed.Cancel();
-      std::printf("  [cancel] session 2 cancelled mid-prefill (%lld rows kept, "
+      const serving::CancelOutcome outcome = doomed.Cancel();
+      std::printf("  [cancel] session 2 mid-prefill: %s (%lld rows kept, "
                   "%lld KV pages in use)\n",
+                  serving::CancelOutcomeName(outcome),
                   static_cast<long long>(engine.Result(2)->outputs.rows()),
                   static_cast<long long>(engine.kv_cache().allocator().used_pages()));
     }

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <chrono>
 #include <cmath>
-#include <thread>
 #include <utility>
 
 #include "src/core/samoyeds_kernel.h"
@@ -79,7 +78,9 @@ int64_t SessionHandle::delivered_rows() const {
   return engine_ == nullptr ? 0 : engine_->DeliveredRows(id_);
 }
 
-bool SessionHandle::Cancel() { return engine_ != nullptr && engine_->Cancel(id_); }
+CancelOutcome SessionHandle::Cancel() {
+  return engine_ == nullptr ? CancelOutcome::kUnknownId : engine_->Cancel(id_);
+}
 
 ServingEngine::ServingEngine(std::vector<SamoyedsDecoderLayerWeights> layers,
                              const EngineConfig& config)
@@ -297,11 +298,7 @@ void ServingEngine::StreamToCallback(int64_t id, bool finished) {
   session.on_rows(delta);
 }
 
-bool ServingEngine::Cancel(int64_t id) {
-  return TryCancel(id) == CancelOutcome::kCancelled;
-}
-
-CancelOutcome ServingEngine::TryCancel(int64_t id) {
+CancelOutcome ServingEngine::Cancel(int64_t id) {
   if (known_ids_.count(id) == 0) {
     return CancelOutcome::kUnknownId;  // never submitted: not a session at all
   }
@@ -659,15 +656,14 @@ void ServingEngine::RetireFinished(int64_t id) {
   StreamToCallback(id, /*finished=*/true);
 }
 
-MatrixF ServingEngine::ForwardBatch(const AssembledBatch& batch, StepAccounting& acct,
-                                    bool inline_exec) {
+MatrixF ServingEngine::ForwardBatch(const AssembledBatch& batch) {
   // Everything below runs over *logical* shards — the survivors after any
   // failover. Logical shard s executes on physical device live_shards_[s];
   // the shard plan spans exactly the logical count, so outputs stay
   // bit-identical across a mid-run failover (the global fold order over
   // experts never changes).
   const int num_shards = static_cast<int>(live_shards_.size());
-  acct.Reset(num_shards);
+  acct_.Reset(num_shards);
 
   MatrixF h = batch.rows;
   for (size_t layer = 0; layer < layers_.size(); ++layer) {
@@ -678,9 +674,7 @@ MatrixF ServingEngine::ForwardBatch(const AssembledBatch& batch, StepAccounting&
     // Attention sub-block, per sequence: normed new rows extend the paged
     // cached prefix (gathered through the page table); causal attention over
     // the full prefix yields the new rows' outputs. Sequences are
-    // independent — and own disjoint pages — so they fan out over the pool
-    // (or run sequentially on this thread in inline mode: the overlap path's
-    // prefill pass must not share the pool with the concurrent decode pass).
+    // independent — and own disjoint pages — so they fan out over the pool.
     // Each pooled slice runs on the home shard of its batch rows — the same
     // contiguous data-parallel split the all-to-all model and the shared
     // experts use, so the simulation has one notion of where a token lives.
@@ -713,25 +707,16 @@ MatrixF ServingEngine::ForwardBatch(const AssembledBatch& batch, StepAccounting&
                     cache_.Row(slice.request_id, static_cast<int64_t>(layer), prefix + r));
         }
       };
-      if (inline_exec) {
-        for (const BatchSlice& slice : batch.slices) {
-          attn_slice(slice);
-        }
-      } else {
-        for (size_t s = 0; s < batch.slices.size(); ++s) {
-          const BatchSlice& slice = batch.slices[s];
-          pool_.SubmitToShard(TokenHomeShard(slice.row_begin, h.rows(), num_shards),
-                              [&attn_slice, slice] { attn_slice(slice); });
-        }
-        pool_.WaitIdle();
+      for (const BatchSlice& slice : batch.slices) {
+        pool_.SubmitToShard(TokenHomeShard(slice.row_begin, h.rows(), num_shards),
+                            [&attn_slice, slice] { attn_slice(slice); });
       }
+      pool_.WaitIdle();
     }
 
     // MoE sub-block, whole batch: one routing plan covers every sequence's
     // tokens, so each expert runs once per iteration over its tile-split
-    // SEL slices, on its placement shard's queue. The inline path runs the
-    // sequential kernel chain instead — bit-identical by the pool's
-    // fixed-fold-order contract.
+    // SEL slices, on its placement shard's queue.
     obs::ScopedSpan moe_span("engine", "moe", obs::TraceDetail::kFull);
     MatrixF normed = RmsNorm(h1, w.moe_norm_gamma);
     RoundMatrixToBf16(normed);
@@ -743,21 +728,17 @@ MatrixF ServingEngine::ForwardBatch(const AssembledBatch& batch, StepAccounting&
     if (config_.autotune) {
       tile_cfg = ResolveTileConfig(w.moe, plan);
     }
-    AccountMoeLayer(w.moe, plan, tile_cfg, acct);
-    if (inline_exec) {
-      MoeForwardSamoyeds(normed, w.moe, plan, config_.activation, acct.inline_ws, acct.moe_out);
-    } else {
-      ParallelMoeForwardSamoyeds(pool_, normed, w.moe, plan, config_.activation, shard_plan_,
-                                 acct.pool_ws, acct.moe_out);
-    }
-    MatrixAxpy(1.0f, acct.moe_out, h1);
+    AccountMoeLayer(w.moe, plan, tile_cfg);
+    ParallelMoeForwardSamoyeds(pool_, normed, w.moe, plan, config_.activation, shard_plan_,
+                               acct_.pool_ws, acct_.moe_out);
+    MatrixAxpy(1.0f, acct_.moe_out, h1);
     h = std::move(h1);
   }
   return h;
 }
 
 void ServingEngine::AccountMoeLayer(const SamoyedsMoeLayerWeights& moe, const RoutingPlan& plan,
-                                    const SsmmConfig& tile_cfg, StepAccounting& acct) {
+                                    const SsmmConfig& tile_cfg) {
   const auto account_t0 = std::chrono::steady_clock::now();
   const int num_shards = static_cast<int>(live_shards_.size());
   // Each routed expert's gate/up/down SSMM chain is charged to its shard;
@@ -775,13 +756,13 @@ void ServingEngine::AccountMoeLayer(const SamoyedsMoeLayerWeights& moe, const Ro
     const SamoyedsExpertWeights& w = moe.experts[static_cast<size_t>(e)];
     for (const SamoyedsMatrix* proj : {&w.gate, &w.up}) {
       const GemmShape shape{proj->rows, proj->cols, plan.tokens};
-      acct.shard_ms[static_cast<size_t>(s)] +=
+      acct_.shard_ms[static_cast<size_t>(s)] +=
           model.Estimate(SamoyedsKernel::Analyze(shape, count, proj->config, tile_cfg, device)
                              .traffic)
               .total_ms;
     }
     const GemmShape down{w.down.rows, w.down.cols, count};
-    acct.shard_ms[static_cast<size_t>(s)] +=
+    acct_.shard_ms[static_cast<size_t>(s)] +=
         model.Estimate(
                  SamoyedsKernel::Analyze(down, count, w.down.config, tile_cfg, device).traffic)
             .total_ms;
@@ -799,30 +780,30 @@ void ServingEngine::AccountMoeLayer(const SamoyedsMoeLayerWeights& moe, const Ro
       const TimingModel model(device);
       for (const SamoyedsMatrix* proj : {&w.gate, &w.up}) {
         const GemmShape shape{proj->rows, proj->cols, plan.tokens};
-        acct.shard_ms[static_cast<size_t>(s)] +=
+        acct_.shard_ms[static_cast<size_t>(s)] +=
             model.Estimate(SamoyedsKernel::Analyze(shape, range, proj->config, tile_cfg, device)
                                .traffic)
                 .total_ms;
       }
       const GemmShape down{w.down.rows, w.down.cols, range};
-      acct.shard_ms[static_cast<size_t>(s)] +=
+      acct_.shard_ms[static_cast<size_t>(s)] +=
           model.Estimate(
                    SamoyedsKernel::Analyze(down, range, w.down.config, tile_cfg, device).traffic)
               .total_ms;
     }
   }
-  plan.AccumulateTokensPerBucket(shard_plan_.shard_of_expert(), acct.shard_tokens);
+  plan.AccumulateTokensPerBucket(shard_plan_.shard_of_expert(), acct_.shard_tokens);
   // All-to-all: exact per-shard send/receive volumes feed the busiest-link
   // interconnect roofline (both phases pay link latency + serialization).
   const AllToAllTraffic traffic =
-      ComputeAllToAllTraffic(plan, shard_plan_, hidden_, /*bytes_per_value=*/2, acct.a2a_scratch);
+      ComputeAllToAllTraffic(plan, shard_plan_, hidden_, /*bytes_per_value=*/2, acct_.a2a_scratch);
   const TimingModel model(cluster_.device(live_shards_.front()));
-  acct.alltoall_ms += model.InterconnectPhaseMs(traffic.max_shard_dispatch_bytes) +
-                       model.InterconnectPhaseMs(traffic.max_shard_combine_bytes);
-  traffic.AddTo(acct.traffic);
-  acct.account_ms += std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - account_t0)
-                          .count();
+  acct_.alltoall_ms += model.InterconnectPhaseMs(traffic.max_shard_dispatch_bytes) +
+                        model.InterconnectPhaseMs(traffic.max_shard_combine_bytes);
+  traffic.AddTo(acct_.traffic);
+  acct_.account_ms += std::chrono::duration<double, std::milli>(
+                           std::chrono::steady_clock::now() - account_t0)
+                           .count();
 }
 
 SsmmConfig ServingEngine::ResolveTileConfig(const SamoyedsMoeLayerWeights& moe,
@@ -835,11 +816,6 @@ SsmmConfig ServingEngine::ResolveTileConfig(const SamoyedsMoeLayerWeights& moe,
   const int64_t selected = std::max<int64_t>(1, plan.MaxTokensPerExpert());
   const std::array<int64_t, 5> key{gate.rows, gate.cols, plan.tokens, selected,
                                    static_cast<int64_t>(effective_backend_)};
-  // Under overlapped execution the decode and prefill passes resolve
-  // concurrently; the lock keeps the cache coherent. Hit/miss ordering
-  // between the two passes is timing-dependent, which is why report-byte
-  // determinism is a sync-mode (serial-schedule) guarantee.
-  std::lock_guard<std::mutex> lock(autotune_mu_);
   auto it = autotune_cache_.find(key);
   const bool cache_hit = it != autotune_cache_.end();
   if (!cache_hit) {
@@ -1099,16 +1075,8 @@ bool ServingEngine::Step() {
   // table is extended to cover its new rows up front (prefill chunks target
   // KV pages directly) so the forward's parallel tasks never mutate
   // allocator state. A 0-row plan (budget-starved prefill) sits out but
-  // stays resident. Under overlapped execution a step carrying both phases
-  // splits into a decode sub-batch (`batch`) and a prefill sub-batch that
-  // execute concurrently; `scatter_order` remembers the original planned
-  // part order so the scatter/retire pass below — and therefore every
-  // callback, donation, and retirement — runs in the exact order the serial
-  // schedule would.
+  // stays resident.
   AssembledBatch batch;
-  AssembledBatch prefill_batch;  // empty unless the overlap split engages
-  bool split = false;
-  std::vector<std::pair<bool, size_t>> scatter_order;  // (from prefill batch, slice index)
   {
     obs::ScopedSpan assemble_span("engine", "assemble", obs::TraceDetail::kStep);
     std::vector<BatchAssembler::Contribution> parts;
@@ -1186,35 +1154,7 @@ bool ServingEngine::Step() {
       return true;
     }
 
-    // Overlapped execution engages when both phases are present. It needs
-    // per-row outputs independent of batch composition (routing each
-    // sub-batch separately must be lossless), so expert-choice routing keeps
-    // the serial schedule — the same gate the prefix cache uses.
-    if (config_.overlap && config_.routing == RoutingAlgo::kTopK) {
-      std::vector<BatchAssembler::Contribution> decode_parts;
-      std::vector<BatchAssembler::Contribution> prefill_parts;
-      for (const BatchAssembler::Contribution& p : parts) {
-        (p.is_prefill ? prefill_parts : decode_parts).push_back(p);
-      }
-      split = !decode_parts.empty() && !prefill_parts.empty();
-      if (split) {
-        // The split preserves each sub-batch's relative order, so walking
-        // the original parts with two cursors reconstructs the serial order.
-        size_t decode_idx = 0;
-        size_t prefill_idx = 0;
-        for (const BatchAssembler::Contribution& p : parts) {
-          scatter_order.emplace_back(p.is_prefill, p.is_prefill ? prefill_idx++ : decode_idx++);
-        }
-        batch = BatchAssembler::Assemble(decode_parts, hidden_);
-        prefill_batch = BatchAssembler::Assemble(prefill_parts, hidden_);
-      }
-    }
-    if (!split) {
-      batch = BatchAssembler::Assemble(parts, hidden_);
-      for (size_t i = 0; i < batch.slices.size(); ++i) {
-        scatter_order.emplace_back(false, i);
-      }
-    }
+    batch = BatchAssembler::Assemble(parts, hidden_);
   }
 
   // KV-page traffic this iteration: attention gathers every sequence's
@@ -1224,41 +1164,19 @@ bool ServingEngine::Step() {
   const double layer_count = static_cast<double>(layers_.size());
   double kv_read_bytes = 0.0;
   double kv_write_bytes = 0.0;
-  for (const AssembledBatch* b : {&batch, &prefill_batch}) {
-    for (const BatchSlice& slice : b->slices) {
-      kv_read_bytes += static_cast<double>(slice.position_begin * hidden_) * sizeof(float) *
-                       layer_count;
-      kv_write_bytes += static_cast<double>(slice.row_count * hidden_) * sizeof(float) *
-                        layer_count;
-    }
+  for (const BatchSlice& slice : batch.slices) {
+    kv_read_bytes +=
+        static_cast<double>(slice.position_begin * hidden_) * sizeof(float) * layer_count;
+    kv_write_bytes += static_cast<double>(slice.row_count * hidden_) * sizeof(float) * layer_count;
   }
 
-  // 5. One forward over the whole batch — or, under the overlap split, the
-  // decode sub-batch on the expert pool concurrently with the prefill
-  // sub-batch inline on a helper thread. Sound because the two sub-batches
-  // cover disjoint sequences owning disjoint KV pages, every page-table
-  // extension already happened above, and the weights are const; outputs are
-  // bit-identical to the serial schedule because per-row routing and expert
-  // execution are independent of batch composition.
+  // 5. One forward over the whole batch.
   const auto t0 = std::chrono::steady_clock::now();
   MatrixF out;
-  MatrixF prefill_out;
   {
     obs::ScopedSpan forward_span("engine", "forward", obs::TraceDetail::kStep,
-                                 batch.total_rows() + prefill_batch.total_rows());
-    if (split) {
-      std::thread prefill_thread([this, &prefill_batch, &prefill_out] {
-        obs::SetThreadName("engine.prefill");
-        obs::ScopedSpan overlap_span("engine", "prefill_overlap", obs::TraceDetail::kStep,
-                                     prefill_batch.total_rows());
-        prefill_out = ForwardBatch(prefill_batch, prefill_acct_, /*inline_exec=*/true);
-      });
-      out = ForwardBatch(batch, acct_, /*inline_exec=*/false);
-      prefill_thread.join();
-    } else {
-      prefill_acct_.Reset(static_cast<int>(live_shards_.size()));
-      out = ForwardBatch(batch, acct_, /*inline_exec=*/false);
-    }
+                                 batch.total_rows());
+    out = ForwardBatch(batch);
   }
   const double forward_ms =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
@@ -1266,49 +1184,31 @@ bool ServingEngine::Step() {
   // 6. Scatter outputs back, advance sequences, retire finished ones.
   StepMetrics sm;
   sm.step = step_;
-  sm.batch_rows = batch.total_rows() + prefill_batch.total_rows();
+  sm.batch_rows = batch.total_rows();
   sm.running_sequences = static_cast<int64_t>(running_.size());
   sm.kv_used_pages = cache_.allocator().used_pages();
   sm.kv_frag_tokens = cache_.allocator().FragmentationWaste();
   // Measured forward time, minus the host time the analytic accounting
   // itself spent inside ForwardBatch — simulation bookkeeping must not
   // contaminate the throughput metrics.
-  sm.wall_ms = std::max(0.0, forward_ms - (acct_.account_ms + prefill_acct_.account_ms));
+  sm.wall_ms = std::max(0.0, forward_ms - acct_.account_ms);
 
   // Analytic step estimate: the per-shard MoE device times accumulated by
   // ForwardBatch, plus the step's KV-page traffic as a bandwidth-roofline
   // stream split data-parallel across shards, plus the interconnect
-  // all-to-all. The slowest shard gates the iteration. The serial fields
-  // fold the decode and prefill passes elementwise — exactly what a single
-  // serial pass would have accumulated — so est_compute_ms/est_alltoall_ms
-  // keep their meaning with overlap on; the pipelining benefit is reported
-  // separately as est_overlap_saved_ms (serial minus overlapped schedule,
-  // never negative by OverlappedPhaseMs's bounds).
+  // all-to-all. The slowest shard gates the iteration.
   sm.kv_read_bytes = kv_read_bytes;
   sm.kv_write_bytes = kv_write_bytes;
-  sm.alltoall_dispatch_bytes =
-      acct_.traffic.alltoall_dispatch_bytes + prefill_acct_.traffic.alltoall_dispatch_bytes;
-  sm.alltoall_combine_bytes =
-      acct_.traffic.alltoall_combine_bytes + prefill_acct_.traffic.alltoall_combine_bytes;
-  sm.est_alltoall_ms = acct_.alltoall_ms + prefill_acct_.alltoall_ms;
+  sm.alltoall_dispatch_bytes = acct_.traffic.alltoall_dispatch_bytes;
+  sm.alltoall_combine_bytes = acct_.traffic.alltoall_combine_bytes;
+  sm.est_alltoall_ms = acct_.alltoall_ms;
   // A stalled shard (injected fault) runs this one step at half speed; the
-  // slowest-shard gate below then charges the stall to the whole iteration
-  // (both passes of a split step execute on the same stalled device).
+  // slowest-shard gate below then charges the stall to the whole iteration.
   if (stalled_shard_ >= 0 && stalled_shard_ < static_cast<int>(acct_.shard_ms.size())) {
     acct_.shard_ms[static_cast<size_t>(stalled_shard_)] *= 2.0;
-    prefill_acct_.shard_ms[static_cast<size_t>(stalled_shard_)] *= 2.0;
   }
   stalled_shard_ = -1;
-  double max_shard_ms = 0.0;       // serial: decode + prefill back to back
-  double max_shard_ov_ms = 0.0;    // overlapped: decode alongside prefill
-  for (size_t s = 0; s < acct_.shard_ms.size(); ++s) {
-    const double d_ms = acct_.shard_ms[s];
-    const double p_ms = prefill_acct_.shard_ms[s];
-    max_shard_ms = std::max(max_shard_ms, d_ms + p_ms);
-    max_shard_ov_ms = std::max(
-        max_shard_ov_ms, TimingModel::OverlappedPhaseMs(d_ms, p_ms, config_.overlap_efficiency));
-    acct_.shard_tokens[s] += prefill_acct_.shard_tokens[s];
-  }
+  const double max_shard_ms = *std::max_element(acct_.shard_ms.begin(), acct_.shard_ms.end());
   const double shard_count = static_cast<double>(live_shards_.size());
   TrafficReport kv;
   kv.gmem_read_bytes = kv_read_bytes / shard_count;
@@ -1322,16 +1222,6 @@ bool ServingEngine::Step() {
   const double kv_stream_ms =
       TimingModel(cluster_.device(live_shards_.front())).Estimate(kv).total_ms;
   sm.est_compute_ms = max_shard_ms + kv_stream_ms;
-  if (config_.overlap) {
-    // Overlapped schedule: prefill compute hides under decode compute per
-    // shard, then the step's all-to-all transfer hides under the combined
-    // compute + KV stream. Each OverlappedPhaseMs is bounded below by the
-    // longer phase and above by the serial sum, so saved >= 0 always.
-    const double serial_total_ms = sm.est_compute_ms + sm.est_alltoall_ms;
-    const double overlapped_total_ms = TimingModel::OverlappedPhaseMs(
-        max_shard_ov_ms + kv_stream_ms, sm.est_alltoall_ms, config_.overlap_efficiency);
-    sm.est_overlap_saved_ms = std::max(0.0, serial_total_ms - overlapped_total_ms);
-  }
   // The metrics' per-shard token tracks keep physical device identity, so a
   // dead shard's track simply flatlines after its failover.
   physical_shard_tokens_.assign(static_cast<size_t>(cluster_.num_shards()), 0);
@@ -1341,10 +1231,7 @@ bool ServingEngine::Step() {
   metrics_.OnShardTokens(physical_shard_tokens_);
 
   obs::ScopedSpan retire_span("engine", "retire", obs::TraceDetail::kStep);
-  for (const auto& [from_prefill, slice_idx] : scatter_order) {
-    const BatchSlice& slice =
-        from_prefill ? prefill_batch.slices[slice_idx] : batch.slices[slice_idx];
-    const MatrixF& pass_out = from_prefill ? prefill_out : out;
+  for (const BatchSlice& slice : batch.slices) {
     // Re-resolved per slice rather than cached across the loop: an OnRows
     // callback fired below may reentrantly Cancel() *another* session whose
     // slice is still pending, erasing its Sequence — its rows from this
@@ -1356,7 +1243,7 @@ bool ServingEngine::Step() {
     Sequence& seq = seq_it->second;
     (slice.is_prefill ? sm.prefill_rows : sm.decode_rows) += slice.row_count;
     for (int64_t r = 0; r < slice.row_count; ++r) {
-      const auto row = pass_out.row(slice.row_begin + r);
+      const auto row = out.row(slice.row_begin + r);
       seq.out_rows.insert(seq.out_rows.end(), row.begin(), row.end());
     }
     seq.consumed += slice.row_count;
@@ -1457,7 +1344,6 @@ ServingReport ServingEngine::Report() const {
   rep.provenance.swap = swap_enabled_ ? 1 : 0;
   rep.provenance.host_pages = config_.host_pages;
   rep.provenance.kernel_backend = KernelBackendName(effective_backend_);
-  rep.provenance.overlap = config_.overlap ? 1 : 0;
   rep.provenance.chunk_policy = ChunkPolicyName(config_.scheduler.chunk_policy);
   {
     const DeviceSpec& dev = DefaultDevice();  // the autotuner's model target

@@ -51,7 +51,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
@@ -88,8 +87,7 @@ enum class RoutingAlgo {
 
 const char* RoutingAlgoName(RoutingAlgo r);
 
-// What a cancellation attempt found (see ServingEngine::TryCancel). The
-// legacy bool Cancel() collapses this to outcome == kCancelled; the async
+// What a cancellation attempt found (see ServingEngine::Cancel). The async
 // front end and the CLI surface the distinction (an unknown id is an operator
 // error, an already-terminal id is a benign race).
 enum class CancelOutcome {
@@ -167,21 +165,6 @@ struct EngineConfig {
   // scalar, is the bit-exact oracle path every serving bit-identity
   // invariant is stated against.
   KernelBackend kernel_backend = KernelBackend::kScalar;
-  // Overlapped execution (the ROADMAP's "decode/prefill/all-to-all
-  // pipelining"): when a step carries both resident decode rows and a
-  // prefill chunk, the two sub-batches execute concurrently (decode on the
-  // expert pool, the prefill chunk inline on a helper thread), and the
-  // analytic step estimate overlaps decode compute with prefill compute and
-  // hides the all-to-all under compute at `overlap_efficiency`. Outputs stay
-  // bit-identical to the serial schedule (per-row outputs are independent of
-  // batch composition under top-k routing — the same property chunked
-  // prefill and preemption recompute rely on); execution overlap is
-  // therefore suppressed under expert-choice routing, where only the
-  // modeled all-to-all/compute overlap applies. The serial analytic fields
-  // (est_compute_ms, est_alltoall_ms) are unchanged by overlap; the savings
-  // land in StepMetrics::est_overlap_saved_ms.
-  bool overlap = false;
-  double overlap_efficiency = 0.85;
   SchedulerConfig scheduler;
 };
 
@@ -230,7 +213,7 @@ class SessionHandle {
   // Rows delivered so far through NewRows() or the OnRows callback.
   int64_t delivered_rows() const;
   // Terminates the session (see ServingEngine::Cancel).
-  bool Cancel();
+  CancelOutcome Cancel();
 
  private:
   friend class ServingEngine;
@@ -281,15 +264,10 @@ class ServingEngine {
   // the ingress queue or scheduler backlog, or — when resident — frees its
   // KV pages (the allocator's free list returns to its pre-submit state) and
   // retires it with the rows produced so far. Records a kCancelled terminal
-  // status. False when `id` is unknown or already terminal.
-  bool Cancel(int64_t id);
-
-  // Cancel with a distinguished outcome: kUnknownId when `id` was never
-  // submitted to this engine (the id is simply not a session), versus
-  // kAlreadyTerminal when the session exists but already finished, was
-  // rejected, shed, timed out, or cancelled. Cancel(id) above is exactly
-  // TryCancel(id) == kCancelled.
-  CancelOutcome TryCancel(int64_t id);
+  // status and returns kCancelled. Otherwise nothing changes: kUnknownId when
+  // `id` was never submitted to this engine, kAlreadyTerminal when the
+  // session already finished, was rejected, shed, timed out, or cancelled.
+  CancelOutcome Cancel(int64_t id);
 
   int64_t current_step() const { return step_; }
   int64_t resident_sequences() const { return static_cast<int64_t>(running_.size()); }
@@ -320,10 +298,7 @@ class ServingEngine {
   int64_t watchdog_trips() const { return watchdog_trips_; }
   int64_t fault_retries() const { return fault_retries_total_; }
   // Distinct batch shapes the autotuner has resolved (0 with autotune off).
-  int64_t autotune_cache_size() const {
-    std::lock_guard<std::mutex> lock(autotune_mu_);
-    return static_cast<int64_t>(autotune_cache_.size());
-  }
+  int64_t autotune_cache_size() const { return static_cast<int64_t>(autotune_cache_.size()); }
   // Summarized metrics with the engine-known provenance fields (shards,
   // placement, routing, policy, threads, budgets) filled in; the CLI layers
   // the workload-level fields (model, trace, seed) on top before export.
@@ -399,10 +374,7 @@ class ServingEngine {
   // row (no-op without a callback); `finished` tags the terminal delta.
   void StreamToCallback(int64_t id, bool finished);
 
-  // One forward pass's analytic-accounting state. A value per concurrent
-  // forward (the overlap path runs a decode and a prefill sub-batch on two
-  // threads) instead of engine members, so the two passes never race; the
-  // step folds them into the serial per-shard totals afterwards.
+  // One forward pass's analytic-accounting state and persistent scratch.
   struct StepAccounting {
     std::vector<double> shard_ms;     // per logical shard, this pass
     std::vector<int64_t> shard_tokens;
@@ -411,8 +383,7 @@ class ServingEngine {
     TrafficReport traffic;
     AllToAllScratch a2a_scratch;
     // Persistent forward scratch (steady-state passes stay allocation-quiet).
-    ParallelMoeWorkspace pool_ws;  // pool-executed passes
-    MoeWorkspace inline_ws;        // inline (helper-thread) passes
+    ParallelMoeWorkspace pool_ws;
     MatrixF moe_out;
 
     void Reset(int num_shards) {
@@ -425,11 +396,8 @@ class ServingEngine {
   };
 
   // Forwards the assembled batch through all layers; returns final hidden
-  // rows. `inline_exec` keeps every stage (attention slices, expert SSMMs)
-  // on the calling thread — the overlap path's prefill pass, which must not
-  // touch the expert pool while the decode pass owns it. Analytic estimates
-  // accumulate into `acct`.
-  MatrixF ForwardBatch(const AssembledBatch& batch, StepAccounting& acct, bool inline_exec);
+  // rows. Analytic estimates accumulate into acct_.
+  MatrixF ForwardBatch(const AssembledBatch& batch);
   // Resolves (and caches) the tuned SSMM tile config for one layer's expert
   // shape under this plan's batch shape; records simulated default-vs-tuned
   // time in the metrics and returns the config the analytic estimate runs
@@ -437,11 +405,11 @@ class ServingEngine {
   SsmmConfig ResolveTileConfig(const SamoyedsMoeLayerWeights& moe, const RoutingPlan& plan);
   // Expert->shard map for this engine's layers under config_.placement.
   ExpertShardPlan BuildShardPlan() const;
-  // Folds one routed layer into `acct`: each expert's three SSMM projections
+  // Folds one routed layer into acct_: each expert's three SSMM projections
   // charged to its shard, shared experts data-parallel, plus the layer's
   // cross-shard all-to-all.
   void AccountMoeLayer(const SamoyedsMoeLayerWeights& moe, const RoutingPlan& plan,
-                       const SsmmConfig& tile_cfg, StepAccounting& acct);
+                       const SsmmConfig& tile_cfg);
   // Decode-phase residents right now — the count PlanResidentRows will plan
   // one decode row for, and the ResidentSnapshot::decode_rows the scheduler's
   // decode-priority chunk sizing keys off.
@@ -485,24 +453,16 @@ class ServingEngine {
   ExpertShardPlan shard_plan_;
   ExpertPool pool_;
   EngineMetrics metrics_;
-  // Per-pass analytic-estimate accumulators + forward scratch (see
-  // StepAccounting). acct_ serves every pool-executed pass (the whole batch
-  // serially, or the decode sub-batch under overlap); prefill_acct_ serves
-  // the overlap path's inline prefill pass on the helper thread. Both reset
-  // at pass entry; Step() folds them into the serial per-shard totals —
-  // account_ms is host time spent on the accounting itself, deducted from
-  // the measured forward wall-clock so analytic bookkeeping never
-  // contaminates the throughput metrics.
+  // The forward pass's analytic-estimate accumulators + scratch (see
+  // StepAccounting), reset at pass entry. account_ms is host time spent on
+  // the accounting itself, deducted from the measured forward wall-clock so
+  // analytic bookkeeping never contaminates the throughput metrics.
   StepAccounting acct_;
-  StepAccounting prefill_acct_;
   // Tuned SSMM config per (expert rows, expert cols, batch rows, max tokens
   // per expert, kernel backend) — the expert shape participates so
   // heterogeneous layers never share entries, and the backend participates
-  // because lane padding gives each backend its own tile ranking. Guarded by
-  // autotune_mu_: under overlap the decode and prefill passes resolve tile
-  // configs concurrently.
+  // because lane padding gives each backend its own tile ranking.
   std::map<std::array<int64_t, 5>, AutotuneResult> autotune_cache_;
-  mutable std::mutex autotune_mu_;
   // The backend actually installed (kAuto resolved, fallbacks applied).
   KernelBackend effective_backend_ = KernelBackend::kScalar;
 

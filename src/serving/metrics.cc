@@ -260,7 +260,6 @@ ServingReport EngineMetrics::Summarize(int64_t token_budget, int64_t max_pages) 
     rep.wall_ms += s.wall_ms;
     rep.est_compute_ms += s.est_compute_ms;
     rep.est_alltoall_ms += s.est_alltoall_ms;
-    rep.est_overlap_saved_ms += s.est_overlap_saved_ms;
     rep.alltoall_bytes += s.alltoall_dispatch_bytes + s.alltoall_combine_bytes;
     rep.kv_traffic_bytes += s.kv_read_bytes + s.kv_write_bytes;
   }
@@ -399,7 +398,6 @@ std::string ServingReport::ToJson() const {
   AppendConfigField(out, "llc_bytes", provenance.llc_bytes);
   AppendConfigField(out, "llc_bandwidth_gbps", provenance.llc_bandwidth_gbps);
   AppendConfigField(out, "dram_bandwidth_gbps", provenance.dram_bandwidth_gbps);
-  AppendConfigField(out, "overlap", provenance.overlap);
   AppendConfigField(out, "chunk_policy", provenance.chunk_policy, /*last=*/true);
   out += "  },\n";
   AppendField(out, "requests_finished", requests_finished);
@@ -449,7 +447,6 @@ std::string ServingReport::ToJson() const {
   AppendField(out, "shard_imbalance", shard_imbalance);
   AppendField(out, "est_compute_ms", est_compute_ms);
   AppendField(out, "est_alltoall_ms", est_alltoall_ms);
-  AppendField(out, "est_overlap_saved_ms", est_overlap_saved_ms);
   AppendField(out, "est_alltoall_share", est_alltoall_share);
   AppendField(out, "alltoall_bytes", alltoall_bytes);
   AppendField(out, "kv_traffic_bytes", kv_traffic_bytes);
@@ -590,14 +587,6 @@ void EngineMetrics::Print(const ServingReport& rep, std::FILE* out) {
                  rep.est_alltoall_ms, 100.0 * rep.est_alltoall_share,
                  rep.kv_traffic_bytes / (1024.0 * 1024.0),
                  rep.alltoall_bytes / (1024.0 * 1024.0));
-  }
-  if (rep.est_overlap_saved_ms > 0.0) {
-    std::fprintf(out,
-                 "overlap: decode/prefill + all-to-all pipelining saved est %.3f ms "
-                 "(%.0f%% of the serial estimate)\n",
-                 rep.est_overlap_saved_ms,
-                 100.0 * rep.est_overlap_saved_ms /
-                     std::max(1e-12, rep.est_compute_ms + rep.est_alltoall_ms));
   }
   if (rep.shard_tokens.size() > 1) {
     std::fprintf(out, "shard load (tokens/shard, imbalance %.2fx):", rep.shard_imbalance);

@@ -75,18 +75,7 @@ struct StepMetrics {
   double swap_in_bytes = 0.0;     // KV bytes restored host -> device
   double est_swap_ms = 0.0;       // host-link transfer time for both
 
-  // Overlapped-execution savings in the analytic model: serial estimate
-  // minus the pipelined estimate where prefill-chunk compute runs alongside
-  // resident decode and all-to-all transfer hides under compute. Zero when
-  // overlap is off or the step had nothing to overlap; never negative (the
-  // pipelined schedule can only remove exposed time, not add it).
-  double est_overlap_saved_ms = 0.0;
-
-  // Serial (non-overlapped) estimate: the deterministic baseline every
-  // existing assertion and bench gate is written against.
   double est_total_ms() const { return est_compute_ms + est_alltoall_ms; }
-  // What the step costs with overlap applied.
-  double est_overlapped_total_ms() const { return est_total_ms() - est_overlap_saved_ms; }
 };
 
 // Where a report came from: schema version plus the run configuration, so a
@@ -94,7 +83,7 @@ struct StepMetrics {
 // the flags that produced it are forgotten. Emitted as the leading
 // "schema_version" / "config" keys of `ServingReport::ToJson`.
 struct ReportProvenance {
-  int64_t schema_version = 1;
+  int64_t schema_version = 2;
   std::string model;  // model-shape echo ("layers=2 experts=8 hidden=32 ...")
   std::string trace;  // workload description ("poisson n=24" / trace file)
   int64_t seed = 0;
@@ -119,9 +108,7 @@ struct ReportProvenance {
   int64_t llc_bytes = 0;            // modeled last-level-cache capacity
   double llc_bandwidth_gbps = 0.0;  // modeled LLC bandwidth
   double dram_bandwidth_gbps = 0.0; // modeled DRAM bandwidth
-  // Overlapped decode/prefill execution (1 = on) and the prefill chunk
-  // sizing policy ("fixed" | "decode-priority") the run scheduled with.
-  int64_t overlap = 0;
+  // Prefill chunk sizing policy ("fixed" | "decode-priority").
   std::string chunk_policy;
 };
 
@@ -209,7 +196,6 @@ struct ServingReport {
   double shard_imbalance = 0.0;         // max / mean of shard_tokens
   double est_compute_ms = 0.0;          // Σ per-step max-over-shards estimates
   double est_alltoall_ms = 0.0;         // Σ per-step interconnect estimates
-  double est_overlap_saved_ms = 0.0;    // Σ per-step pipelining savings
   double est_alltoall_share = 0.0;      // alltoall / (compute + alltoall)
   double alltoall_bytes = 0.0;          // Σ dispatch + combine volume
   double kv_traffic_bytes = 0.0;        // Σ KV-page gather + append volume
@@ -319,9 +305,9 @@ class EngineMetrics {
   }
 
   Clock::time_point start_;
-  // Guards every container and counter below. On* hooks may fire from the
-  // engine driver thread and the overlap helper thread concurrently, and the
-  // snapshot accessors/Summarize read from arbitrary client threads.
+  // Guards every container and counter below. On* hooks fire from the
+  // engine driver thread while the snapshot accessors/Summarize read from
+  // arbitrary client threads.
   mutable std::mutex mu_;
   std::map<int64_t, RequestMetrics> requests_;
   // Latency sketches, fed at OnFinish/OnStep: the step-count pairs stay

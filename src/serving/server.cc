@@ -252,7 +252,7 @@ void AsyncServer::DriverLoop() {
 void AsyncServer::ApplyOps(std::vector<Op>& ops) {
   for (Op& op : ops) {
     if (op.is_cancel) {
-      CancelOutcome outcome = engine_.TryCancel(op.cancel_id);
+      CancelOutcome outcome = engine_.Cancel(op.cancel_id);
       std::lock_guard<std::mutex> rlock(rec_mu_);
       if (outcome == CancelOutcome::kUnknownId) {
         // The engine never saw the id, but the server may have retired it

@@ -162,13 +162,6 @@ double TimingModel::AllToAllMs(const TrafficReport& report, int num_shards) cons
          InterconnectPhaseMs(report.alltoall_combine_bytes / shards);
 }
 
-double TimingModel::OverlappedPhaseMs(double a_ms, double b_ms, double efficiency) {
-  const double a = std::max(0.0, a_ms);
-  const double b = std::max(0.0, b_ms);
-  const double e = std::min(1.0, std::max(0.0, efficiency));
-  return std::max(a, b) + (1.0 - e) * std::min(a, b);
-}
-
 double TimingModel::ThroughputTflops(double useful_flops, const TrafficReport& report) const {
   const TimingEstimate e = Estimate(report);
   if (e.total_ms <= 0.0) {

@@ -89,16 +89,6 @@ class TimingModel {
   // InterconnectPhaseMs with the busiest shard's bytes instead.
   double AllToAllMs(const TrafficReport& report, int num_shards) const;
 
-  // Two phases that can execute concurrently (decode compute alongside a
-  // prefill chunk, or an all-to-all transfer alongside compute): the longer
-  // phase fully hides the shorter one at efficiency 1.0; at efficiency e the
-  // hidden phase still exposes (1 - e) of itself (issue-slot contention,
-  // imperfect double buffering). Monotone in both inputs, commutative, never
-  // below max(a, b) and never above a + b — so an overlapped schedule can
-  // only save time relative to the serial sum, never invent negative work.
-  // Negative inputs and out-of-range efficiencies are clamped.
-  static double OverlappedPhaseMs(double a_ms, double b_ms, double efficiency);
-
   const DeviceSpec& device() const { return device_; }
 
   // Warps per SM needed to reach peak issue rate; the ramp below this is

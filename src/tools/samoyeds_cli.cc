@@ -44,7 +44,6 @@ void PrintUsage(std::FILE* out) {
       "  serve <model|tiny> <trace|synthetic:N>     continuous-batching serving engine\n"
       "        [--policy=fcfs|smallest-first|token-budget] [--budget=N]\n"
       "        [--chunk-tokens=N] [--chunk-policy=fixed|decode-priority]\n"
-      "        [--overlap=0|1] [--overlap-eff=R]\n"
       "        [--async[=0|1]] [--server-clock=virtual|wall] [--mailbox-cap=N]\n"
       "        [--cancel=ID[,ID...]] [--stream[=0|1]] [--report-json=FILE]\n"
       "        [--max-resident=N] [--page-tokens=N] [--max-pages=N|auto]\n"
@@ -66,12 +65,6 @@ void PrintUsage(std::FILE* out) {
       "        --chunk-policy=decode-priority shrinking the chunk cap to\n"
       "        max(1, N - resident decode rows) so prompt work yields batch\n"
       "        slots to latency-sensitive decode (still bit-identical);\n"
-      "        --overlap=1 overlaps the prefill-chunk forward pass with the\n"
-      "        resident-decode pass on a second thread and overlaps the modeled\n"
-      "        all-to-all with compute in the timing estimates (outputs stay\n"
-      "        bit-identical to serial execution; savings land in the report's\n"
-      "        est_overlap_saved_ms) with --overlap-eff=R in [0,1] setting the\n"
-      "        modeled transfer/compute overlap efficiency (default 0.85);\n"
       "        --async=1 serves through the AsyncServer front-end: a driver\n"
       "        thread runs Step() while submissions flow through a lock-\n"
       "        protected mailbox drained at step boundaries; --server-clock\n"
@@ -319,8 +312,6 @@ struct ServeOptions {
   int64_t budget = 128;
   int64_t chunk_tokens = 0;   // 0 = chunked prefill off
   serving::ChunkPolicy chunk_policy = serving::ChunkPolicy::kFixed;
-  bool overlap = false;       // decode/prefill + transfer/compute overlap
-  double overlap_eff = 0.85;  // modeled transfer/compute overlap efficiency
   bool async = false;         // serve through the AsyncServer front-end
   serving::ServerClock server_clock = serving::ServerClock::kVirtual;
   int64_t mailbox_cap = 0;    // AsyncServer mailbox bound (0 = unbounded)
@@ -402,19 +393,6 @@ bool ParseServeFlag(const std::string& arg, ServeOptions& opt) {
   } else if (key == "--chunk-policy") {
     if (!serving::ParseChunkPolicy(value, &opt.chunk_policy)) {
       std::fprintf(stderr, "unknown chunk-policy: %s (fixed | decode-priority)\n", value);
-      std::exit(2);
-    }
-  } else if (key == "--overlap") {
-    const int64_t v = ParseI64(value, key.c_str());
-    if (v != 0 && v != 1) {
-      std::fprintf(stderr, "invalid overlap: '%s' (expected 0 or 1)\n", value);
-      std::exit(2);
-    }
-    opt.overlap = v == 1;
-  } else if (key == "--overlap-eff") {
-    opt.overlap_eff = ParseDouble(value, key.c_str());
-    if (opt.overlap_eff < 0.0 || opt.overlap_eff > 1.0) {
-      std::fprintf(stderr, "need overlap-eff in [0, 1]\n");
       std::exit(2);
     }
   } else if (key == "--async") {
@@ -768,8 +746,6 @@ int CmdServe(int argc, char** argv) {
   engine_cfg.placement = opt.placement;
   engine_cfg.link_bandwidth_gbps = opt.link_gbps;
   engine_cfg.link_latency_us = opt.link_us;
-  engine_cfg.overlap = opt.overlap;
-  engine_cfg.overlap_efficiency = opt.overlap_eff;
   engine_cfg.scheduler.policy = opt.policy;
   engine_cfg.scheduler.token_budget = opt.budget;
   engine_cfg.scheduler.chunk_tokens = opt.chunk_tokens;
@@ -815,11 +791,6 @@ int CmdServe(int argc, char** argv) {
                 "with decode; outputs identical to one-shot prefill)\n",
                 static_cast<long long>(opt.chunk_tokens),
                 serving::ChunkPolicyName(opt.chunk_policy));
-  }
-  if (opt.overlap) {
-    std::printf("overlap: decode/prefill passes on two threads, transfer/compute overlap "
-                "eff %.2f (outputs identical to serial execution)\n",
-                opt.overlap_eff);
   }
   if (opt.async) {
     std::printf("async server: %s clock, mailbox %s\n",
@@ -956,7 +927,7 @@ int CmdServe(int argc, char** argv) {
       engine.Submit(std::move(request), on_rows);
     }
     for (const int64_t id : opt.cancel_ids) {
-      const serving::CancelOutcome outcome = engine.TryCancel(id);
+      const serving::CancelOutcome outcome = engine.Cancel(id);
       if (outcome == serving::CancelOutcome::kUnknownId) {
         std::fprintf(stderr, "cancel: unknown session id %lld\n", static_cast<long long>(id));
         return 1;

@@ -1,10 +1,10 @@
 // AsyncServer front-end: the synchronous engine is the bit-exact oracle for
 // the async driver loop (virtual clock, submit-before-Start) at every
-// thread/shard/chunk/overlap combination; mailbox backpressure composes with
+// thread/shard/chunk combination; mailbox backpressure composes with
 // priority shedding; Cancel distinguishes unknown ids; decode-priority
-// chunking and decode/prefill overlap stay bit-lossless; and a multi-client
-// randomized chaos run (faults on) leaves every session in exactly one
-// terminal state with zero page leaks.
+// chunking stays bit-lossless; and a multi-client randomized chaos run
+// (faults on) leaves every session in exactly one terminal state with zero
+// page leaks.
 
 #include <gtest/gtest.h>
 
@@ -24,7 +24,6 @@
 #include "src/serving/scheduler.h"
 #include "src/serving/server.h"
 #include "src/serving/trace.h"
-#include "src/simgpu/timing_model.h"
 #include "src/tensor/rng.h"
 #include "tests/test_util.h"
 
@@ -110,50 +109,25 @@ std::map<int64_t, MatrixF> RunSync(const std::vector<SamoyedsDecoderLayerWeights
   return outputs;
 }
 
-// ---- Timing-model overlap primitive ----------------------------------------
+// ---- Cancel outcomes --------------------------------------------------------
 
-TEST(OverlappedPhaseMsTest, BoundsClampsAndCommutes) {
-  // Perfect overlap hides the shorter phase entirely; zero overlap is serial.
-  EXPECT_DOUBLE_EQ(TimingModel::OverlappedPhaseMs(3.0, 2.0, 1.0), 3.0);
-  EXPECT_DOUBLE_EQ(TimingModel::OverlappedPhaseMs(3.0, 2.0, 0.0), 5.0);
-  EXPECT_DOUBLE_EQ(TimingModel::OverlappedPhaseMs(3.0, 2.0, 0.5), 4.0);
-
-  // max(a, b) <= result <= a + b for any efficiency in [0, 1].
-  for (double eff : {0.0, 0.25, 0.85, 1.0}) {
-    const double r = TimingModel::OverlappedPhaseMs(4.0, 1.5, eff);
-    EXPECT_GE(r, 4.0);
-    EXPECT_LE(r, 5.5);
-    // Commutative: which phase is "compute" vs "transfer" cannot matter.
-    EXPECT_DOUBLE_EQ(r, TimingModel::OverlappedPhaseMs(1.5, 4.0, eff));
-  }
-
-  // Out-of-range efficiency and negative durations clamp instead of
-  // producing negative or super-serial times.
-  EXPECT_DOUBLE_EQ(TimingModel::OverlappedPhaseMs(3.0, 2.0, 1.5), 3.0);
-  EXPECT_DOUBLE_EQ(TimingModel::OverlappedPhaseMs(3.0, 2.0, -1.0), 5.0);
-  EXPECT_DOUBLE_EQ(TimingModel::OverlappedPhaseMs(-1.0, 2.0, 0.5), 2.0);
-  EXPECT_DOUBLE_EQ(TimingModel::OverlappedPhaseMs(0.0, 0.0, 0.5), 0.0);
-}
-
-// ---- TryCancel outcomes -----------------------------------------------------
-
-TEST(TryCancelTest, DistinguishesUnknownCancelledAndTerminal) {
+TEST(CancelOutcomeTest, DistinguishesUnknownCancelledAndTerminal) {
   const MoeModelConfig cfg = TinyConfig();
   Rng rng(11);
   ServingEngine engine(BuildTinyModel(rng, 1, cfg), BaseEngineConfig());
 
   // Never submitted: a distinct verdict, not a silent no-op.
-  EXPECT_EQ(engine.TryCancel(42), CancelOutcome::kUnknownId);
+  EXPECT_EQ(engine.Cancel(42), CancelOutcome::kUnknownId);
 
   Rng req_rng(12);
   ASSERT_TRUE(engine.Submit(MakeTestRequest(req_rng, 1, 0, 4, 2, cfg.hidden)));
-  EXPECT_EQ(engine.TryCancel(1), CancelOutcome::kCancelled);
+  EXPECT_EQ(engine.Cancel(1), CancelOutcome::kCancelled);
   // Retired (cancelled) ids are known forever: cancelling again is
   // already-terminal, not unknown.
-  EXPECT_EQ(engine.TryCancel(1), CancelOutcome::kAlreadyTerminal);
+  EXPECT_EQ(engine.Cancel(1), CancelOutcome::kAlreadyTerminal);
   engine.RunUntilDrained();
-  EXPECT_EQ(engine.TryCancel(1), CancelOutcome::kAlreadyTerminal);
-  EXPECT_EQ(engine.TryCancel(42), CancelOutcome::kUnknownId);
+  EXPECT_EQ(engine.Cancel(1), CancelOutcome::kAlreadyTerminal);
+  EXPECT_EQ(engine.Cancel(42), CancelOutcome::kUnknownId);
 
   EXPECT_STREQ(CancelOutcomeName(CancelOutcome::kCancelled), "cancelled");
   EXPECT_STREQ(CancelOutcomeName(CancelOutcome::kUnknownId), "unknown-id");
@@ -164,7 +138,7 @@ TEST(TryCancelTest, DistinguishesUnknownCancelledAndTerminal) {
 
 // The determinism tentpole: with the virtual clock and every submission
 // enqueued before Start(), the async server must reproduce the synchronous
-// engine bit-for-bit at every thread/shard/chunk/overlap combination.
+// engine bit-for-bit at every thread/shard/chunk combination.
 TEST(AsyncServerTest, MatchesSyncOracleAtEveryCombination) {
   const MoeModelConfig cfg = TinyConfig();
   Rng rng(21);
@@ -174,43 +148,39 @@ TEST(AsyncServerTest, MatchesSyncOracleAtEveryCombination) {
   for (int threads : {1, 2}) {
     for (int shards : {1, 2}) {
       for (int64_t chunk : {int64_t{0}, int64_t{4}}) {
-        for (bool overlap : {false, true}) {
-          EngineConfig engine_cfg = BaseEngineConfig();
-          engine_cfg.threads = threads;
-          engine_cfg.shards = shards;
-          engine_cfg.scheduler.chunk_tokens = chunk;
-          engine_cfg.overlap = overlap;
-          const std::string combo = "threads=" + std::to_string(threads) +
-                                    " shards=" + std::to_string(shards) +
-                                    " chunk=" + std::to_string(chunk) +
-                                    " overlap=" + std::to_string(overlap);
+        EngineConfig engine_cfg = BaseEngineConfig();
+        engine_cfg.threads = threads;
+        engine_cfg.shards = shards;
+        engine_cfg.scheduler.chunk_tokens = chunk;
+        const std::string combo = "threads=" + std::to_string(threads) +
+                                  " shards=" + std::to_string(shards) +
+                                  " chunk=" + std::to_string(chunk);
 
-          const std::map<int64_t, MatrixF> oracle = RunSync(model, engine_cfg, requests);
+        const std::map<int64_t, MatrixF> oracle = RunSync(model, engine_cfg, requests);
 
-          ServingEngine engine(model, engine_cfg);
-          AsyncServer server(engine, ServerConfig{});  // virtual clock
-          for (const Request& r : requests) {
-            EXPECT_TRUE(server.Submit(r)) << combo;
-          }
-          server.Start();
-          server.Drain();
-          // Streamed rows match the oracle row-for-row...
-          for (const Request& r : requests) {
-            const ServerPollResult result = server.WaitTerminal(r.id);
-            ASSERT_TRUE(result.known) << combo;
-            EXPECT_EQ(result.status, RequestStatus::kFinished) << combo;
-            EXPECT_EQ(result.delivered_rows, r.total_tokens()) << combo;
-            EXPECT_TRUE(SameMatrix(result.new_rows, oracle.at(r.id)))
-                << combo << " session " << r.id;
-          }
-          server.Stop();
-          // ...and so does the engine-side result surface.
-          for (const Request& r : requests) {
-            const RequestResult* res = engine.Result(r.id);
-            ASSERT_NE(res, nullptr) << combo;
-            EXPECT_TRUE(SameMatrix(res->outputs, oracle.at(r.id)))
-                << combo << " session " << r.id;
-          }
+        ServingEngine engine(model, engine_cfg);
+        AsyncServer server(engine, ServerConfig{});  // virtual clock
+        for (const Request& r : requests) {
+          EXPECT_TRUE(server.Submit(r)) << combo;
+        }
+        server.Start();
+        server.Drain();
+        // Streamed rows match the oracle row-for-row...
+        for (const Request& r : requests) {
+          const ServerPollResult result = server.WaitTerminal(r.id);
+          ASSERT_TRUE(result.known) << combo;
+          EXPECT_EQ(result.status, RequestStatus::kFinished) << combo;
+          EXPECT_EQ(result.delivered_rows, r.total_tokens()) << combo;
+          EXPECT_TRUE(SameMatrix(result.new_rows, oracle.at(r.id)))
+              << combo << " session " << r.id;
+        }
+        server.Stop();
+        // ...and so does the engine-side result surface.
+        for (const Request& r : requests) {
+          const RequestResult* res = engine.Result(r.id);
+          ASSERT_NE(res, nullptr) << combo;
+          EXPECT_TRUE(SameMatrix(res->outputs, oracle.at(r.id)))
+              << combo << " session " << r.id;
         }
       }
     }
@@ -281,48 +251,6 @@ TEST(ChunkPolicyTest, DecodePriorityIsBitLosslessAndYieldsToDecode) {
   EXPECT_GT(dp_steps, fixed_steps);
 }
 
-// ---- Decode/prefill overlap -------------------------------------------------
-
-TEST(OverlapTest, BitLosslessWithNonNegativeModeledSavings) {
-  const MoeModelConfig cfg = TinyConfig();
-  Rng rng(41);
-  const auto model = BuildTinyModel(rng, 2, cfg);
-  const std::vector<Request> requests = MixedWorkload(cfg.hidden);
-
-  EngineConfig serial_cfg = BaseEngineConfig();
-  serial_cfg.shards = 2;
-  serial_cfg.scheduler.chunk_tokens = 4;
-
-  EngineConfig overlap_cfg = serial_cfg;
-  overlap_cfg.overlap = true;
-
-  ServingEngine serial_engine(model, serial_cfg);
-  ServingEngine overlap_engine(model, overlap_cfg);
-  for (const Request& r : requests) {
-    ASSERT_TRUE(serial_engine.Submit(r));
-    ASSERT_TRUE(overlap_engine.Submit(r));
-  }
-  serial_engine.RunUntilDrained();
-  overlap_engine.RunUntilDrained();
-
-  for (const Request& r : requests) {
-    EXPECT_TRUE(
-        SameMatrix(serial_engine.Result(r.id)->outputs, overlap_engine.Result(r.id)->outputs))
-        << "session " << r.id;
-  }
-
-  const ServingReport serial_report = serial_engine.Report();
-  const ServingReport overlap_report = overlap_engine.Report();
-  // Overlap changes modeled wall time only: savings are non-negative by
-  // construction (OverlappedPhaseMs <= the serial sum), and with mixed
-  // decode + prefill batches on 2 shards some step genuinely overlapped.
-  EXPECT_DOUBLE_EQ(serial_report.est_overlap_saved_ms, 0.0);
-  EXPECT_GT(overlap_report.est_overlap_saved_ms, 0.0);
-  EXPECT_GT(overlap_report.est_compute_ms, 0.0);
-  EXPECT_LE(overlap_report.est_overlap_saved_ms,
-            overlap_report.est_compute_ms + overlap_report.est_alltoall_ms);
-}
-
 // ---- Server surface ---------------------------------------------------------
 
 TEST(AsyncServerTest, PollAndCancelContracts) {
@@ -388,7 +316,7 @@ TEST(AsyncServerTest, CancelCatchesMailboxPendingSubmission) {
   server.Start();
   server.Drain();
   server.Stop();
-  EXPECT_EQ(engine.TryCancel(1), CancelOutcome::kUnknownId) << "engine never saw the id";
+  EXPECT_EQ(engine.Cancel(1), CancelOutcome::kUnknownId) << "engine never saw the id";
   EXPECT_EQ(engine.kv_cache().allocator().used_pages(), 0);
 }
 
@@ -472,7 +400,6 @@ TEST(AsyncServerTest, ConcurrentClientsChaosEverySessionTerminalNoLeaks) {
   engine_cfg.scheduler.preempt = true;
   engine_cfg.scheduler.chunk_tokens = 4;
   engine_cfg.scheduler.chunk_policy = ChunkPolicy::kDecodePriority;
-  engine_cfg.overlap = true;
   engine_cfg.swap = true;
   engine_cfg.host_pages = 64;
   {

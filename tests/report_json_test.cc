@@ -82,6 +82,10 @@ TEST(ReportJsonTest, KeyCoverageOnARealRun) {
         "shard_tokens", "est_compute_ms", "est_alltoall_ms", "request_timelines"}) {
     EXPECT_TRUE(HasJsonKey(json, key)) << "missing key: " << key;
   }
+  // Schema version 2 dropped the overlapped-execution keys.
+  for (const char* key : {"overlap", "est_overlap_saved_ms"}) {
+    EXPECT_FALSE(HasJsonKey(json, key)) << "dropped key present: " << key;
+  }
 }
 
 TEST(ReportJsonTest, RequestTimelinesMirrorTheRun) {
@@ -119,7 +123,8 @@ TEST(ReportJsonTest, NumbersRoundTrip) {
   ASSERT_TRUE(FindJsonNumber(json, "steps", &v));
   EXPECT_EQ(static_cast<int64_t>(v), rep.steps);
   ASSERT_TRUE(FindJsonNumber(json, "schema_version", &v));
-  EXPECT_EQ(static_cast<int64_t>(v), rep.provenance.schema_version);
+  EXPECT_EQ(static_cast<int64_t>(v), 2);
+  EXPECT_EQ(rep.provenance.schema_version, 2);
   ASSERT_TRUE(FindJsonNumber(json, "token_budget", &v));
   EXPECT_EQ(static_cast<int64_t>(v), 16);
   // Doubles are printed with enough digits to survive a parse round-trip at

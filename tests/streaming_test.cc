@@ -328,7 +328,7 @@ TEST(CancelTest, MidPrefillCancelFreesEveryPage) {
   EXPECT_GT(alloc.used_pages(), 0);
   EXPECT_EQ(session.available_rows(), 8);
 
-  ASSERT_TRUE(session.Cancel());
+  ASSERT_EQ(session.Cancel(), CancelOutcome::kCancelled);
   EXPECT_EQ(session.status(), RequestStatus::kCancelled);
   // The allocator's free list is back to its pre-submit state.
   EXPECT_EQ(alloc.used_pages(), pages_before);
@@ -343,7 +343,7 @@ TEST(CancelTest, MidPrefillCancelFreesEveryPage) {
   EXPECT_EQ(session.NewRows().rows(), 8);
 
   // Terminal: a second cancel refuses, and the engine drains cleanly.
-  EXPECT_FALSE(session.Cancel());
+  EXPECT_EQ(session.Cancel(), CancelOutcome::kAlreadyTerminal);
   engine.RunUntilDrained(100);
   EXPECT_EQ(engine.Report().requests_cancelled, 1);
   EXPECT_EQ(engine.Report().requests_finished, 0);
@@ -369,7 +369,7 @@ TEST(CancelTest, CancelFiresTheTerminalDeltaAndCallbacksMayReenterTheEngine) {
   OnRowsCallback killer_cb = [&engine, &cancelled](const StreamDelta&) {
     if (!cancelled) {
       cancelled = true;
-      EXPECT_TRUE(engine.Cancel(1));
+      EXPECT_EQ(engine.Cancel(1), CancelOutcome::kCancelled);
     }
   };
 
@@ -396,7 +396,7 @@ TEST(CancelTest, CancelFiresTheTerminalDeltaAndCallbacksMayReenterTheEngine) {
         queued_terminal += delta.finished ? 1 : 0;
         EXPECT_EQ(delta.rows.rows(), 0);
       });
-  ASSERT_TRUE(queued.Cancel());
+  ASSERT_EQ(queued.Cancel(), CancelOutcome::kCancelled);
   EXPECT_EQ(queued_terminal, 1);
 }
 
@@ -411,7 +411,7 @@ TEST(CancelTest, CancelWorksInEveryPreResidentLifecycleStage) {
   SessionHandle queued =
       engine.Submit(MakeTestRequest(rng, 0, /*arrival=*/1000, 4, 2, cfg.hidden));
   ASSERT_TRUE(queued.ok());
-  EXPECT_TRUE(queued.Cancel());
+  EXPECT_EQ(queued.Cancel(), CancelOutcome::kCancelled);
   EXPECT_EQ(queued.status(), RequestStatus::kCancelled);
 
   // (b) In the scheduler backlog: admission blocked by a budget-saturating
@@ -424,15 +424,15 @@ TEST(CancelTest, CancelWorksInEveryPreResidentLifecycleStage) {
   ASSERT_TRUE(engine.Step());  // request 1 prefills, request 2 waits
   ASSERT_EQ(resident.status(), RequestStatus::kRunning);
   ASSERT_EQ(waiter.status(), RequestStatus::kQueued);
-  EXPECT_TRUE(waiter.Cancel());
+  EXPECT_EQ(waiter.Cancel(), CancelOutcome::kCancelled);
   EXPECT_EQ(waiter.status(), RequestStatus::kCancelled);
   EXPECT_EQ(engine.queued(), 0);
 
   // (c) Unknown ids and terminal sessions refuse.
-  EXPECT_FALSE(engine.Cancel(99));
+  EXPECT_EQ(engine.Cancel(99), CancelOutcome::kUnknownId);
   engine.RunUntilDrained(1000);
   ASSERT_EQ(resident.status(), RequestStatus::kFinished);
-  EXPECT_FALSE(resident.Cancel());
+  EXPECT_EQ(resident.Cancel(), CancelOutcome::kAlreadyTerminal);
   EXPECT_EQ(engine.Report().requests_cancelled, 2);
   EXPECT_EQ(engine.Report().requests_finished, 1);
 
@@ -478,7 +478,7 @@ TEST(CancelTest, CancellingAPreemptedSessionKeepsItsStreamedRows) {
   const int64_t delivered = victim.delivered_rows();
   ASSERT_GT(delivered, 0);
 
-  ASSERT_TRUE(victim.Cancel());
+  ASSERT_EQ(victim.Cancel(), CancelOutcome::kCancelled);
   const RequestResult* result = engine.Result(1);
   ASSERT_NE(result, nullptr);
   EXPECT_EQ(result->status, RequestStatus::kCancelled);
@@ -541,8 +541,9 @@ TEST(CancelTest, CancellingASwappedOutVictimFreesBothTiersExactlyOnce) {
   EXPECT_GT(engine.swap_tier().used_pages(), 0);
   EXPECT_EQ(victim.status(), RequestStatus::kQueued);
 
-  ASSERT_TRUE(victim.Cancel());
-  EXPECT_FALSE(victim.Cancel());  // terminal: the second cancel refuses
+  ASSERT_EQ(victim.Cancel(), CancelOutcome::kCancelled);
+  // Terminal: the second cancel refuses.
+  EXPECT_EQ(victim.Cancel(), CancelOutcome::kAlreadyTerminal);
   const RequestResult* result = engine.Result(1);
   ASSERT_NE(result, nullptr);
   EXPECT_EQ(result->status, RequestStatus::kCancelled);
@@ -593,13 +594,13 @@ TEST(SessionApiTest, RejectedAndDuplicateSubmissionsYieldNotOkHandles) {
   ASSERT_NE(engine.Result(5), nullptr);
   EXPECT_NE(engine.Result(5)->reason.find("malformed"), std::string::npos);
   EXPECT_EQ(rejected.NewRows().rows(), 0);
-  EXPECT_FALSE(rejected.Cancel());  // already terminal
+  EXPECT_EQ(rejected.Cancel(), CancelOutcome::kAlreadyTerminal);  // already terminal
 
   // Default-constructed handle is inert.
   SessionHandle null_handle;
   EXPECT_FALSE(null_handle.ok());
   EXPECT_EQ(null_handle.NewRows().rows(), 0);
-  EXPECT_FALSE(null_handle.Cancel());
+  EXPECT_EQ(null_handle.Cancel(), CancelOutcome::kUnknownId);
 
   // Duplicate id: refused without clobbering the original session.
   SessionHandle original = engine.Submit(MakeTestRequest(rng, 7, 0, 4, 2, cfg.hidden));
