@@ -1,7 +1,7 @@
 // Serving engine sweep: offered load (arrival rate) x routing skew, a
-// scheduler-policy comparison at fixed load, the paged-KV-cache admission
-// comparison, a chunked-prefill sweep over a long-prompt trace (chunk size
-// vs TTFT/turnaround, gated on bit-identity with one-shot prefill), and an
+// scheduler-policy comparison at fixed load, a paged-KV-cache preemption
+// on/off comparison, a chunked-prefill sweep over a long-prompt trace (chunk
+// size vs TTFT/turnaround, gated on bit-identity with one-shot prefill), and an
 // expert-parallel shard sweep (shard count x routing skew x placement) that
 // doubles as the CI gate for sharded-vs-unsharded bit identity (`--smoke`
 // runs a reduced sweep; any bit divergence exits non-zero), a degraded-mode
@@ -85,7 +85,6 @@ serving::ServingReport RunCell(uint64_t seed, double rate, double skew,
   cfg.threads = 2;
   cfg.scheduler.policy = policy;
   cfg.scheduler.token_budget = 48;
-  cfg.scheduler.max_resident_tokens = 512;
   serving::ServingEngine engine(BuildModel(rng, skew), cfg);
 
   const auto entries = serving::SyntheticTrace(rng, kRequests, rate, /*prompt_lo=*/4,
@@ -111,12 +110,11 @@ std::vector<serving::TraceEntry> SkewedTrace(Rng& rng, int count, double rate) {
   return entries;
 }
 
-// One cell of the paged-vs-monolithic / preemption comparison. All modes see
-// the same 128-token-slot memory budget: monolithic counts resident tokens,
-// the paged modes count 8-token pages (16 pages).
-serving::ServingReport RunKvCell(uint64_t seed, int64_t max_pages, bool preempt) {
+// One cell of the preemption comparison: both modes see the same 128-token
+// memory budget as 16 pages of 8 tokens.
+serving::ServingReport RunKvCell(uint64_t seed, bool preempt) {
   constexpr int64_t kPageTokens = 8;
-  constexpr int64_t kSlots = 128;
+  constexpr int64_t kMaxPages = 16;
   Rng rng(seed);
   serving::EngineConfig cfg;
   cfg.heads = kHeads;
@@ -124,9 +122,8 @@ serving::ServingReport RunKvCell(uint64_t seed, int64_t max_pages, bool preempt)
   cfg.threads = 2;
   cfg.scheduler.policy = serving::SchedulerPolicy::kTokenBudget;
   cfg.scheduler.token_budget = 48;
-  cfg.scheduler.max_resident_tokens = max_pages > 0 ? (1 << 20) : kSlots;
   cfg.scheduler.page_tokens = kPageTokens;
-  cfg.scheduler.max_pages = max_pages;
+  cfg.scheduler.max_pages = kMaxPages;
   cfg.scheduler.preempt = preempt;
   serving::ServingEngine engine(BuildModel(rng, /*skew=*/2.0), cfg);
 
@@ -169,7 +166,6 @@ ChunkRun RunChunkCell(uint64_t seed, int64_t budget, int64_t chunk_tokens, int r
   cfg.scheduler.policy = serving::SchedulerPolicy::kTokenBudget;
   cfg.scheduler.token_budget = budget;
   cfg.scheduler.chunk_tokens = chunk_tokens;
-  cfg.scheduler.max_resident_tokens = 4096;
   serving::ServingEngine engine(BuildModel(rng, /*skew=*/2.0), cfg);
 
   auto entries = serving::SyntheticTrace(rng, requests, /*rate=*/1.0, /*prompt_lo=*/48,
@@ -216,7 +212,6 @@ OpenLoopRun RunOpenLoopCell(uint64_t seed, bool async, serving::ChunkPolicy chun
   cfg.scheduler.token_budget = 32;
   cfg.scheduler.chunk_tokens = 8;
   cfg.scheduler.chunk_policy = chunk_policy;
-  cfg.scheduler.max_resident_tokens = 4096;
   serving::ServingEngine engine(BuildModel(rng, /*skew=*/2.0), cfg);
 
   auto entries = serving::SyntheticTrace(rng, requests, /*rate=*/1.0, /*prompt_lo=*/24,
@@ -312,7 +307,6 @@ PrefixRun RunPrefixCell(uint64_t seed, bool prefix_cache, bool preempt, bool swa
   cfg.scheduler.policy = serving::SchedulerPolicy::kTokenBudget;
   cfg.scheduler.token_budget = 48;
   cfg.scheduler.chunk_tokens = 16;
-  cfg.scheduler.max_resident_tokens = 4096;
   cfg.scheduler.page_tokens = 8;
   cfg.scheduler.max_pages = max_pages;
   cfg.scheduler.preempt = preempt;
@@ -463,7 +457,6 @@ DegradedRun RunDegradedCell(uint64_t seed, int shards, const std::string& fault_
   cfg.shards = shards;
   cfg.scheduler.policy = serving::SchedulerPolicy::kTokenBudget;
   cfg.scheduler.token_budget = 48;
-  cfg.scheduler.max_resident_tokens = 512;
   if (!fault_spec.empty()) {
     std::string err;
     if (!serving::ParseFaultSchedule(fault_spec, &cfg.faults, &err)) {
@@ -505,7 +498,6 @@ ShardRun RunShardCell(uint64_t seed, double skew, int shards,
   cfg.placement = placement;
   cfg.scheduler.policy = serving::SchedulerPolicy::kTokenBudget;
   cfg.scheduler.token_budget = 48;
-  cfg.scheduler.max_resident_tokens = 512;
   serving::ServingEngine engine(BuildModel(rng, skew), cfg);
 
   const auto entries = serving::SyntheticTrace(rng, requests, /*rate=*/4.0, /*prompt_lo=*/4,
@@ -573,21 +565,15 @@ int main(int argc, char** argv) {
                 static_cast<long long>(rep.peak_sequences));
   }
 
-  PrintHeader("Paged KV cache: admission accounting x preemption under a skewed trace "
-              "(128 token slots of memory, 8-token pages, rate 4.0)");
+  PrintHeader("Paged KV cache: preemption off/on under a skewed trace "
+              "(16 pages of 8 tokens, rate 4.0)");
   std::printf("%20s %10s %10s %10s %10s %9s %9s %9s\n", "mode", "TTFT mean", "TTFT p95",
               "turn p95", "tokens/s", "preempts", "util", "frag");
-  struct KvMode {
-    const char* name;
-    int64_t max_pages;
-    bool preempt;
-  };
-  for (const KvMode& mode : {KvMode{"monolithic-tokens", 0, false},
-                             KvMode{"paged", 16, false},
-                             KvMode{"paged+preempt", 16, true}}) {
-    const auto rep = RunKvCell(/*seed=*/7, mode.max_pages, mode.preempt);
-    cells.Add("kv_modes", Params("\"mode\": \"%s\"", mode.name), rep);
-    std::printf("%20s %10.1f %10.1f %10.1f %10.1f %9lld %8.0f%% %9.1f\n", mode.name,
+  for (const bool preempt : {false, true}) {
+    const char* mode = preempt ? "paged+preempt" : "paged";
+    const auto rep = RunKvCell(/*seed=*/7, preempt);
+    cells.Add("kv_modes", Params("\"mode\": \"%s\"", mode), rep);
+    std::printf("%20s %10.1f %10.1f %10.1f %10.1f %9lld %8.0f%% %9.1f\n", mode,
                 rep.mean_ttft_steps, rep.p95_ttft_steps, rep.p95_turnaround_steps,
                 rep.tokens_per_second, static_cast<long long>(rep.preemptions),
                 100.0 * rep.mean_page_utilization, rep.mean_frag_tokens);

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <utility>
 
 #include "src/core/samoyeds_kernel.h"
@@ -14,6 +15,10 @@
 namespace samoyeds {
 namespace serving {
 
+// Modeled backoff charged to the first retry of a transient fault; each
+// consecutive retry doubles it.
+constexpr double kFaultBackoffMs = 0.05;
+
 const char* RoutingAlgoName(RoutingAlgo r) {
   switch (r) {
     case RoutingAlgo::kTopK:
@@ -22,6 +27,16 @@ const char* RoutingAlgoName(RoutingAlgo r) {
       return "expert-choice";
   }
   return "?";
+}
+
+bool ParseRoutingAlgo(const char* text, RoutingAlgo* out) {
+  for (RoutingAlgo r : {RoutingAlgo::kTopK, RoutingAlgo::kExpertChoice}) {
+    if (std::strcmp(text, RoutingAlgoName(r)) == 0) {
+      *out = r;
+      return true;
+    }
+  }
+  return false;
 }
 
 const char* RequestStatusName(RequestStatus s) {
@@ -424,7 +439,7 @@ void ServingEngine::ChargeRetry(int attempt) {
   ++fault_retries_total_;
   // Exponential backoff, capped so a pathological schedule cannot overflow.
   fault_backoff_ms_total_ +=
-      config_.fault_backoff_ms * static_cast<double>(1ll << std::min(attempt - 1, 20));
+      kFaultBackoffMs * static_cast<double>(1ll << std::min(attempt - 1, 20));
 }
 
 bool ServingEngine::FailShard(int shard) {
@@ -465,7 +480,6 @@ int64_t ServingEngine::DecodeResidentRows() const {
 
 ResidentSnapshot ServingEngine::Resident(int64_t growth_pages) const {
   ResidentSnapshot snap;
-  snap.sequences = static_cast<int64_t>(running_.size());
   snap.decode_rows = DecodeResidentRows();
   // Cold prefix-cache pages (held by the tree alone) are handed back on
   // demand by ReclaimFor, so for admission purposes they are free.
@@ -473,9 +487,8 @@ ResidentSnapshot ServingEngine::Resident(int64_t growth_pages) const {
       cache_.allocator().used_pages() + growth_pages -
       (prefix_cache_ != nullptr ? prefix_cache_->reclaimable_pages(cache_.allocator()) : 0);
   for (int64_t id : running_) {
-    const int64_t total = sequences_.at(id).request.total_tokens();
-    snap.tokens += total;
-    snap.reserved_pages += PagesForTokens(total, config_.scheduler.page_tokens);
+    snap.reserved_pages +=
+        PagesForTokens(sequences_.at(id).request.total_tokens(), config_.scheduler.page_tokens);
   }
   return snap;
 }
@@ -916,9 +929,9 @@ bool ServingEngine::Step() {
     }
   }
 
-  // 3. Admission under the iteration token budget and the resident-token or
-  // page-accounting cap. The committed rows are everything the residents
-  // planned; an admitted prompt is charged its first chunk.
+  // 3. Admission under the iteration token budget and the KV page cap. The
+  // committed rows are everything the residents planned; an admitted prompt
+  // is charged its first chunk.
   int64_t committed_rows = 0;
   std::vector<int64_t> finished_at_admit;
   {

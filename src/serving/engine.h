@@ -22,10 +22,10 @@
 //      lowest-priority / youngest resident sequences until this iteration's
 //      planned rows can get pages; evictees free their pages and are
 //      requeued for recompute on readmission.
-//   4. The Scheduler admits new sequences under the token budget and either
-//      resident-token or KV-page accounting; with chunking on, admission
-//      charges a prompt's *first chunk*, so prompts longer than the token
-//      budget are served instead of rejected.
+//   4. The Scheduler admits new sequences under the token budget and KV-page
+//      accounting (an unbounded pool when max_pages is 0); with chunking on,
+//      admission charges a prompt's *first chunk*, so prompts longer than
+//      the token budget are served instead of rejected.
 //   5. Assemble one batch from the planned rows and extend each sequence's
 //      KV page table to cover them (chunks target pages directly).
 //   6. Forward the batch through the decoder stack. Attention runs
@@ -86,6 +86,7 @@ enum class RoutingAlgo {
 };
 
 const char* RoutingAlgoName(RoutingAlgo r);
+bool ParseRoutingAlgo(const char* text, RoutingAlgo* out);
 
 // What a cancellation attempt found (see ServingEngine::Cancel). The async
 // front end and the CLI surface the distinction (an unknown id is an operator
@@ -143,10 +144,9 @@ struct EngineConfig {
   uint64_t fault_seed = 0;
   // Transient-fault handling: a failed KV allocation or swap transfer is
   // retried up to `fault_retry_limit` times (each retry charging
-  // exponentially growing modeled backoff, base `fault_backoff_ms`) before
-  // the engine falls back to evict-and-recompute.
+  // exponentially growing modeled backoff) before the engine falls back to
+  // evict-and-recompute.
   int fault_retry_limit = 3;
-  double fault_backoff_ms = 0.05;
   // Overload control: > 0 bounds the ingress queue. A Submit that finds the
   // queue full sheds the lowest-priority queued request below the arrival's
   // class (or the arrival itself) with a kShedded terminal status.
@@ -435,8 +435,8 @@ class ServingEngine {
   // advance it; a queued/evicted session holds at 0 (so backlog starvation
   // is visible to the watchdog, by design).
   int64_t ProgressMark(int64_t id) const;
-  // Charges one exponential-backoff retry (base config_.fault_backoff_ms,
-  // doubling per consecutive attempt) to the fault counters.
+  // Charges one exponential-backoff retry (base kFaultBackoffMs in
+  // engine.cc, doubling per consecutive attempt) to the fault counters.
   void ChargeRetry(int attempt);
 
   const std::vector<SamoyedsDecoderLayerWeights> layers_;

@@ -1,9 +1,9 @@
 // Paged KV-cache allocator for the serving engine (vLLM-style).
 //
 // The engine caches, per layer, each resident sequence's attention-normed
-// prefix rows (the functional stand-in for K/V). Instead of one monolithic
-// contiguous buffer per sequence, rows live in fixed-size pages of
-// `page_tokens` token slots drawn from a shared pool:
+// prefix rows (the functional stand-in for K/V). Instead of one contiguous
+// buffer per sequence, rows live in fixed-size pages of `page_tokens` token
+// slots drawn from a shared pool:
 //
 //   * KvPageAllocator — pure page accounting: a free list, per-sequence page
 //     tables, per-page refcounts, all-or-nothing Extend, and fragmentation
@@ -23,10 +23,9 @@
 // a write range can be shared; PagedKvCache::Extend copy-on-write-splits that
 // page before the append lands.
 //
-// `total_pages == 0` runs the pool unbounded (pages are minted on demand) —
-// the monolithic-admission compatibility mode where the scheduler still
-// accounts in resident tokens. A bounded pool gives admission control and
-// eviction a hard budget to pack against.
+// `total_pages == 0` runs the pool unbounded (pages are minted on demand),
+// so only the token budget limits admission. A bounded pool gives admission
+// control and eviction a hard budget to pack against.
 //
 // Thread-safety: Extend / Free / Reset / CreateMapped mutate shared state
 // (including arena growth) and must run on the engine thread only. Row /

@@ -294,7 +294,7 @@ class EngineMetrics {
     return preemption_log_;
   }
 
-  // `max_pages` == 0 (monolithic accounting) leaves page utilization at 0.
+  // `max_pages` == 0 (an unbounded page pool) leaves page utilization at 0.
   ServingReport Summarize(int64_t token_budget, int64_t max_pages = 0) const;
   static void Print(const ServingReport& report, std::FILE* out);
 

@@ -22,6 +22,17 @@ const char* SchedulerPolicyName(SchedulerPolicy p) {
   return "?";
 }
 
+bool ParseSchedulerPolicy(const char* text, SchedulerPolicy* out) {
+  for (SchedulerPolicy p : {SchedulerPolicy::kFcfs, SchedulerPolicy::kSmallestFirst,
+                            SchedulerPolicy::kTokenBudget}) {
+    if (std::strcmp(text, SchedulerPolicyName(p)) == 0) {
+      *out = p;
+      return true;
+    }
+  }
+  return false;
+}
+
 const char* ChunkPolicyName(ChunkPolicy p) {
   switch (p) {
     case ChunkPolicy::kFixed:
@@ -44,21 +55,18 @@ bool ParseChunkPolicy(const char* text, ChunkPolicy* out) {
   return false;
 }
 
-int64_t TokenCapacity(const MoeModelConfig& model, MoeFramework framework,
-                      const SamoyedsConfig& sparse_format, const DeviceSpec& device) {
+int64_t PageCapacity(const MoeModelConfig& model, MoeFramework framework,
+                     const SamoyedsConfig& sparse_format, const DeviceSpec& device,
+                     int64_t page_tokens) {
+  assert(page_tokens >= 1);
   const MemoryFootprint fp = EstimateFootprint(model, framework, sparse_format, device);
   const double free_bytes = fp.capacity_bytes - fp.weight_bytes - fp.fixed_bytes;
   if (free_bytes <= 0.0 || fp.bytes_per_token <= 0.0) {
     return 0;
   }
-  return static_cast<int64_t>(free_bytes / fp.bytes_per_token);
-}
-
-int64_t PageCapacity(const MoeModelConfig& model, MoeFramework framework,
-                     const SamoyedsConfig& sparse_format, const DeviceSpec& device,
-                     int64_t page_tokens) {
-  assert(page_tokens >= 1);
-  return TokenCapacity(model, framework, sparse_format, device) / page_tokens;
+  // Whole tokens first, then whole pages: a page is only usable if every
+  // one of its slots fits.
+  return static_cast<int64_t>(free_bytes / fp.bytes_per_token) / page_tokens;
 }
 
 namespace {
@@ -122,14 +130,13 @@ bool Scheduler::Cancel(int64_t id) {
 }
 
 const char* Scheduler::RejectReason(const Request& r) const {
-  // With chunked prefill enabled a prompt of any length is served chunk by
-  // chunk, so "prompt exceeds budget" can no longer happen; the remaining
-  // rejections are memory-capacity conditions, and their reasons are kept
-  // distinct so operators can tell a batch-shape problem from a page-pool
-  // problem. The page check runs first: a request that overflows both the
-  // page pool and the token budget dies of the memory condition either way,
-  // and the "enable chunked prefill" hint would be a lie — chunking cannot
-  // shrink the KV footprint.
+  // Two conditions, with distinct reasons so operators can tell a page-pool
+  // problem from a batch-shape problem (with chunked prefill enabled a prompt
+  // of any length is served chunk by chunk, so only the first can happen).
+  // The page check runs first: a request that overflows both the page pool
+  // and the token budget dies of the memory condition either way, and the
+  // "enable chunked prefill" hint would be a lie — chunking cannot shrink the
+  // KV footprint.
   if (config_.max_pages > 0 &&
       PagesForTokens(r.total_tokens(), config_.page_tokens) > config_.max_pages) {
     // Even alone on an empty pool the sequence could never hold its full
@@ -139,9 +146,6 @@ const char* Scheduler::RejectReason(const Request& r) const {
   }
   if (config_.chunk_tokens <= 0 && r.prompt_len > config_.token_budget) {
     return "prompt exceeds the iteration token budget (enable chunked prefill to serve it)";
-  }
-  if (r.total_tokens() > config_.max_resident_tokens) {
-    return "total tokens exceed resident capacity";
   }
   return nullptr;
 }
@@ -172,8 +176,6 @@ AdmissionDecision Scheduler::Admit(int64_t committed_rows, const ResidentSnapsho
   }
 
   int64_t batch_rows = committed_rows;
-  int64_t tokens = resident.tokens;
-  int64_t sequences = resident.sequences;
   // Page accounting basis: with preemption the admitted rows only have to
   // fit next to what is in use right now (later growth evicts residents);
   // without it the whole lifetime must be coverable so the sequence can
@@ -211,12 +213,8 @@ AdmissionDecision Scheduler::Admit(int64_t committed_rows, const ResidentSnapsho
                   0, PagesForTokens(config_.preempt ? optimistic_tokens : r.total_tokens(),
                                     config_.page_tokens) -
                          hint.resident_pages);
-    const bool fits =
-        batch_rows + need_rows <= config_.token_budget &&
-        tokens + r.total_tokens() <= config_.max_resident_tokens &&
-        (config_.max_pages <= 0 || pages + need_pages <= config_.max_pages) &&
-        (config_.max_resident_sequences == 0 ||
-         sequences + 1 <= config_.max_resident_sequences);
+    const bool fits = batch_rows + need_rows <= config_.token_budget &&
+                      (config_.max_pages <= 0 || pages + need_pages <= config_.max_pages);
     if (!fits) {
       if (config_.policy == SchedulerPolicy::kFcfs) {
         break;  // strict head-of-line: nobody overtakes the blocked head
@@ -224,9 +222,7 @@ AdmissionDecision Scheduler::Admit(int64_t committed_rows, const ResidentSnapsho
       continue;  // smallest-first / token-budget: try the next candidate
     }
     batch_rows += need_rows;
-    tokens += r.total_tokens();
     pages += need_pages;
-    ++sequences;
     taken[idx] = true;
   }
 

@@ -8,16 +8,14 @@
 //
 //   * token_budget — the maximum rows a single iteration may carry (the
 //     compute-side batch cap; decode rows are committed first).
-//   * max_resident_tokens — the legacy memory-side cap on the total footprint
-//     of resident sequences, derived from the Table-3 memory model via
-//     TokenCapacity().
-//   * max_pages — when > 0, admission switches from resident-token counts to
-//     paged KV-cache accounting (see src/serving/kv_cache.h): with preemption
-//     off a request is admitted only if its full prompt+decode lifetime fits
-//     next to the residents' reserved pages (conservative, never evicts);
-//     with preemption on only the prompt pages must fit right now
-//     (optimistic, vLLM-style), and the engine evicts the lowest-priority /
-//     youngest resident when decode growth later runs out of pages.
+//   * max_pages — the memory-side cap: the KV page pool (see
+//     src/serving/kv_cache.h), sized from the Table-3 memory model via
+//     PageCapacity(); 0 leaves the pool unbounded. With preemption off a
+//     request is admitted only if its full prompt+decode lifetime fits next
+//     to the residents' reserved pages (conservative, never evicts); with
+//     preemption on only the prompt pages must fit right now (optimistic,
+//     vLLM-style), and the engine evicts the lowest-priority / youngest
+//     resident when decode growth later runs out of pages.
 //
 // Requests that can never satisfy these caps are rejected outright — with a
 // reason — rather than queued forever.
@@ -43,6 +41,7 @@ enum class SchedulerPolicy {
 };
 
 const char* SchedulerPolicyName(SchedulerPolicy p);
+bool ParseSchedulerPolicy(const char* text, SchedulerPolicy* out);
 
 // How prefill chunks are sized when chunked prefill is on.
 enum class ChunkPolicy {
@@ -74,12 +73,8 @@ struct SchedulerConfig {
   int64_t chunk_tokens = 0;
   // Chunk sizing policy; only meaningful when chunk_tokens > 0.
   ChunkPolicy chunk_policy = ChunkPolicy::kFixed;
-  // Max resident prompt+generation tokens across all running sequences.
-  int64_t max_resident_tokens = 1 << 20;
-  // 0 = unlimited.
-  int64_t max_resident_sequences = 0;
   // Paged KV-cache accounting. page_tokens is the page size in token slots;
-  // max_pages > 0 bounds the page pool (0 keeps monolithic token accounting).
+  // max_pages > 0 bounds the page pool (0 = unbounded).
   int64_t page_tokens = 16;
   int64_t max_pages = 0;
   // Evict residents under page pressure instead of only refusing admission.
@@ -87,14 +82,10 @@ struct SchedulerConfig {
   bool preempt = false;
 };
 
-// Memory-model-driven admission cap: how many resident tokens fit on
-// `device` next to one decoder layer's weights under `framework` storage.
+// Memory-model-driven admission cap: how many whole KV pages of
+// `page_tokens` slots fit on `device` next to one decoder layer's weights
+// under `framework` storage — the page budget admission packs against.
 // Returns 0 when even the weights do not fit.
-int64_t TokenCapacity(const MoeModelConfig& model, MoeFramework framework,
-                      const SamoyedsConfig& sparse_format, const DeviceSpec& device);
-
-// The same capacity expressed as whole KV pages of `page_tokens` slots — the
-// page budget admission control packs against when paging is enabled.
 int64_t PageCapacity(const MoeModelConfig& model, MoeFramework framework,
                      const SamoyedsConfig& sparse_format, const DeviceSpec& device,
                      int64_t page_tokens);
@@ -120,8 +111,6 @@ int64_t FirstChunkRows(int64_t prompt_len, const SchedulerConfig& config,
 
 // Current engine occupancy, input to the admission decision.
 struct ResidentSnapshot {
-  int64_t sequences = 0;
-  int64_t tokens = 0;  // sum of total_tokens() over resident sequences
   // Pages in use right now, including the pages this iteration's decode rows
   // are about to claim (the optimistic / preemptive accounting basis).
   int64_t used_pages = 0;

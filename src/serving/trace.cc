@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -89,6 +90,10 @@ std::vector<TraceEntry> SyntheticTrace(Rng& rng, int count, double arrivals_per_
   assert(decode_lo >= 0 && decode_hi >= decode_lo);
   std::vector<TraceEntry> entries;
   entries.reserve(static_cast<size_t>(count));
+  // Arrivals saturate here instead of overflowing when a tiny rate draws a
+  // gap beyond int64 range; half the range leaves the engine's step
+  // arithmetic past the last arrival room to run.
+  constexpr int64_t kMaxArrivalStep = std::numeric_limits<int64_t>::max() / 2;
   int64_t step = 0;
   for (int i = 0; i < count; ++i) {
     TraceEntry e;
@@ -99,7 +104,10 @@ std::vector<TraceEntry> SyntheticTrace(Rng& rng, int count, double arrivals_per_
     if (arrivals_per_step > 0.0) {
       // Geometric inter-arrival with mean 1/rate (discrete Poisson process).
       const double u = std::max(rng.NextDouble(), 1e-12);
-      step += static_cast<int64_t>(std::floor(-std::log(u) / arrivals_per_step));
+      const double gap = std::floor(-std::log(u) / arrivals_per_step);
+      step = gap < static_cast<double>(kMaxArrivalStep - step)
+                 ? step + static_cast<int64_t>(gap)
+                 : kMaxArrivalStep;
     }
   }
   return entries;

@@ -41,7 +41,9 @@ std::vector<TraceEntry> ParseTraceFile(const std::string& path, std::string* err
 std::vector<int64_t> AssignTraceIds(const std::vector<TraceEntry>& entries);
 
 // `arrivals_per_step` > 0 spaces requests with geometric inter-arrival gaps
-// of mean 1/arrivals_per_step; lengths are uniform in the given ranges.
+// of mean 1/arrivals_per_step (arrival steps saturate at half the int64
+// range, so any positive rate yields non-decreasing arrivals); lengths are
+// uniform in the given ranges.
 std::vector<TraceEntry> SyntheticTrace(Rng& rng, int count, double arrivals_per_step,
                                        int64_t prompt_lo, int64_t prompt_hi, int64_t decode_lo,
                                        int64_t decode_hi);

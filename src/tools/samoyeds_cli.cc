@@ -2,10 +2,12 @@
 // simulator, and the continuous-batching serving engine.
 
 #include <cerrno>
+#include <cmath>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -30,102 +32,6 @@
 namespace samoyeds {
 namespace {
 
-void PrintUsage(std::FILE* out) {
-  std::fputs(
-      "usage: samoyeds_cli <command> ...\n"
-      "\n"
-      "commands:\n"
-      "  devices                                    list simulated GPU targets\n"
-      "  analyze <m> <k> <n> [selected] [device]    per-kernel time/throughput estimate\n"
-      "  autotune <m> <k> <n> [device]              SSMM tile-config search\n"
-      "  maxbatch                                   Table 3 max-batch accounting\n"
-      "  moe <model-name> <tokens>                  per-framework MoE layer cost\n"
-      "  encode <rows> <cols> <N> <M> <V>           random-matrix encoding demo\n"
-      "  serve <model|tiny> <trace|synthetic:N>     continuous-batching serving engine\n"
-      "        [--policy=fcfs|smallest-first|token-budget] [--budget=N]\n"
-      "        [--chunk-tokens=N] [--chunk-policy=fixed|decode-priority]\n"
-      "        [--async[=0|1]] [--server-clock=virtual|wall] [--mailbox-cap=N]\n"
-      "        [--cancel=ID[,ID...]] [--stream[=0|1]] [--report-json=FILE]\n"
-      "        [--max-resident=N] [--page-tokens=N] [--max-pages=N|auto]\n"
-      "        [--preempt=0|1] [--prefix-cache=0|1] [--swap=0|1] [--host-pages=N]\n"
-      "        [--threads=N] [--layers=N] [--hidden=N]\n"
-      "        [--inter=N] [--experts=N] [--top-k=N] [--heads=N] [--rate=R]\n"
-      "        [--prompt-min=N] [--prompt-max=N] [--decode-min=N] [--decode-max=N]\n"
-      "        [--seed=N] [--autotune=0|1] [--routing=top-k|expert-choice]\n"
-      "        [--shards=N] [--placement=round-robin|capacity|gate-stats]\n"
-      "        [--link-gbps=R] [--link-us=R] [--trace-out=FILE]\n"
-      "        [--trace-detail=step|request|full] [--trace-ring=N]\n"
-      "        [--faults=SPEC] [--fault-seed=N] [--fault-retries=N]\n"
-      "        [--deadline-steps=N] [--ingress-cap=N]\n"
-      "        [--watchdog-steps=N] [--watchdog-dump=FILE]\n"
-      "        [--kernel-backend=auto|scalar|avx2|avx512|neon]\n"
-      "        --chunk-tokens=N serves prompts longer than the token budget by\n"
-      "        splitting prefill into <=N-row chunks interleaved with decode rows\n"
-      "        (outputs bit-identical to one-shot prefill; 0 = off) with\n"
-      "        --chunk-policy=decode-priority shrinking the chunk cap to\n"
-      "        max(1, N - resident decode rows) so prompt work yields batch\n"
-      "        slots to latency-sensitive decode (still bit-identical);\n"
-      "        --async=1 serves through the AsyncServer front-end: a driver\n"
-      "        thread runs Step() while submissions flow through a lock-\n"
-      "        protected mailbox drained at step boundaries; --server-clock\n"
-      "        picks virtual arrivals (deterministic, bit-identical to the\n"
-      "        synchronous engine) or wall arrivals (stamped at drain time);\n"
-      "        --mailbox-cap=N bounds the mailbox, shedding the lowest-priority\n"
-      "        pending submission below each overflowing arrival (0 = off);\n"
-      "        --cancel=ID[,ID...] cancels the listed sessions after submission\n"
-      "        (an id never submitted is a runtime failure, exit 1);\n"
-      "        --stream prints each session's rows as they finalize per iteration\n"
-      "        (the OnRows streaming callback); --report-json=FILE writes the\n"
-      "        machine-readable ServingReport;\n"
-      "        --max-pages bounds the paged KV cache (admission switches to page\n"
-      "        accounting; 'auto' derives the budget from the Table-3 memory model);\n"
-      "        --preempt=1 evicts lowest-priority/youngest residents under pressure;\n"
-      "        --prefix-cache=1 shares KV pages between sessions whose prompts\n"
-      "        bit-match a cached prefix (radix tree, copy-on-write pages; outputs\n"
-      "        identical to sharing off; ignored under expert-choice routing);\n"
-      "        --swap=1 moves preemption victims' KV pages to a simulated host\n"
-      "        tier and restores them bit-exactly on readmission (needs --preempt=1\n"
-      "        and a bounded page pool) with --host-pages bounding the tier\n"
-      "        (0 = unbounded; recompute is the fallback when it fills);\n"
-      "        --autotune=1 resolves SSMM tile configs per batch shape (cached);\n"
-      "        --shards=N partitions experts across N simulated devices (outputs are\n"
-      "        bit-identical at any shard count) with --placement choosing the\n"
-      "        expert layout and --link-gbps/--link-us overriding the per-link\n"
-      "        interconnect of the simulated cluster;\n"
-      "        --routing=expert-choice serves with expert-choice routing (perfect\n"
-      "        per-layer expert balance; outputs depend on batch composition);\n"
-      "        --trace-out=FILE captures a Chrome trace-event timeline of the run\n"
-      "        (open in https://ui.perfetto.dev or chrome://tracing) with\n"
-      "        --trace-detail choosing step phases+counters (step), + per-request\n"
-      "        lifecycle rows (request), or + per-layer/per-tile worker spans\n"
-      "        (full, default) and --trace-ring=N bounding the flight-recorder\n"
-      "        ring to the most recent N events per thread;\n"
-      "        --faults=SPEC injects a deterministic fault schedule — comma-\n"
-      "        separated rules of the form point@step[:arg][xN] (fire at a step)\n"
-      "        or point~prob[:arg][xN] (seeded per-probe probability) over the\n"
-      "        points kv-alloc, swap-out, swap-in, swap-corrupt, shard-die,\n"
-      "        shard-stall, link-degrade (e.g. 'kv-alloc~0.05,shard-die@6:1');\n"
-      "        --fault-seed drives the probability draws (same schedule + seed\n"
-      "        replays bit-exactly) and --fault-retries bounds transient-fault\n"
-      "        retries before evict-and-recompute;\n"
-      "        --deadline-steps=N terminates sessions still unfinished N steps\n"
-      "        after arrival (timed-out, 0 = off); --ingress-cap=N bounds the\n"
-      "        ingress queue, shedding the lowest-priority entry on overflow;\n"
-      "        --watchdog-steps=K trips a liveness watchdog when a session makes\n"
-      "        no progress for K steps, dumping the flight-recorder ring to\n"
-      "        --watchdog-dump=FILE;\n"
-      "        --kernel-backend selects the SSMM inner-loop implementation\n"
-      "        (scalar is the bit-exact oracle and the default; avx2/avx512/neon\n"
-      "        use runtime-dispatched FMA loops, ULP-bounded vs an fp64 oracle;\n"
-      "        auto picks the widest ISA this CPU supports; requesting an ISA the\n"
-      "        CPU lacks is a runtime failure)\n"
-      "\n"
-      "exit codes: 0 success; 1 runtime failure (output write failed, engine\n"
-      "left undrained, --cancel id never submitted); 2 usage error (unknown\n"
-      "command/flag or bad value)\n",
-      out);
-}
-
 // Strict numeric parsing: the whole argument must be a number. atoll-style
 // silent zeros for garbage input hide operator typos.
 int64_t ParseI64(const char* s, const char* what) {
@@ -146,16 +52,6 @@ int ParseInt(const char* s, const char* what) {
     std::exit(2);
   }
   return static_cast<int>(v);
-}
-
-double ParseDouble(const char* s, const char* what) {
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  if (end == s || *end != '\0') {
-    std::fprintf(stderr, "invalid %s: '%s' (expected a number)\n", what, s);
-    std::exit(2);
-  }
-  return v;
 }
 
 const DeviceSpec& DeviceByIndex(int index) {
@@ -305,406 +201,415 @@ int CmdEncode(int argc, char** argv) {
 
 // ---- serve ------------------------------------------------------------------
 
+// Everything one serve run is configured with. The flag table below binds
+// each flag straight into one of these fields; engine and server knobs live
+// in the library's own config structs, so nothing is copied after parsing.
 struct ServeOptions {
-  std::string model = "tiny";
+  ServeOptions() {
+    model.name = "tiny";
+    model.hidden = 64;
+    model.intermediate = 96;
+    engine.scheduler.policy = serving::SchedulerPolicy::kTokenBudget;
+    engine.scheduler.token_budget = 128;
+  }
+
   std::string trace;
-  serving::SchedulerPolicy policy = serving::SchedulerPolicy::kTokenBudget;
-  int64_t budget = 128;
-  int64_t chunk_tokens = 0;   // 0 = chunked prefill off
-  serving::ChunkPolicy chunk_policy = serving::ChunkPolicy::kFixed;
-  bool async = false;         // serve through the AsyncServer front-end
-  serving::ServerClock server_clock = serving::ServerClock::kVirtual;
-  int64_t mailbox_cap = 0;    // AsyncServer mailbox bound (0 = unbounded)
-  std::vector<int64_t> cancel_ids;  // --cancel targets, in order
-  bool stream = false;        // print per-iteration streamed rows
-  std::string report_json;    // write ServingReport::ToJson here
-  int64_t max_resident = 4096;
-  int64_t page_tokens = 16;
-  int64_t max_pages = 0;      // 0 = monolithic token accounting
-  bool auto_pages = false;    // --max-pages=auto: derive from TokenCapacity()
-  bool preempt = false;
-  bool prefix_cache = false;  // radix prefix sharing with COW pages
-  bool swap = false;          // swap-style preemption to the host tier
-  int64_t host_pages = 0;     // host-tier capacity in pages (0 = unbounded)
-  bool autotune = false;
-  serving::RoutingAlgo routing = serving::RoutingAlgo::kTopK;
-  int shards = 1;
-  serving::ShardPlacement placement = serving::ShardPlacement::kRoundRobin;
-  double link_gbps = 0.0;   // 0 = device default
-  double link_us = -1.0;    // < 0 = device default
-  int threads = 4;
+  // Expert structure of the served model. Named paper models seed the
+  // structure; hidden and intermediate stay miniature because the SpTC path
+  // is emulated functionally.
+  MoeModelConfig model;
   int layers = 2;
-  int hidden = 64;
-  int inter = 96;
-  int experts = 8;
-  int top_k = 2;
-  int heads = 4;
-  int shared = 0;
-  Activation activation = Activation::kSilu;
-  double rate = 1.0;  // synthetic arrivals per step
+  serving::EngineConfig engine;
+  serving::ServerConfig server;
+  bool async = false;               // serve through the AsyncServer front end
+  bool auto_pages = false;          // --max-pages=auto: derive from PageCapacity()
+  std::vector<int64_t> cancel_ids;  // --cancel targets, in order
+  bool stream = false;              // print per-iteration streamed rows
+  std::string report_json;          // write ServingReport::ToJson here
+  double rate = 1.0;                // synthetic arrivals per step
   int64_t prompt_min = 4, prompt_max = 16;
   int64_t decode_min = 2, decode_max = 8;
   uint64_t seed = 1234;
-  std::string trace_out;  // write Chrome trace-event JSON here; empty = off
+  std::string trace_out;            // Chrome trace-event JSON; empty = off
   obs::TraceDetail trace_detail = obs::TraceDetail::kFull;
   int64_t trace_ring = obs::Tracer::kDefaultRingCapacity;
-  std::vector<serving::FaultRule> faults;  // --faults schedule; empty = off
-  uint64_t fault_seed = 0;
-  int fault_retries = 3;
-  int64_t deadline_steps = 0;   // per-request deadline (0 = off)
-  int64_t ingress_cap = 0;      // bounded ingress queue (0 = unbounded)
-  int64_t watchdog_steps = 0;   // liveness watchdog (0 = off)
-  std::string watchdog_dump;    // flight-recorder dump target on a trip
-  KernelBackend kernel_backend = KernelBackend::kScalar;  // SSMM inner loops
+  int64_t deadline_steps = 0;       // per-request deadline (0 = off)
+  std::string watchdog_dump;        // flight-recorder dump target on a trip
 };
 
-bool ParseServeFlag(const std::string& arg, ServeOptions& opt) {
-  if (arg == "--stream") {  // bare form; --stream=0|1 also accepted below
-    opt.stream = true;
-    return true;
-  }
-  if (arg == "--async") {  // bare form; --async=0|1 also accepted below
-    opt.async = true;
-    return true;
-  }
-  const size_t eq = arg.find('=');
-  if (arg.rfind("--", 0) != 0 || eq == std::string::npos) {
-    return false;
-  }
-  const std::string key = arg.substr(0, eq);
-  const char* value = arg.c_str() + eq + 1;
-  if (key == "--policy") {
-    if (std::strcmp(value, "fcfs") == 0) {
-      opt.policy = serving::SchedulerPolicy::kFcfs;
-    } else if (std::strcmp(value, "smallest-first") == 0) {
-      opt.policy = serving::SchedulerPolicy::kSmallestFirst;
-    } else if (std::strcmp(value, "token-budget") == 0) {
-      opt.policy = serving::SchedulerPolicy::kTokenBudget;
-    } else {
-      std::fprintf(stderr, "unknown policy: %s\n", value);
-      std::exit(2);
-    }
-  } else if (key == "--budget") {
-    opt.budget = ParseI64(value, key.c_str());
-  } else if (key == "--chunk-tokens") {
-    // Shared strict parser (no raw atoi): garbage or trailing junk exits
-    // with a diagnostic instead of silently serving with chunking off.
-    opt.chunk_tokens = ParseI64(value, key.c_str());
-  } else if (key == "--chunk-policy") {
-    if (!serving::ParseChunkPolicy(value, &opt.chunk_policy)) {
-      std::fprintf(stderr, "unknown chunk-policy: %s (fixed | decode-priority)\n", value);
-      std::exit(2);
-    }
-  } else if (key == "--async") {
-    const int64_t v = ParseI64(value, key.c_str());
-    if (v != 0 && v != 1) {
-      std::fprintf(stderr, "invalid async: '%s' (expected 0 or 1)\n", value);
-      std::exit(2);
-    }
-    opt.async = v == 1;
-  } else if (key == "--server-clock") {
-    if (!serving::ParseServerClock(value, &opt.server_clock)) {
-      std::fprintf(stderr, "unknown server-clock: %s (virtual | wall)\n", value);
-      std::exit(2);
-    }
-  } else if (key == "--mailbox-cap") {
-    opt.mailbox_cap = ParseI64(value, key.c_str());
-    if (opt.mailbox_cap < 0) {
-      std::fprintf(stderr, "need mailbox-cap >= 0 (0 = unbounded)\n");
-      std::exit(2);
-    }
-  } else if (key == "--cancel") {
-    // Comma-separated session ids; validated strictly like every number.
-    std::string list = value;
-    size_t start = 0;
-    if (list.empty()) {
-      std::fprintf(stderr, "need --cancel=ID[,ID...]\n");
-      std::exit(2);
-    }
-    while (start <= list.size()) {
-      const size_t comma = list.find(',', start);
-      const std::string tok =
-          list.substr(start, comma == std::string::npos ? std::string::npos : comma - start);
-      opt.cancel_ids.push_back(ParseI64(tok.c_str(), "cancel id"));
-      if (comma == std::string::npos) {
-        break;
-      }
-      start = comma + 1;
-    }
-  } else if (key == "--stream") {
-    const int64_t v = ParseI64(value, key.c_str());
-    if (v != 0 && v != 1) {
-      std::fprintf(stderr, "invalid stream: '%s' (expected 0 or 1)\n", value);
-      std::exit(2);
-    }
-    opt.stream = v == 1;
-  } else if (key == "--report-json") {
-    opt.report_json = value;
-  } else if (key == "--max-resident") {
-    opt.max_resident = ParseI64(value, key.c_str());
-  } else if (key == "--page-tokens") {
-    opt.page_tokens = ParseI64(value, key.c_str());
-  } else if (key == "--max-pages") {
-    if (std::strcmp(value, "auto") == 0) {
-      opt.auto_pages = true;
-    } else {
-      opt.max_pages = ParseI64(value, key.c_str());
-    }
-  } else if (key == "--preempt") {
-    const int64_t v = ParseI64(value, key.c_str());
-    if (v != 0 && v != 1) {
-      std::fprintf(stderr, "invalid preempt: '%s' (expected 0 or 1)\n", value);
-      std::exit(2);
-    }
-    opt.preempt = v == 1;
-  } else if (key == "--prefix-cache") {
-    const int64_t v = ParseI64(value, key.c_str());
-    if (v != 0 && v != 1) {
-      std::fprintf(stderr, "invalid prefix-cache: '%s' (expected 0 or 1)\n", value);
-      std::exit(2);
-    }
-    opt.prefix_cache = v == 1;
-  } else if (key == "--swap") {
-    const int64_t v = ParseI64(value, key.c_str());
-    if (v != 0 && v != 1) {
-      std::fprintf(stderr, "invalid swap: '%s' (expected 0 or 1)\n", value);
-      std::exit(2);
-    }
-    opt.swap = v == 1;
-  } else if (key == "--host-pages") {
-    opt.host_pages = ParseI64(value, key.c_str());
-  } else if (key == "--autotune") {
-    const int64_t v = ParseI64(value, key.c_str());
-    if (v != 0 && v != 1) {
-      std::fprintf(stderr, "invalid autotune: '%s' (expected 0 or 1)\n", value);
-      std::exit(2);
-    }
-    opt.autotune = v == 1;
-  } else if (key == "--routing") {
-    if (std::strcmp(value, "top-k") == 0) {
-      opt.routing = serving::RoutingAlgo::kTopK;
-    } else if (std::strcmp(value, "expert-choice") == 0) {
-      opt.routing = serving::RoutingAlgo::kExpertChoice;
-    } else {
-      std::fprintf(stderr, "unknown routing: %s (top-k | expert-choice)\n", value);
-      std::exit(2);
-    }
-  } else if (key == "--shards") {
-    opt.shards = ParseInt(value, key.c_str());
-  } else if (key == "--placement") {
-    if (!serving::ParseShardPlacement(value, &opt.placement)) {
-      std::fprintf(stderr, "unknown placement: %s (round-robin | capacity | gate-stats)\n",
-                   value);
-      std::exit(2);
-    }
-  } else if (key == "--link-gbps") {
-    opt.link_gbps = ParseDouble(value, key.c_str());
-  } else if (key == "--link-us") {
-    opt.link_us = ParseDouble(value, key.c_str());
-  } else if (key == "--threads") {
-    opt.threads = ParseInt(value, key.c_str());
-  } else if (key == "--layers") {
-    opt.layers = ParseInt(value, key.c_str());
-  } else if (key == "--hidden") {
-    opt.hidden = ParseInt(value, key.c_str());
-  } else if (key == "--inter") {
-    opt.inter = ParseInt(value, key.c_str());
-  } else if (key == "--experts") {
-    opt.experts = ParseInt(value, key.c_str());
-  } else if (key == "--top-k") {
-    opt.top_k = ParseInt(value, key.c_str());
-  } else if (key == "--heads") {
-    opt.heads = ParseInt(value, key.c_str());
-  } else if (key == "--rate") {
-    opt.rate = ParseDouble(value, key.c_str());
-  } else if (key == "--prompt-min") {
-    opt.prompt_min = ParseI64(value, key.c_str());
-  } else if (key == "--prompt-max") {
-    opt.prompt_max = ParseI64(value, key.c_str());
-  } else if (key == "--decode-min") {
-    opt.decode_min = ParseI64(value, key.c_str());
-  } else if (key == "--decode-max") {
-    opt.decode_max = ParseI64(value, key.c_str());
-  } else if (key == "--seed") {
-    opt.seed = static_cast<uint64_t>(ParseI64(value, key.c_str()));
-  } else if (key == "--trace-out") {
-    opt.trace_out = value;
-  } else if (key == "--trace-detail") {
-    if (!obs::ParseTraceDetail(value, &opt.trace_detail)) {
-      std::fprintf(stderr, "unknown trace-detail: %s (step | request | full)\n", value);
-      std::exit(2);
-    }
-  } else if (key == "--trace-ring") {
-    opt.trace_ring = ParseI64(value, key.c_str());
-    if (opt.trace_ring < 1) {
-      std::fprintf(stderr, "need trace-ring >= 1\n");
-      std::exit(2);
-    }
-  } else if (key == "--faults") {
-    std::string error;
-    if (!serving::ParseFaultSchedule(value, &opt.faults, &error)) {
-      std::fprintf(stderr, "invalid --faults: %s\n", error.c_str());
-      std::exit(2);
-    }
-  } else if (key == "--fault-seed") {
-    opt.fault_seed = static_cast<uint64_t>(ParseI64(value, key.c_str()));
-  } else if (key == "--fault-retries") {
-    opt.fault_retries = ParseInt(value, key.c_str());
-    if (opt.fault_retries < 0) {
-      std::fprintf(stderr, "need fault-retries >= 0\n");
-      std::exit(2);
-    }
-  } else if (key == "--deadline-steps") {
-    opt.deadline_steps = ParseI64(value, key.c_str());
-    if (opt.deadline_steps < 0) {
-      std::fprintf(stderr, "need deadline-steps >= 0 (0 disables deadlines)\n");
-      std::exit(2);
-    }
-  } else if (key == "--ingress-cap") {
-    opt.ingress_cap = ParseI64(value, key.c_str());
-    if (opt.ingress_cap < 0) {
-      std::fprintf(stderr, "need ingress-cap >= 0 (0 = unbounded)\n");
-      std::exit(2);
-    }
-  } else if (key == "--watchdog-steps") {
-    opt.watchdog_steps = ParseI64(value, key.c_str());
-    if (opt.watchdog_steps < 0) {
-      std::fprintf(stderr, "need watchdog-steps >= 0 (0 disables the watchdog)\n");
-      std::exit(2);
-    }
-  } else if (key == "--watchdog-dump") {
-    opt.watchdog_dump = value;
-  } else if (key == "--kernel-backend") {
-    if (!ParseKernelBackend(value, &opt.kernel_backend)) {
-      std::fprintf(stderr,
-                   "bad value for --kernel-backend: %s (auto | scalar | avx2 | avx512 | neon)\n",
-                   value);
-      std::exit(2);
-    }
-  } else {
-    std::fprintf(stderr, "unknown serve flag: %s\n", key.c_str());
+// One occurrence of a serve flag as its binder sees it. The accessors parse
+// the value strictly and exit 2, naming the flag, when it is malformed or
+// out of bounds. `value` is nullptr for a bare `--name`, which only the
+// 0|1 flags accept (as 1).
+struct FlagArg {
+  const char* flag;
+  const char* syntax;
+  const char* value;
+
+  [[noreturn]] void Fail(const char* why) const {
+    std::fprintf(stderr, "invalid %s: '%s' (%s)\n", flag, value, why);
     std::exit(2);
   }
-  return true;
+  const char* Text() const {
+    if (value == nullptr) {
+      std::fprintf(stderr, "%s needs a value: %s%s\n", flag, flag, syntax);
+      std::exit(2);
+    }
+    return value;
+  }
+  int64_t I64(int64_t min = INT64_MIN) const { return AtLeast(ParseI64(Text(), flag), min); }
+  int Int(int min) const { return static_cast<int>(AtLeast(ParseInt(Text(), flag), min)); }
+  int64_t AtLeast(int64_t v, int64_t min) const {
+    if (v < min) {
+      Fail(("need >= " + std::to_string(min)).c_str());
+    }
+    return v;
+  }
+  bool Bool() const {
+    if (value == nullptr) {
+      return true;
+    }
+    const int64_t v = ParseI64(value, flag);
+    if (v != 0 && v != 1) {
+      Fail("expected 0 or 1");
+    }
+    return v == 1;
+  }
+  double Real(bool non_negative = false) const {
+    char* end = nullptr;
+    const double v = std::strtod(Text(), &end);
+    if (end == value || *end != '\0' || !std::isfinite(v)) {
+      Fail("expected a finite number");
+    }
+    if (non_negative && v < 0.0) {
+      Fail("need >= 0");
+    }
+    return v;
+  }
+  // An enum value, parsed by the library's own name parser.
+  template <typename E>
+  E Parse(bool (*parse)(const char*, E*)) const {
+    E v{};
+    if (!parse(Text(), &v)) {
+      Fail(("expected " + std::string(syntax + 1)).c_str());
+    }
+    return v;
+  }
+};
+
+// A serve flag: name, value syntax (as printed after the name), help text,
+// and the binder that writes the parsed value into the options.
+struct ServeFlag {
+  const char* name;
+  const char* syntax;
+  const char* help;
+  void (*bind)(ServeOptions& opt, const FlagArg& arg);
+};
+
+const ServeFlag kServeFlags[] = {
+    {"--policy", "=fcfs|smallest-first|token-budget",
+     "admission scan order: arrival order with head-of-line blocking, shortest request first, or "
+     "arrival order with later requests filling leftover budget (default token-budget)",
+     [](ServeOptions& o, const FlagArg& a) {
+       o.engine.scheduler.policy = a.Parse(serving::ParseSchedulerPolicy);
+     }},
+    {"--budget", "=N", "max batch rows per iteration, prefill + decode (>= 1, default 128)",
+     [](ServeOptions& o, const FlagArg& a) { o.engine.scheduler.token_budget = a.I64(1); }},
+    {"--chunk-tokens", "=N",
+     "chunked prefill: split prompts into <=N-row chunks interleaved with decode rows, so prompts "
+     "longer than the budget are served; outputs are bit-identical to one-shot prefill (0 = off)",
+     [](ServeOptions& o, const FlagArg& a) { o.engine.scheduler.chunk_tokens = a.I64(0); }},
+    {"--chunk-policy", "=fixed|decode-priority",
+     "decode-priority shrinks the chunk cap to max(1, N - resident decode rows) so prompt work "
+     "yields batch slots to decode (still bit-identical)",
+     [](ServeOptions& o, const FlagArg& a) {
+       o.engine.scheduler.chunk_policy = a.Parse(serving::ParseChunkPolicy);
+     }},
+    {"--async", "[=0|1]",
+     "serve through the AsyncServer front end: a driver thread runs Step() while submissions flow "
+     "through a mailbox drained at step boundaries",
+     [](ServeOptions& o, const FlagArg& a) { o.async = a.Bool(); }},
+    {"--server-clock", "=virtual|wall",
+     "async arrival stamps: virtual (deterministic, bit-identical to the synchronous engine) or "
+     "wall (stamped at drain time)",
+     [](ServeOptions& o, const FlagArg& a) {
+       o.server.clock = a.Parse(serving::ParseServerClock);
+     }},
+    {"--mailbox-cap", "=N",
+     "bound the async mailbox, shedding the lowest-priority pending submission below each "
+     "overflowing arrival (0 = unbounded)",
+     [](ServeOptions& o, const FlagArg& a) { o.server.mailbox_capacity = a.I64(0); }},
+    {"--cancel", "=ID[,ID...]",
+     "cancel the listed sessions after submission (an id never submitted is a runtime failure, "
+     "exit 1)",
+     [](ServeOptions& o, const FlagArg& a) {
+       const std::string list = a.Text();
+       for (size_t start = 0, comma = 0; comma != std::string::npos; start = comma + 1) {
+         comma = list.find(',', start);
+         o.cancel_ids.push_back(ParseI64(list.substr(start, comma - start).c_str(), a.flag));
+       }
+     }},
+    {"--stream", "[=0|1]", "print each session's rows as they finalize (the OnRows callback)",
+     [](ServeOptions& o, const FlagArg& a) { o.stream = a.Bool(); }},
+    {"--report-json", "=FILE", "write the machine-readable ServingReport",
+     [](ServeOptions& o, const FlagArg& a) { o.report_json = a.Text(); }},
+    {"--page-tokens", "=N", "KV page size in token slots (>= 1, default 16)",
+     [](ServeOptions& o, const FlagArg& a) { o.engine.scheduler.page_tokens = a.I64(1); }},
+    {"--max-pages", "=N|auto",
+     "bound the KV page pool admission packs against; auto derives it from the Table-3 memory "
+     "model (0 = unbounded)",
+     [](ServeOptions& o, const FlagArg& a) {
+       o.auto_pages = std::strcmp(a.Text(), "auto") == 0;
+       o.engine.scheduler.max_pages = o.auto_pages ? 0 : a.I64(0);
+     }},
+    {"--preempt", "[=0|1]",
+     "admit optimistically and evict the lowest-priority/youngest resident under page pressure "
+     "(needs a bounded page pool)",
+     [](ServeOptions& o, const FlagArg& a) { o.engine.scheduler.preempt = a.Bool(); }},
+    {"--prefix-cache", "[=0|1]",
+     "share KV pages between sessions whose prompts bit-match a cached prefix (radix tree, "
+     "copy-on-write pages; outputs unchanged; ignored under expert-choice routing)",
+     [](ServeOptions& o, const FlagArg& a) { o.engine.prefix_cache = a.Bool(); }},
+    {"--swap", "[=0|1]",
+     "move preemption victims' KV pages to a simulated host tier and restore them bit-exactly on "
+     "readmission (needs --preempt=1 and a bounded page pool)",
+     [](ServeOptions& o, const FlagArg& a) { o.engine.swap = a.Bool(); }},
+    {"--host-pages", "=N",
+     "host-tier capacity in pages for --swap; recompute is the fallback when it fills (0 = "
+     "unbounded)",
+     [](ServeOptions& o, const FlagArg& a) { o.engine.host_pages = a.I64(0); }},
+    {"--threads", "=N", "expert-pool threads (>= 1, default 4)",
+     [](ServeOptions& o, const FlagArg& a) { o.engine.threads = a.Int(1); }},
+    {"--layers", "=N", "decoder layers (>= 1, default 2)",
+     [](ServeOptions& o, const FlagArg& a) { o.layers = a.Int(1); }},
+    {"--hidden", "=N", "hidden size: a multiple of 32 and of --heads (default 64)",
+     [](ServeOptions& o, const FlagArg& a) { o.model.hidden = a.Int(32); }},
+    {"--inter", "=N", "expert intermediate size: a multiple of 32 (default 96)",
+     [](ServeOptions& o, const FlagArg& a) { o.model.intermediate = a.Int(32); }},
+    {"--experts", "=N", "routed experts (default 8, or the named model's)",
+     [](ServeOptions& o, const FlagArg& a) { o.model.num_experts = a.Int(1); }},
+    {"--top-k", "=N", "experts per token, at most --experts (default 2, or the named model's)",
+     [](ServeOptions& o, const FlagArg& a) { o.model.top_k = a.Int(1); }},
+    {"--heads", "=N", "attention heads (>= 1, default 4)",
+     [](ServeOptions& o, const FlagArg& a) { o.engine.heads = a.Int(1); }},
+    {"--rate", "=R", "synthetic arrivals per step (>= 0, default 1; 0 = all at step 0)",
+     [](ServeOptions& o, const FlagArg& a) { o.rate = a.Real(/*non_negative=*/true); }},
+    {"--prompt-min", "=N", "shortest synthetic prompt in rows (>= 1, default 4)",
+     [](ServeOptions& o, const FlagArg& a) { o.prompt_min = a.I64(1); }},
+    {"--prompt-max", "=N", "longest synthetic prompt in rows (default 16)",
+     [](ServeOptions& o, const FlagArg& a) { o.prompt_max = a.I64(1); }},
+    {"--decode-min", "=N", "fewest synthetic decode rows (>= 0, default 2)",
+     [](ServeOptions& o, const FlagArg& a) { o.decode_min = a.I64(0); }},
+    {"--decode-max", "=N", "most synthetic decode rows (default 8)",
+     [](ServeOptions& o, const FlagArg& a) { o.decode_max = a.I64(0); }},
+    {"--seed", "=N", "seed for weights, synthetic trace and inputs (default 1234)",
+     [](ServeOptions& o, const FlagArg& a) { o.seed = static_cast<uint64_t>(a.I64()); }},
+    {"--autotune", "[=0|1]", "resolve SSMM tile configs per batch shape (cached; same outputs)",
+     [](ServeOptions& o, const FlagArg& a) { o.engine.autotune = a.Bool(); }},
+    {"--routing", "=top-k|expert-choice",
+     "expert-choice gives perfect per-layer expert balance; its outputs depend on batch "
+     "composition",
+     [](ServeOptions& o, const FlagArg& a) {
+       o.engine.routing = a.Parse(serving::ParseRoutingAlgo);
+     }},
+    {"--shards", "=N", "partition experts across N simulated devices (bit-identical outputs)",
+     [](ServeOptions& o, const FlagArg& a) { o.engine.shards = a.Int(1); }},
+    {"--placement", "=round-robin|capacity|gate-stats", "expert layout across shards",
+     [](ServeOptions& o, const FlagArg& a) {
+       o.engine.placement = a.Parse(serving::ParseShardPlacement);
+     }},
+    {"--link-gbps", "=R", "per-link interconnect bandwidth override (<= 0 = device default)",
+     [](ServeOptions& o, const FlagArg& a) { o.engine.link_bandwidth_gbps = a.Real(); }},
+    {"--link-us", "=R", "per-link interconnect latency override (< 0 = device default)",
+     [](ServeOptions& o, const FlagArg& a) { o.engine.link_latency_us = a.Real(); }},
+    {"--trace-out", "=FILE",
+     "capture a Chrome trace-event timeline of the run (open in https://ui.perfetto.dev or "
+     "chrome://tracing)",
+     [](ServeOptions& o, const FlagArg& a) { o.trace_out = a.Text(); }},
+    {"--trace-detail", "=step|request|full",
+     "step phases + counters, + per-request lifecycle rows, or + per-layer and per-tile worker "
+     "spans (default full)",
+     [](ServeOptions& o, const FlagArg& a) { o.trace_detail = a.Parse(obs::ParseTraceDetail); }},
+    {"--trace-ring", "=N", "flight-recorder ring: keep the most recent N events per thread (>= 1)",
+     [](ServeOptions& o, const FlagArg& a) { o.trace_ring = a.I64(1); }},
+    {"--faults", "=SPEC",
+     "deterministic fault schedule: comma-separated rules point@step[:arg][xN] (fire at a step) "
+     "or point~prob[:arg][xN] (seeded per-probe probability) over kv-alloc, swap-out, swap-in, "
+     "swap-corrupt, shard-die, shard-stall, link-degrade (e.g. 'kv-alloc~0.05,shard-die@6:1')",
+     [](ServeOptions& o, const FlagArg& a) {
+       std::string error;
+       if (!serving::ParseFaultSchedule(a.Text(), &o.engine.faults, &error)) {
+         a.Fail(error.c_str());
+       }
+     }},
+    {"--fault-seed", "=N", "seed of the fault draws (same schedule + seed replays bit-exactly)",
+     [](ServeOptions& o, const FlagArg& a) {
+       o.engine.fault_seed = static_cast<uint64_t>(a.I64());
+     }},
+    {"--fault-retries", "=N", "transient-fault retries before evict-and-recompute (default 3)",
+     [](ServeOptions& o, const FlagArg& a) { o.engine.fault_retry_limit = a.Int(0); }},
+    {"--deadline-steps", "=N", "time out sessions still unfinished N steps after arrival (0 = off)",
+     [](ServeOptions& o, const FlagArg& a) { o.deadline_steps = a.I64(0); }},
+    {"--ingress-cap", "=N", "bound the ingress queue, shedding lowest priority first (0 = off)",
+     [](ServeOptions& o, const FlagArg& a) { o.engine.ingress_capacity = a.I64(0); }},
+    {"--watchdog-steps", "=N", "trip a watchdog when a session stalls for N steps (0 = off)",
+     [](ServeOptions& o, const FlagArg& a) { o.engine.watchdog_steps = a.I64(0); }},
+    {"--watchdog-dump", "=FILE", "dump the flight-recorder ring here on a watchdog trip",
+     [](ServeOptions& o, const FlagArg& a) { o.watchdog_dump = a.Text(); }},
+    {"--kernel-backend", "=auto|scalar|avx2|avx512|neon",
+     "SSMM inner loops: scalar is the bit-exact oracle (default); avx2, avx512 and neon are FMA "
+     "loops, ULP-bounded vs an fp64 oracle; auto picks the widest ISA this CPU supports; an ISA "
+     "the CPU lacks is a runtime failure",
+     [](ServeOptions& o, const FlagArg& a) {
+       o.engine.kernel_backend = a.Parse(ParseKernelBackend);
+     }},
+};
+
+// Prints `text` from column `indent`, word-wrapped before column 80.
+void PrintWrapped(std::FILE* out, const std::string& text, int indent) {
+  std::istringstream words(text);
+  int column = 0;
+  for (std::string word; words >> word;) {
+    if (column > indent && column + 1 + static_cast<int>(word.size()) > 79) {
+      std::fputc('\n', out);
+      column = 0;
+    }
+    column += column == 0 ? std::fprintf(out, "%*s%s", indent, "", word.c_str())
+                          : std::fprintf(out, " %s", word.c_str());
+  }
+  std::fputc('\n', out);
+}
+
+// The serve synopsis, then one help entry per flag, both from kServeFlags.
+void PrintServeFlags(std::FILE* out) {
+  std::string synopsis;
+  for (const ServeFlag& f : kServeFlags) {
+    synopsis += std::string(" [") + f.name + f.syntax + "]";
+  }
+  PrintWrapped(out, synopsis, 8);
+  std::fputs("\nserve flags:\n", out);
+  for (const ServeFlag& f : kServeFlags) {
+    std::fprintf(out, "  %s%s\n", f.name, f.syntax);
+    PrintWrapped(out, f.help, 6);
+  }
+}
+
+// Binds one `--name[=value]` argument through the flag table. Exits 2 on an
+// unknown flag or a bad value.
+void ParseServeFlag(const char* arg, ServeOptions& opt) {
+  const char* eq = std::strchr(arg, '=');
+  const std::string name = eq != nullptr ? std::string(arg, eq) : std::string(arg);
+  if (name.rfind("--", 0) != 0) {
+    std::fprintf(stderr, "unknown serve argument: %s\n", arg);
+    std::exit(2);
+  }
+  for (const ServeFlag& f : kServeFlags) {
+    if (name == f.name) {
+      f.bind(opt, FlagArg{f.name, f.syntax, eq != nullptr ? eq + 1 : nullptr});
+      return;
+    }
+  }
+  std::fprintf(stderr, "unknown serve flag: %s\n", name.c_str());
+  std::exit(2);
 }
 
 int CmdServe(int argc, char** argv) {
   if (argc < 4) {
     std::fprintf(stderr,
                  "usage: serve <model|tiny> <trace-file|synthetic:N> [--flags]\n"
-                 "(run with no arguments for the full flag list)\n");
+                 "(run `samoyeds_cli help` for the full flag list)\n");
     return 2;
   }
   ServeOptions opt;
-  opt.model = argv[2];
+  opt.model.name = argv[2];
   opt.trace = argv[3];
 
   // Named paper models contribute routing/activation structure as *defaults*
   // (flags still override); hidden and intermediate stay miniature because
   // the SpTC path is emulated functionally (override with --hidden/--inter).
-  if (opt.model != "tiny") {
+  if (opt.model.name != "tiny") {
     const MoeModelConfig* paper = nullptr;
     for (const auto& m : PaperModels()) {
-      if (m.name == opt.model) {
+      if (m.name == opt.model.name) {
         paper = &m;
         break;
       }
     }
     if (paper == nullptr) {
-      std::fprintf(stderr, "unknown model: %s (use 'tiny' or a Table 2 name", opt.model.c_str());
+      std::fprintf(stderr, "unknown model: %s (use 'tiny' or a Table 2 name",
+                   opt.model.name.c_str());
       for (const auto& m : PaperModels()) {
         std::fprintf(stderr, ", %s", m.name.c_str());
       }
       std::fprintf(stderr, ")\n");
       return 2;
     }
-    opt.experts = paper->num_experts;
-    opt.top_k = paper->top_k;
-    opt.shared = paper->shared_experts;
-    opt.activation = paper->activation;
+    opt.model.num_experts = paper->num_experts;
+    opt.model.top_k = paper->top_k;
+    opt.model.shared_experts = paper->shared_experts;
+    opt.model.activation = paper->activation;
     std::printf("%s structure (%d experts, top-%d, %d shared), miniature dims by default\n",
-                paper->name.c_str(), opt.experts, opt.top_k, opt.shared);
+                paper->name.c_str(), opt.model.num_experts, opt.model.top_k,
+                opt.model.shared_experts);
   }
 
   for (int i = 4; i < argc; ++i) {
-    if (!ParseServeFlag(argv[i], opt)) {
-      std::fprintf(stderr, "unknown serve argument: %s\n", argv[i]);
-      return 2;
-    }
+    ParseServeFlag(argv[i], opt);
   }
 
-  if (opt.heads < 1 || opt.hidden < 32 || opt.inter < 32 || opt.hidden % 32 != 0 ||
-      opt.inter % 32 != 0 || opt.hidden % opt.heads != 0) {
-    std::fprintf(stderr,
-                 "hidden/inter must be multiples of 32 and hidden %% heads == 0 (heads >= 1)\n");
+  // Checks that span several flags; each flag's own bound was enforced as it
+  // was bound.
+  MoeModelConfig& cfg = opt.model;
+  serving::EngineConfig& engine_cfg = opt.engine;
+  serving::SchedulerConfig& sched = engine_cfg.scheduler;
+  if (cfg.hidden % 32 != 0 || cfg.intermediate % 32 != 0 ||
+      cfg.hidden % engine_cfg.heads != 0) {
+    std::fprintf(stderr, "--hidden and --inter must be multiples of 32 and --hidden a "
+                         "multiple of --heads\n");
     return 2;
   }
-  if (opt.experts < 1 || opt.top_k < 1 || opt.top_k > opt.experts || opt.layers < 1 ||
-      opt.budget < 1 || opt.max_resident < 1 || opt.threads < 1) {
-    std::fprintf(stderr,
-                 "need experts >= 1, 1 <= top-k <= experts, layers >= 1, budget >= 1, "
-                 "max-resident >= 1, threads >= 1\n");
+  if (cfg.top_k > cfg.num_experts) {
+    std::fprintf(stderr, "need --top-k <= --experts\n");
     return 2;
   }
-  if (opt.page_tokens < 1 || opt.max_pages < 0) {
-    std::fprintf(stderr, "need page-tokens >= 1 and max-pages >= 0\n");
-    return 2;
-  }
-  if (opt.chunk_tokens < 0) {
-    std::fprintf(stderr, "need chunk-tokens >= 0 (0 disables chunked prefill)\n");
-    return 2;
-  }
-  if (opt.shards < 1) {
-    std::fprintf(stderr, "need shards >= 1\n");
-    return 2;
-  }
-  if (opt.preempt && opt.max_pages == 0 && !opt.auto_pages) {
+  const bool bounded_pool = sched.max_pages > 0 || opt.auto_pages;
+  if (sched.preempt && !bounded_pool) {
     std::fprintf(stderr, "--preempt=1 requires a bounded page pool (--max-pages)\n");
     return 2;
   }
-  if (opt.swap && (!opt.preempt || (opt.max_pages == 0 && !opt.auto_pages))) {
+  if (engine_cfg.swap && (!sched.preempt || !bounded_pool)) {
     std::fprintf(stderr, "--swap=1 requires --preempt=1 and a bounded page pool (--max-pages)\n");
     return 2;
   }
-  if (opt.host_pages < 0) {
-    std::fprintf(stderr, "need host-pages >= 0 (0 = unbounded host tier)\n");
-    return 2;
-  }
-  if (opt.prompt_min < 1 || opt.prompt_max < opt.prompt_min || opt.decode_min < 0 ||
-      opt.decode_max < opt.decode_min) {
-    std::fprintf(stderr,
-                 "need 1 <= prompt-min <= prompt-max and 0 <= decode-min <= decode-max\n");
+  if (opt.prompt_max < opt.prompt_min || opt.decode_max < opt.decode_min) {
+    std::fprintf(stderr, "need --prompt-min <= --prompt-max and --decode-min <= --decode-max\n");
     return 2;
   }
   // Flag value was well-formed (parse errors already exited 2); a backend
   // this machine cannot run is a runtime failure, not a usage error.
-  KernelBackend resolved_backend = KernelBackend::kScalar;
-  if (!ResolveKernelBackend(opt.kernel_backend, &resolved_backend)) {
+  const KernelBackend requested_backend = engine_cfg.kernel_backend;
+  if (!ResolveKernelBackend(requested_backend, &engine_cfg.kernel_backend)) {
     std::fprintf(stderr, "kernel-backend %s is not runnable on this CPU\n",
-                 KernelBackendName(opt.kernel_backend));
+                 KernelBackendName(requested_backend));
     return 1;
   }
-
-  MoeModelConfig cfg;
-  cfg.name = opt.model;
-  cfg.num_experts = opt.experts;
-  cfg.hidden = opt.hidden;
-  cfg.intermediate = opt.inter;
-  cfg.top_k = opt.top_k;
-  cfg.shared_experts = opt.shared;
-  cfg.activation = opt.activation;
+  // The engine routes and activates with the served model's structure.
+  engine_cfg.top_k = cfg.top_k;
+  engine_cfg.activation = cfg.activation;
 
   if (opt.auto_pages) {
-    // Page budget from the Table-3 memory model: resident-token capacity next
-    // to this model's weights under Samoyeds storage, in whole pages.
-    opt.max_pages = serving::PageCapacity(cfg, MoeFramework::kSamoyeds, SamoyedsConfig{1, 2, 32},
-                                          DefaultDevice(), opt.page_tokens);
-    if (opt.max_pages < 1) {
+    // Page budget from the Table-3 memory model: KV capacity next to this
+    // model's weights under Samoyeds storage, in whole pages.
+    sched.max_pages = serving::PageCapacity(cfg, MoeFramework::kSamoyeds,
+                                            SamoyedsConfig{1, 2, 32}, DefaultDevice(),
+                                            sched.page_tokens);
+    if (sched.max_pages < 1) {
       std::fprintf(stderr, "memory model leaves no KV page capacity for %s\n", cfg.name.c_str());
       return 2;
     }
     std::printf("page budget from memory model: %lld pages of %lld tokens\n",
-                static_cast<long long>(opt.max_pages), static_cast<long long>(opt.page_tokens));
+                static_cast<long long>(sched.max_pages),
+                static_cast<long long>(sched.page_tokens));
   }
 
   // Trace: file path or synthetic:<count>.
@@ -735,34 +640,6 @@ int CmdServe(int argc, char** argv) {
     layers.push_back(SamoyedsDecoderLayerWeights::Encode(dense, fmt));
   }
 
-  serving::EngineConfig engine_cfg;
-  engine_cfg.heads = opt.heads;
-  engine_cfg.top_k = opt.top_k;
-  engine_cfg.activation = opt.activation;
-  engine_cfg.threads = opt.threads;
-  engine_cfg.autotune = opt.autotune;
-  engine_cfg.routing = opt.routing;
-  engine_cfg.shards = opt.shards;
-  engine_cfg.placement = opt.placement;
-  engine_cfg.link_bandwidth_gbps = opt.link_gbps;
-  engine_cfg.link_latency_us = opt.link_us;
-  engine_cfg.scheduler.policy = opt.policy;
-  engine_cfg.scheduler.token_budget = opt.budget;
-  engine_cfg.scheduler.chunk_tokens = opt.chunk_tokens;
-  engine_cfg.scheduler.chunk_policy = opt.chunk_policy;
-  engine_cfg.scheduler.max_resident_tokens = opt.max_resident;
-  engine_cfg.scheduler.page_tokens = opt.page_tokens;
-  engine_cfg.scheduler.max_pages = opt.max_pages;
-  engine_cfg.scheduler.preempt = opt.preempt;
-  engine_cfg.prefix_cache = opt.prefix_cache;
-  engine_cfg.swap = opt.swap;
-  engine_cfg.host_pages = opt.host_pages;
-  engine_cfg.faults = opt.faults;
-  engine_cfg.fault_seed = opt.fault_seed;
-  engine_cfg.fault_retry_limit = opt.fault_retries;
-  engine_cfg.ingress_capacity = opt.ingress_cap;
-  engine_cfg.watchdog_steps = opt.watchdog_steps;
-  engine_cfg.kernel_backend = resolved_backend;
   // On a liveness trip, dump the flight-recorder ring: the most recent
   // events per thread leading up to the stall, ready for Perfetto.
   const std::string watchdog_dump = opt.watchdog_dump;
@@ -781,67 +658,69 @@ int CmdServe(int argc, char** argv) {
   serving::ServingEngine engine(std::move(layers), engine_cfg);
 
   std::printf("serving %s: %d layers, hidden %d, %d experts (top-%d), %s activation\n",
-              opt.model.c_str(), opt.layers, opt.hidden, opt.experts, opt.top_k,
-              opt.activation == Activation::kSilu ? "SiLU" : "GELU-tanh");
-  std::printf("scheduler: %s, token budget %lld, max resident tokens %lld, %d expert threads\n",
-              serving::SchedulerPolicyName(opt.policy), static_cast<long long>(opt.budget),
-              static_cast<long long>(opt.max_resident), opt.threads);
-  if (opt.chunk_tokens > 0) {
+              cfg.name.c_str(), opt.layers, cfg.hidden, cfg.num_experts, cfg.top_k,
+              cfg.activation == Activation::kSilu ? "SiLU" : "GELU-tanh");
+  std::printf("scheduler: %s, token budget %lld, %d expert threads\n",
+              serving::SchedulerPolicyName(sched.policy),
+              static_cast<long long>(sched.token_budget), engine_cfg.threads);
+  if (sched.chunk_tokens > 0) {
     std::printf("chunked prefill: <= %lld rows per chunk, %s policy (long prompts interleave "
                 "with decode; outputs identical to one-shot prefill)\n",
-                static_cast<long long>(opt.chunk_tokens),
-                serving::ChunkPolicyName(opt.chunk_policy));
+                static_cast<long long>(sched.chunk_tokens),
+                serving::ChunkPolicyName(sched.chunk_policy));
   }
   if (opt.async) {
-    std::printf("async server: %s clock, mailbox %s\n",
-                serving::ServerClockName(opt.server_clock),
-                opt.mailbox_cap > 0 ? std::to_string(opt.mailbox_cap).c_str() : "unbounded");
+    std::printf("async server: %s clock, mailbox %s\n", serving::ServerClockName(opt.server.clock),
+                opt.server.mailbox_capacity > 0
+                    ? std::to_string(opt.server.mailbox_capacity).c_str()
+                    : "unbounded");
   }
-  std::printf("routing: %s\n", serving::RoutingAlgoName(opt.routing));
-  std::printf("kernel backend: %s (%s)\n", KernelBackendName(resolved_backend),
-              resolved_backend == KernelBackend::kScalar
+  std::printf("routing: %s\n", serving::RoutingAlgoName(engine_cfg.routing));
+  std::printf("kernel backend: %s (%s)\n", KernelBackendName(engine_cfg.kernel_backend),
+              engine_cfg.kernel_backend == KernelBackend::kScalar
                   ? "bit-exact scalar oracle"
                   : "FMA SIMD, ULP-bounded vs fp64 oracle");
-  if (opt.shards > 1) {
+  if (engine_cfg.shards > 1) {
     const DeviceSpec& dev = engine.cluster().device(0);
     std::printf("sharding: %d shards, %s placement, link %.0f GB/s + %.1f us (%s)\n",
-                opt.shards, serving::ShardPlacementName(opt.placement),
+                engine_cfg.shards, serving::ShardPlacementName(engine_cfg.placement),
                 dev.link_bandwidth_gbps, dev.link_latency_us, dev.name.c_str());
   }
-  if (opt.max_pages > 0) {
-    std::printf("kv-cache: %lld pages x %lld tokens (page-accounting admission), preemption %s\n",
-                static_cast<long long>(opt.max_pages), static_cast<long long>(opt.page_tokens),
-                opt.preempt ? "on" : "off");
+  if (sched.max_pages > 0) {
+    std::printf("kv-cache: %lld pages x %lld tokens, preemption %s\n",
+                static_cast<long long>(sched.max_pages),
+                static_cast<long long>(sched.page_tokens), sched.preempt ? "on" : "off");
   } else {
-    std::printf("kv-cache: paged storage (%lld-token pages), monolithic token admission\n",
-                static_cast<long long>(opt.page_tokens));
+    std::printf("kv-cache: unbounded pool of %lld-token pages\n",
+                static_cast<long long>(sched.page_tokens));
   }
   if (engine.prefix_cache() != nullptr) {
     std::printf("prefix-cache: on (radix sharing, copy-on-write pages)\n");
-  } else if (opt.prefix_cache) {
+  } else if (engine_cfg.prefix_cache) {
     std::printf("prefix-cache: suppressed (expert-choice routing is batch-dependent)\n");
   }
   if (engine.swap_enabled()) {
     const DeviceSpec& dev = engine.cluster().device(0);
     std::printf("swap: host tier %s pages over %.0f GB/s + %.1f us host link\n",
-                opt.host_pages > 0 ? std::to_string(opt.host_pages).c_str() : "unbounded",
+                engine_cfg.host_pages > 0 ? std::to_string(engine_cfg.host_pages).c_str()
+                                          : "unbounded",
                 dev.host_bandwidth_gbps, dev.host_latency_us);
   }
-  if (!opt.faults.empty()) {
-    std::printf("faults: %zu rules, seed %llu (deterministic replay)\n", opt.faults.size(),
-                static_cast<unsigned long long>(opt.fault_seed));
+  if (!engine_cfg.faults.empty()) {
+    std::printf("faults: %zu rules, seed %llu (deterministic replay)\n", engine_cfg.faults.size(),
+                static_cast<unsigned long long>(engine_cfg.fault_seed));
   }
   if (opt.deadline_steps > 0) {
     std::printf("deadlines: %lld steps from arrival (overdue sessions time out)\n",
                 static_cast<long long>(opt.deadline_steps));
   }
-  if (opt.ingress_cap > 0) {
+  if (engine_cfg.ingress_capacity > 0) {
     std::printf("overload: ingress queue capped at %lld (lowest-priority shed)\n",
-                static_cast<long long>(opt.ingress_cap));
+                static_cast<long long>(engine_cfg.ingress_capacity));
   }
-  if (opt.watchdog_steps > 0) {
+  if (engine_cfg.watchdog_steps > 0) {
     std::printf("watchdog: trips after %lld steps without progress%s%s\n",
-                static_cast<long long>(opt.watchdog_steps),
+                static_cast<long long>(engine_cfg.watchdog_steps),
                 opt.watchdog_dump.empty() ? "" : ", flight recorder -> ",
                 opt.watchdog_dump.c_str());
   }
@@ -883,15 +762,12 @@ int CmdServe(int argc, char** argv) {
     // thread talks to it through the mailbox. With the virtual clock and all
     // submissions enqueued before the first drain, the run is bit-identical
     // to the synchronous path below.
-    serving::ServerConfig server_cfg;
-    server_cfg.clock = opt.server_clock;
-    server_cfg.mailbox_capacity = opt.mailbox_cap;
-    serving::AsyncServer server(engine, server_cfg);
+    serving::AsyncServer server(engine, opt.server);
     // Submit the whole trace before Start so the driver drains it in one
     // FIFO batch — under the virtual clock this pins the synchronous
     // schedule exactly.
     for (size_t i = 0; i < entries.size(); ++i) {
-      serving::Request request = serving::MakeRequest(rng, ids[i], entries[i], opt.hidden);
+      serving::Request request = serving::MakeRequest(rng, ids[i], entries[i], cfg.hidden);
       request.deadline_steps = opt.deadline_steps;
       server.Submit(std::move(request));
     }
@@ -922,7 +798,7 @@ int CmdServe(int argc, char** argv) {
     server.Stop();
   } else {
     for (size_t i = 0; i < entries.size(); ++i) {
-      serving::Request request = serving::MakeRequest(rng, ids[i], entries[i], opt.hidden);
+      serving::Request request = serving::MakeRequest(rng, ids[i], entries[i], cfg.hidden);
       request.deadline_steps = opt.deadline_steps;
       engine.Submit(std::move(request), on_rows);
     }
@@ -956,8 +832,8 @@ int CmdServe(int argc, char** argv) {
   char model_echo[128];
   std::snprintf(model_echo, sizeof(model_echo),
                 "%s layers=%d hidden=%d inter=%d experts=%d top_k=%d heads=%d shared=%d",
-                opt.model.c_str(), opt.layers, opt.hidden, opt.inter, opt.experts, opt.top_k,
-                opt.heads, opt.shared);
+                cfg.name.c_str(), opt.layers, cfg.hidden, cfg.intermediate, cfg.num_experts,
+                cfg.top_k, engine_cfg.heads, cfg.shared_experts);
   report.provenance.model = model_echo;
   report.provenance.trace = opt.trace;
   report.provenance.seed = static_cast<int64_t>(opt.seed);
@@ -982,6 +858,28 @@ int CmdServe(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+void PrintUsage(std::FILE* out) {
+  std::fputs(
+      "usage: samoyeds_cli <command> ...\n"
+      "\n"
+      "commands:\n"
+      "  devices                                    list simulated GPU targets\n"
+      "  analyze <m> <k> <n> [selected] [device]    per-kernel time/throughput estimate\n"
+      "  autotune <m> <k> <n> [device]              SSMM tile-config search\n"
+      "  maxbatch                                   Table 3 max-batch accounting\n"
+      "  moe <model-name> <tokens>                  per-framework MoE layer cost\n"
+      "  encode <rows> <cols> <N> <M> <V>           random-matrix encoding demo\n"
+      "  serve <model|tiny> <trace|synthetic:N>     continuous-batching serving engine\n",
+      out);
+  PrintServeFlags(out);
+  std::fputs(
+      "\n"
+      "exit codes: 0 success; 1 runtime failure (output write failed, engine\n"
+      "left undrained, --cancel id never submitted); 2 usage error (unknown\n"
+      "command/flag or bad value)\n",
+      out);
 }
 
 int Main(int argc, char** argv) {

@@ -65,7 +65,6 @@ EngineConfig BaseEngineConfig() {
   cfg.threads = 2;
   cfg.scheduler.policy = SchedulerPolicy::kTokenBudget;
   cfg.scheduler.token_budget = 24;
-  cfg.scheduler.max_resident_tokens = 64;
   return cfg;
 }
 

@@ -11,6 +11,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <regex>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -18,6 +20,9 @@
 
 #ifndef SAMOYEDS_CLI_PATH
 #define SAMOYEDS_CLI_PATH ""
+#endif
+#ifndef SAMOYEDS_README_PATH
+#define SAMOYEDS_README_PATH ""
 #endif
 
 namespace samoyeds {
@@ -167,6 +172,86 @@ TEST(CliTest, ChaosFlagsRunEndToEnd) {
   ASSERT_TRUE(FindJsonNumber(json, "injected_faults", &injected));
   EXPECT_GT(injected, 0.0);
   std::remove(report_path.c_str());
+}
+
+// A usage error: exit 2 with the flag named on stderr.
+void ExpectUsageErrorNaming(const std::string& args, const std::string& flag) {
+  const CliResult result = RunCli("serve tiny synthetic:2 " + args);
+  EXPECT_EQ(result.exit_code, 2) << args << "\n" << result.output;
+  EXPECT_NE(result.output.find(flag), std::string::npos) << args << "\n" << result.output;
+}
+
+TEST(CliTest, FloatFlagsRejectNonFiniteValues) {
+  REQUIRE_CLI();
+  ExpectUsageErrorNaming("--rate=nan", "--rate");
+  ExpectUsageErrorNaming("--rate=inf", "--rate");
+  ExpectUsageErrorNaming("--rate=-1", "--rate");
+  ExpectUsageErrorNaming("--link-gbps=nan", "--link-gbps");
+  ExpectUsageErrorNaming("--link-us=-inf", "--link-us");
+}
+
+TEST(CliTest, ZeroOneFlagsRejectOtherValues) {
+  REQUIRE_CLI();
+  for (const char* flag :
+       {"--async", "--stream", "--preempt", "--prefix-cache", "--swap", "--autotune"}) {
+    ExpectUsageErrorNaming(std::string(flag) + "=2", flag);
+  }
+}
+
+TEST(CliTest, CountFlagsEnforceTheirLowerBounds) {
+  REQUIRE_CLI();
+  for (const char* flag :
+       {"--chunk-tokens", "--mailbox-cap", "--max-pages", "--host-pages", "--decode-min",
+        "--decode-max", "--fault-retries", "--deadline-steps", "--ingress-cap",
+        "--watchdog-steps"}) {
+    ExpectUsageErrorNaming(std::string(flag) + "=-1", flag);
+  }
+  for (const char* flag : {"--budget", "--page-tokens", "--threads", "--layers", "--experts",
+                           "--top-k", "--heads", "--shards", "--trace-ring", "--prompt-min",
+                           "--prompt-max"}) {
+    ExpectUsageErrorNaming(std::string(flag) + "=0", flag);
+  }
+}
+
+TEST(CliTest, ResidentTokenCapFlagIsGone) {
+  REQUIRE_CLI();
+  const CliResult result = RunCli("serve tiny synthetic:2 --max-resident=64");
+  EXPECT_EQ(result.exit_code, 2) << result.output;
+  EXPECT_NE(result.output.find("unknown serve flag"), std::string::npos) << result.output;
+}
+
+// Every distinct first capture of `re` in `text`.
+std::set<std::string> Matches(const std::string& text, const std::regex& re) {
+  std::set<std::string> out;
+  for (std::sregex_iterator it(text.begin(), text.end(), re), end; it != end; ++it) {
+    out.insert((*it)[1].str());
+  }
+  return out;
+}
+
+// The README's "Serve flags" section and `help` must list the same flags.
+TEST(CliTest, HelpListsEveryFlagTheReadmeDocuments) {
+  REQUIRE_CLI();
+  std::ifstream readme(SAMOYEDS_README_PATH);
+  ASSERT_TRUE(readme.good()) << "README not found at '" << SAMOYEDS_README_PATH << "'";
+  std::string section;
+  bool inside = false;
+  for (std::string line; std::getline(readme, line);) {
+    if (line.rfind("#", 0) == 0) {
+      inside = line == "### Serve flags";
+    } else if (inside) {
+      section += line + "\n";
+    }
+  }
+  const std::set<std::string> documented = Matches(section, std::regex("(--[a-z][a-z0-9-]*)"));
+  ASSERT_GE(documented.size(), 40u) << section;
+
+  const CliResult help = RunCli("help");
+  ASSERT_EQ(help.exit_code, 0) << help.output;
+  // Each flag's help entry starts a line: "  --name=SYNTAX" or "  --name[=0|1]".
+  const std::set<std::string> listed =
+      Matches(help.output, std::regex("\n  (--[a-z][a-z0-9-]*)[=\\[]"));
+  EXPECT_EQ(documented, listed);
 }
 
 }  // namespace

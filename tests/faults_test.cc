@@ -73,7 +73,6 @@ EngineConfig TinyEngineConfig(int threads = 2) {
   cfg.threads = threads;
   cfg.scheduler.policy = SchedulerPolicy::kTokenBudget;
   cfg.scheduler.token_budget = 24;
-  cfg.scheduler.max_resident_tokens = 64;
   return cfg;
 }
 

@@ -329,7 +329,6 @@ TEST(KernelBackendEngineTest, ScalarAndSimdServingAgree) {
     engine_cfg.threads = 2;
     engine_cfg.scheduler.policy = serving::SchedulerPolicy::kTokenBudget;
     engine_cfg.scheduler.token_budget = 24;
-    engine_cfg.scheduler.max_resident_tokens = 64;
     engine_cfg.autotune = true;
     engine_cfg.kernel_backend = backend;
     serving::ServingEngine engine(sparse, engine_cfg);

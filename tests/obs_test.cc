@@ -274,7 +274,6 @@ serving::EngineConfig PreemptingShardedConfig() {
   cfg.scheduler.policy = serving::SchedulerPolicy::kTokenBudget;
   cfg.scheduler.token_budget = 40;
   cfg.scheduler.chunk_tokens = 4;
-  cfg.scheduler.max_resident_tokens = 1 << 20;
   cfg.scheduler.page_tokens = 4;
   cfg.scheduler.max_pages = 8;
   cfg.scheduler.preempt = true;

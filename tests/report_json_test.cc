@@ -51,7 +51,6 @@ ServingReport RunTinyWorkload() {
   engine_cfg.threads = 2;
   engine_cfg.scheduler.policy = SchedulerPolicy::kTokenBudget;
   engine_cfg.scheduler.token_budget = 16;
-  engine_cfg.scheduler.max_resident_tokens = 1 << 20;
   ServingEngine engine(model, engine_cfg);
   for (int64_t i = 0; i < 3; ++i) {
     TraceEntry e{/*arrival_step=*/0, /*prompt_len=*/5, /*max_new_tokens=*/3};

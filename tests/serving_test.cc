@@ -136,19 +136,21 @@ TEST(SchedulerTest, FcfsAdmitsInArrivalOrderWithHeadOfLineBlocking) {
   SchedulerConfig cfg;
   cfg.policy = SchedulerPolicy::kFcfs;
   cfg.token_budget = 16;
-  cfg.max_resident_tokens = 24;
+  cfg.page_tokens = 4;
+  cfg.max_pages = 6;
   Scheduler sched(cfg);
-  sched.Enqueue(Sized(1, 8, 8));   // total 16: blocked by resident cap below
-  sched.Enqueue(Sized(2, 2, 2));   // total 4: would fit, but FCFS must not overtake
+  sched.Enqueue(Sized(1, 8, 8));   // 16 tokens = 4 pages: blocked by the page cap below
+  sched.Enqueue(Sized(2, 2, 2));   // 4 tokens = 1 page: would fit, but FCFS must not overtake
 
-  ResidentSnapshot resident{1, 16};  // one 16-token sequence already running
+  // One 16-token sequence already running.
+  const ResidentSnapshot resident{.used_pages = 4, .reserved_pages = 4};
   const auto decision = sched.Admit(/*decode_rows=*/1, resident);
   EXPECT_TRUE(decision.admitted.empty());
   EXPECT_TRUE(decision.rejected.empty());
   EXPECT_EQ(sched.pending(), 2);
 
   // Once the resident sequence retires, both fit, in arrival order.
-  const auto next = sched.Admit(0, ResidentSnapshot{0, 0});
+  const auto next = sched.Admit(0, ResidentSnapshot{});
   ASSERT_EQ(next.admitted.size(), 2u);
   EXPECT_EQ(next.admitted[0].id, 1);
   EXPECT_EQ(next.admitted[1].id, 2);
@@ -158,12 +160,15 @@ TEST(SchedulerTest, TokenBudgetPolicyFillsLeftoverBudget) {
   SchedulerConfig cfg;
   cfg.policy = SchedulerPolicy::kTokenBudget;
   cfg.token_budget = 16;
-  cfg.max_resident_tokens = 24;
+  cfg.page_tokens = 4;
+  cfg.max_pages = 6;
   Scheduler sched(cfg);
-  sched.Enqueue(Sized(1, 8, 8));  // blocked by resident cap
-  sched.Enqueue(Sized(2, 2, 2));  // overtakes under token-budget packing
+  sched.Enqueue(Sized(1, 8, 8));  // 4 pages: blocked by the page cap
+  sched.Enqueue(Sized(2, 2, 2));  // 1 page: overtakes under token-budget packing
 
-  const auto decision = sched.Admit(1, ResidentSnapshot{1, 16});
+  // One 16-token sequence already running.
+  const ResidentSnapshot resident{.used_pages = 4, .reserved_pages = 4};
+  const auto decision = sched.Admit(1, resident);
   ASSERT_EQ(decision.admitted.size(), 1u);
   EXPECT_EQ(decision.admitted[0].id, 2);
   EXPECT_EQ(sched.pending(), 1);
@@ -173,14 +178,13 @@ TEST(SchedulerTest, SmallestFirstPrefersShortRequests) {
   SchedulerConfig cfg;
   cfg.policy = SchedulerPolicy::kSmallestFirst;
   cfg.token_budget = 8;
-  cfg.max_resident_tokens = 64;
   Scheduler sched(cfg);
   sched.Enqueue(Sized(1, 6, 10));  // longest, arrived first
   sched.Enqueue(Sized(2, 4, 2));
   sched.Enqueue(Sized(3, 2, 2));
 
   // Budget 8 rows: smallest-first packs ids 3 (2 rows) and 2 (4 rows).
-  const auto decision = sched.Admit(0, ResidentSnapshot{0, 0});
+  const auto decision = sched.Admit(0, ResidentSnapshot{});
   ASSERT_EQ(decision.admitted.size(), 2u);
   // Admitted set preserves arrival order internally.
   EXPECT_EQ(decision.admitted[0].id, 2);
@@ -191,18 +195,14 @@ TEST(SchedulerTest, SmallestFirstPrefersShortRequests) {
 TEST(SchedulerTest, RejectsRequestsThatCanNeverFit) {
   SchedulerConfig cfg;
   cfg.token_budget = 16;
-  cfg.max_resident_tokens = 32;
   Scheduler sched(cfg);
   sched.Enqueue(Sized(1, 20, 0));  // prompt exceeds the per-iteration budget
-  sched.Enqueue(Sized(2, 8, 40));  // total exceeds resident capacity
   sched.Enqueue(Sized(3, 4, 4));
 
-  const auto decision = sched.Admit(0, ResidentSnapshot{0, 0});
-  ASSERT_EQ(decision.rejected.size(), 2u);
+  const auto decision = sched.Admit(0, ResidentSnapshot{});
+  ASSERT_EQ(decision.rejected.size(), 1u);
   EXPECT_EQ(decision.rejected[0].request.id, 1);
   EXPECT_NE(std::strstr(decision.rejected[0].reason, "token budget"), nullptr);
-  EXPECT_EQ(decision.rejected[1].request.id, 2);
-  EXPECT_NE(std::strstr(decision.rejected[1].reason, "resident capacity"), nullptr);
   ASSERT_EQ(decision.admitted.size(), 1u);
   EXPECT_EQ(decision.admitted[0].id, 3);
 }
@@ -234,8 +234,6 @@ TEST(SchedulerTest, PagedAdmissionPacksToExactlyFullCapacity) {
 
   // With the pool exactly full nothing more fits...
   ResidentSnapshot resident;
-  resident.sequences = 2;
-  resident.tokens = 16;
   resident.reserved_pages = 4;
   resident.used_pages = 4;
   EXPECT_TRUE(sched.Admit(2, resident).admitted.empty());
@@ -263,8 +261,6 @@ TEST(SchedulerTest, PreemptiveAdmissionOnlyChargesThePrompt) {
   sched.Enqueue(Sized(1, 4, 11));  // lifetime 15 tokens = 4 pages, prompt = 1 page
 
   ResidentSnapshot resident;
-  resident.sequences = 1;
-  resident.tokens = 8;
   resident.used_pages = 2;      // what is held right now
   resident.reserved_pages = 4;  // what conservative accounting would charge
   const auto decision = sched.Admit(1, resident);
@@ -328,7 +324,6 @@ TEST(SchedulerTest, ChunkedPagedAdmissionChargesOnlyTheFirstChunkWhenPreemptive)
   sched.Enqueue(Sized(1, 16, 8));  // lifetime 24 tokens = 6 pages, chunk = 1 page
 
   ResidentSnapshot resident;
-  resident.sequences = 1;
   resident.used_pages = 7;      // room for exactly one more page
   resident.reserved_pages = 8;
   const auto decision = sched.Admit(1, resident);
@@ -399,15 +394,16 @@ TEST(SchedulerTest, PickVictimPrefersLowPriorityThenYoungest) {
 TEST(SchedulerTest, MemoryModelCapacityIsPositiveAndFrameworkOrdered) {
   const MoeModelConfig model = ModelByName("Mixtral-8x7B");
   const SamoyedsConfig fmt{1, 2, 32};
+  // One-token pages: the capacity in resident tokens.
   const int64_t samoyeds_cap =
-      TokenCapacity(model, MoeFramework::kSamoyeds, fmt, DefaultDevice());
+      PageCapacity(model, MoeFramework::kSamoyeds, fmt, DefaultDevice(), /*page_tokens=*/1);
   const int64_t dense_cap =
-      TokenCapacity(model, MoeFramework::kTransformers, fmt, DefaultDevice());
+      PageCapacity(model, MoeFramework::kTransformers, fmt, DefaultDevice(), /*page_tokens=*/1);
   EXPECT_GT(samoyeds_cap, 0);
   // The sparse format frees weight memory for serving capacity (Table 3).
   EXPECT_GT(samoyeds_cap, dense_cap);
 
-  // The paged admission budget is the same capacity in whole pages.
+  // Larger pages hold the same capacity in whole pages.
   const int64_t pages =
       PageCapacity(model, MoeFramework::kSamoyeds, fmt, DefaultDevice(), /*page_tokens=*/16);
   EXPECT_EQ(pages, samoyeds_cap / 16);
@@ -458,7 +454,6 @@ EngineConfig TinyEngineConfig(int threads = 2) {
   cfg.threads = threads;
   cfg.scheduler.policy = SchedulerPolicy::kTokenBudget;
   cfg.scheduler.token_budget = 24;
-  cfg.scheduler.max_resident_tokens = 64;
   return cfg;
 }
 

@@ -67,7 +67,6 @@ EngineConfig StreamEngineConfig(int threads, int64_t budget, int64_t chunk_token
   cfg.scheduler.policy = SchedulerPolicy::kTokenBudget;
   cfg.scheduler.token_budget = budget;
   cfg.scheduler.chunk_tokens = chunk_tokens;
-  cfg.scheduler.max_resident_tokens = 1 << 20;
   return cfg;
 }
 

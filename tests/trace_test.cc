@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -16,17 +18,23 @@ namespace samoyeds {
 namespace serving {
 namespace {
 
-// Writes `content` to a fresh temp trace file and parses it.
+// Writes `content` to a fresh temp trace file and parses it. The path names
+// the test and the process: each test may run in its own process at the same
+// time as the others, so a per-process counter alone would collide.
 std::vector<TraceEntry> Parse(const std::string& content, std::string* error) {
   static int counter = 0;
-  const std::string path =
-      ::testing::TempDir() + "/trace_test_" + std::to_string(counter++) + ".txt";
+  const std::string path = ::testing::TempDir() + "/trace_test_" +
+                           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+                           "_" + std::to_string(getpid()) + "_" + std::to_string(counter++) +
+                           ".txt";
   std::FILE* f = std::fopen(path.c_str(), "w");
   EXPECT_NE(f, nullptr);
   std::fputs(content.c_str(), f);
   std::fclose(f);
   error->clear();
-  return ParseTraceFile(path, error);
+  std::vector<TraceEntry> entries = ParseTraceFile(path, error);
+  std::remove(path.c_str());
+  return entries;
 }
 
 TEST(TraceTest, ParsesThreeToFiveColumnLines) {
@@ -145,6 +153,21 @@ TEST(TraceTest, SyntheticTraceShapesAndArrivalMonotonicity) {
     EXPECT_EQ(e.id, -1);  // synthetic traces never pin ids
     prev = e.arrival_step;
   }
+}
+
+TEST(TraceTest, SyntheticArrivalsSaturateAtVanishingRates) {
+  // At 1e-300 arrivals per step every drawn gap is far beyond int64 range;
+  // arrivals must saturate rather than wrap negative.
+  Rng rng(1);
+  const auto entries = SyntheticTrace(rng, 4, 1e-300, 4, 16, 1, 8);
+  ASSERT_EQ(entries.size(), 4u);
+  EXPECT_EQ(entries[0].arrival_step, 0);
+  int64_t prev = 0;
+  for (const auto& e : entries) {
+    EXPECT_GE(e.arrival_step, prev);
+    prev = e.arrival_step;
+  }
+  EXPECT_GT(entries.back().arrival_step, 0);
 }
 
 TEST(TraceTest, MakeRequestMaterializesTheStopConditionShape) {
