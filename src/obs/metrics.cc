@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdio>
 
 namespace samoyeds {
 namespace obs {
@@ -82,60 +81,6 @@ double Histogram::Percentile(double q) const {
     }
   }
   return max_;
-}
-
-void Histogram::Reset() {
-  count_ = 0;
-  sum_ = 0.0;
-  min_ = 0.0;
-  max_ = 0.0;
-  std::fill(buckets_.begin(), buckets_.end(), 0);
-}
-
-std::vector<std::pair<double, int64_t>> Histogram::NonZeroBuckets() const {
-  std::vector<std::pair<double, int64_t>> out;
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    if (buckets_[i] != 0) {
-      out.emplace_back(static_cast<double>(BucketUpperBound(static_cast<int>(i))) / scale_,
-                       buckets_[i]);
-    }
-  }
-  return out;
-}
-
-Histogram& MetricRegistry::GetHistogram(const std::string& name, double scale) {
-  const auto it = histograms_.find(name);
-  if (it != histograms_.end()) {
-    return it->second;
-  }
-  return histograms_.emplace(name, Histogram(scale)).first->second;
-}
-
-std::string MetricRegistry::ToJson() const {
-  std::string out = "{\n  \"counters\": {";
-  bool first = true;
-  char buf[160];
-  for (const auto& [name, counter] : counters_) {
-    std::snprintf(buf, sizeof(buf), "%s\n    \"%s\": %lld", first ? "" : ",", name.c_str(),
-                  static_cast<long long>(counter.value()));
-    out += buf;
-    first = false;
-  }
-  out += first ? "},\n" : "\n  },\n";
-  out += "  \"histograms\": {";
-  first = true;
-  for (const auto& [name, hist] : histograms_) {
-    std::snprintf(buf, sizeof(buf),
-                  "%s\n    \"%s\": {\"count\": %lld, \"mean\": %.6f, \"p50\": %.6f, "
-                  "\"p95\": %.6f, \"p99\": %.6f, \"max\": %.6f}",
-                  first ? "" : ",", name.c_str(), static_cast<long long>(hist.count()),
-                  hist.mean(), hist.Percentile(0.50), hist.Percentile(0.95),
-                  hist.Percentile(0.99), hist.max());
-    out += buf;
-    first = false;
-  }
-  out += first ? "}\n}\n" : "\n  }\n}\n";
-  return out;
 }
 
 }  // namespace obs

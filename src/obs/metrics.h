@@ -1,4 +1,4 @@
-// Counters and log-bucketed histograms for serving metrics.
+// Log-bucketed histogram for serving latency metrics.
 //
 // `Histogram` is an HdrHistogram-style log-linear sketch: samples are mapped
 // to integer units (`scale` units per 1.0 of input — record milliseconds at
@@ -15,30 +15,17 @@
 // whenever every sample sits in the linear region (all the step-count
 // latencies the tests assert on).
 //
-// `MetricRegistry` is a name-keyed bag of both, for instrumentation points
-// that want to publish without threading a struct through every layer.
-// Everything here is engine-thread-only (like EngineMetrics).
+// Not thread-safe: the owner serializes access (EngineMetrics holds its
+// mutex around every Record and Percentile).
 
 #ifndef SAMOYEDS_SRC_OBS_METRICS_H_
 #define SAMOYEDS_SRC_OBS_METRICS_H_
 
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 namespace samoyeds {
 namespace obs {
-
-class Counter {
- public:
-  void Add(int64_t n = 1) { value_ += n; }
-  int64_t value() const { return value_; }
-  void Reset() { value_ = 0; }
-
- private:
-  int64_t value_ = 0;
-};
 
 class Histogram {
  public:
@@ -62,12 +49,6 @@ class Histogram {
   // empty. Exact for integer samples below kSubBuckets units.
   double Percentile(double q) const;
 
-  void Reset();
-
-  // Occupied (bucket upper bound in input units, count) pairs, ascending —
-  // the machine-readable histogram for JSON export and tests.
-  std::vector<std::pair<double, int64_t>> NonZeroBuckets() const;
-
  private:
   static int BucketIndex(int64_t units);
   static int64_t BucketUpperBound(int index);  // inclusive, in units
@@ -78,24 +59,6 @@ class Histogram {
   double min_ = 0.0;
   double max_ = 0.0;
   std::vector<int64_t> buckets_;  // sized on first Record
-};
-
-class MetricRegistry {
- public:
-  Counter& GetCounter(const std::string& name) { return counters_[name]; }
-  // `scale` applies only when `name` is first created.
-  Histogram& GetHistogram(const std::string& name, double scale = 1.0);
-
-  const std::map<std::string, Counter>& counters() const { return counters_; }
-  const std::map<std::string, Histogram>& histograms() const { return histograms_; }
-
-  // {"counters": {name: value, ...}, "histograms": {name: {count, mean, p50,
-  // p95, p99, max}, ...}} — one JSON object.
-  std::string ToJson() const;
-
- private:
-  std::map<std::string, Counter> counters_;
-  std::map<std::string, Histogram> histograms_;
 };
 
 }  // namespace obs

@@ -345,9 +345,7 @@ bool ServingEngine::Terminate(int64_t id, RequestStatus status, std::string reas
     const int64_t produced = static_cast<int64_t>(rows.size()) / hidden_;
     RequestResult& result = Finalize(id, status, std::move(reason));
     result.outputs = MatrixF::FromRowMajor(produced, hidden_, std::move(rows));
-    cache_.Free(id);
-    running_.erase(std::find(running_.begin(), running_.end(), id));
-    sequences_.erase(it);
+    ReleaseResident(id);
     StreamToCallback(id, /*finished=*/true);  // unblock push-mode consumers
     return true;
   }
@@ -442,6 +440,16 @@ void ServingEngine::ChargeRetry(int attempt) {
       kFaultBackoffMs * static_cast<double>(1ll << std::min(attempt - 1, 20));
 }
 
+bool ServingEngine::SwapTransferSucceeds(FaultPoint point) {
+  for (int attempt = 1; injector_.ShouldFail(point); ++attempt) {
+    ChargeRetry(attempt);
+    if (attempt > config_.fault_retry_limit) {
+      return false;
+    }
+  }
+  return true;
+}
+
 bool ServingEngine::FailShard(int shard) {
   if (live_shards_.size() <= 1) {
     return false;  // the last shard standing keeps serving
@@ -493,9 +501,11 @@ ResidentSnapshot ServingEngine::Resident(int64_t growth_pages) const {
   return snap;
 }
 
-std::vector<int64_t> ServingEngine::PlanResidentRows() const {
+ServingEngine::StepPlan ServingEngine::PlanResidentRows() const {
   const SchedulerConfig& cfg = config_.scheduler;
-  std::vector<int64_t> plan(running_.size(), 0);
+  StepPlan out;
+  std::vector<int64_t>& plan = out.rows;
+  plan.assign(running_.size(), 0);
   int64_t budget_left = cfg.token_budget;
   // Decode rows first: one per decode-phase resident. Admission charges
   // every sequence at least one row, so these always fit the budget.
@@ -524,18 +534,13 @@ std::vector<int64_t> ServingEngine::PlanResidentRows() const {
     }
   }
   assert(budget_left >= 0);
-  return plan;
-}
-
-int64_t ServingEngine::PlannedGrowthPages(const std::vector<int64_t>& plan) const {
-  int64_t pages = 0;
   for (size_t i = 0; i < running_.size(); ++i) {
     // PagesToPrepareWrite, not PagesToExtend: a sequence about to append to a
     // still-shared partial tail page needs one extra page for the
     // copy-on-write split.
-    pages += cache_.allocator().PagesToPrepareWrite(running_[i], plan[i]);
+    out.growth_pages += cache_.allocator().PagesToPrepareWrite(running_[i], plan[i]);
   }
-  return pages;
+  return out;
 }
 
 void ServingEngine::Preempt(int64_t id) {
@@ -552,54 +557,37 @@ void ServingEngine::Preempt(int64_t id) {
                             seq.out_rows.begin() + static_cast<int64_t>(keep));
   }
   const int64_t tokens = seq.consumed;
-  bool swapped_out = false;
-  if (swap_enabled_ && tokens > 0 && swap_tier_.CanHold(tokens)) {
-    // Swap path: KV rows and the produced outputs move to the host tier and
-    // are restored bit-exactly at readmission — no recompute. The transfer is
-    // charged against the device's host link for the bytes actually moved.
-    // An injected transfer failure is retried with exponential backoff; past
-    // the retry limit the victim falls through to the recompute path below.
-    bool transfer_ok = true;
-    for (int attempt = 1; injector_.ShouldFail(FaultPoint::kSwapOut); ++attempt) {
-      ChargeRetry(attempt);
-      if (attempt > config_.fault_retry_limit) {
-        transfer_ok = false;
-        break;
-      }
+  // Swap path: KV rows and the produced outputs move to the host tier and
+  // are restored bit-exactly at readmission — no recompute. The transfer is
+  // charged against the device's host link for the bytes actually moved.
+  // An injected transfer failure is retried with exponential backoff; past
+  // the retry limit the victim falls through to the recompute path.
+  if (swap_enabled_ && tokens > 0 && swap_tier_.CanHold(tokens) &&
+      SwapTransferSucceeds(FaultPoint::kSwapOut)) {
+    swap_tier_.SwapOut(id, cache_, tokens);
+    if (const FaultDecision d = injector_.Probe(FaultPoint::kSwapCorrupt); d.fire) {
+      // Deterministic bit flip in the parked pages; the per-page checksum
+      // catches it at swap-in and forces a recompute instead of serving
+      // corrupted KV state.
+      const uint64_t salt =
+          d.arg != 0 ? static_cast<uint64_t>(d.arg)
+                     : static_cast<uint64_t>(id) * 0x9e3779b97f4a7c15ull ^
+                           static_cast<uint64_t>(step_);
+      swap_tier_.CorruptEntry(id, salt);
     }
-    if (transfer_ok) {
-      swap_tier_.SwapOut(id, cache_, tokens);
-      if (const FaultDecision d = injector_.Probe(FaultPoint::kSwapCorrupt); d.fire) {
-        // Deterministic bit flip in the parked pages; the per-page checksum
-        // catches it at swap-in and forces a recompute instead of serving
-        // corrupted KV state.
-        const uint64_t salt =
-            d.arg != 0 ? static_cast<uint64_t>(d.arg)
-                       : static_cast<uint64_t>(id) * 0x9e3779b97f4a7c15ull ^
-                             static_cast<uint64_t>(step_);
-        swap_tier_.CorruptEntry(id, salt);
-      }
-      SwappedSeq& shadow = swapped_[id];
-      shadow.out_rows = std::move(seq.out_rows);
-      shadow.consumed = tokens;
-      const int64_t bytes = swap_tier_.BytesForTokens(tokens);
-      const double ms = SwapTransferMs(bytes);
-      step_swap_out_bytes_ += static_cast<double>(bytes);
-      step_swap_ms_ += ms;
-      metrics_.OnSwapOut(id, step_, static_cast<double>(bytes), ms);
-      swapped_out = true;
-    }
-  }
-  if (!swapped_out && prefix_cache_ != nullptr) {
+    SwappedSeq& shadow = swapped_[id];
+    shadow.out_rows = std::move(seq.out_rows);
+    shadow.consumed = tokens;
+    const int64_t bytes = swap_tier_.BytesForTokens(tokens);
+    metrics_.OnSwapOut(id, step_, static_cast<double>(bytes), SwapTransferMs(bytes));
+  } else if (prefix_cache_ != nullptr) {
     // Recompute fallback: at least donate the computed prefix to the radix
     // tree, so the readmission (or anyone sharing the prompt) skips it.
     prefix_cache_->Donate(id, seq.request.inputs, tokens, seq.out_rows,
                           cache_.mutable_allocator());
   }
-  cache_.Free(id);
   Request request = std::move(seq.request);
-  sequences_.erase(id);
-  running_.erase(std::find(running_.begin(), running_.end(), id));
+  ReleaseResident(id);
   metrics_.OnPreempt(id, step_);
   // Without a swap shadow, undelivered partial outputs are discarded with
   // the Sequence: readmission recomputes the whole prefix, which reproduces
@@ -659,14 +647,40 @@ void ServingEngine::RetireFinished(int64_t id) {
   }
   RequestResult& result = Finalize(id, RequestStatus::kFinished, "");
   result.outputs = MatrixF::FromRowMajor(seq.consumed, hidden_, std::move(seq.out_rows));
-  cache_.Free(id);
-  sequences_.erase(id);
-  if (const auto pos = std::find(running_.begin(), running_.end(), id);
-      pos != running_.end()) {
-    running_.erase(pos);
-  }
+  ReleaseResident(id);
   sessions_.at(id).retained.clear();  // full outputs exist now
   StreamToCallback(id, /*finished=*/true);
+}
+
+void ServingEngine::ReleaseResident(int64_t id) {
+  cache_.Free(id);
+  const auto pos = std::find(running_.begin(), running_.end(), id);
+  assert(pos != running_.end());
+  running_.erase(pos);
+  sequences_.erase(id);
+}
+
+bool ServingEngine::SwapIn(int64_t id, int64_t tokens) {
+  if (!SwapTransferSucceeds(FaultPoint::kSwapIn)) {
+    const bool dropped = swap_tier_.Drop(id);
+    assert(dropped);
+    (void)dropped;
+    return false;
+  }
+  ReclaimFor(cache_.allocator().PagesToExtend(id, tokens));
+  const bool ok = cache_.Extend(id, tokens);
+  assert(ok);
+  (void)ok;
+  if (!swap_tier_.SwapIn(id, cache_)) {
+    // A parked page failed its checksum: the tier dropped the whole entry
+    // (never a partial restore). Free the just-extended pages — corrupted KV
+    // state must not reach attention.
+    cache_.Free(id);
+    return false;
+  }
+  const int64_t bytes = swap_tier_.BytesForTokens(tokens);
+  metrics_.OnSwapIn(id, step_, static_cast<double>(bytes), SwapTransferMs(bytes));
+  return true;
 }
 
 MatrixF ServingEngine::ForwardBatch(const AssembledBatch& batch) {
@@ -843,10 +857,43 @@ SsmmConfig ServingEngine::ResolveTileConfig(const SamoyedsMoeLayerWeights& moe,
 }
 
 bool ServingEngine::Step() {
-  const SchedulerConfig& sched_cfg = config_.scheduler;
   obs::ScopedSpan step_span("engine", "step", obs::TraceDetail::kStep, step_);
+  Ingest();
+  ProbeShardFaults();
+  // Expire overdue sessions before planning so a timed-out resident never
+  // occupies batch rows or pages this iteration.
+  SweepDeadlines();
+  StepPlan plan = Plan();
+  Evict(plan);
+  const PlannedRows planned = Admit(std::move(plan));
+  const AssembledBatch batch = Assemble(planned);
+  if (batch.slices.empty()) {
+    if (running_.empty() && scheduler_.pending() == 0) {
+      // Idle: fast-forward to the next trace arrival, or report drained.
+      const int64_t next = queue_.NextArrivalStep();
+      if (next < 0) {
+        return false;
+      }
+      step_ = next;
+      return true;
+    }
+    // Sessions are live but none runs this iteration: every resident sat it
+    // out (possible only transiently — e.g. a budget-starved prefill next to
+    // retirements), injected allocation faults dropped every part, or a
+    // swap-in failure requeued a session *after* this step's admission pass
+    // emptied the backlog into running_. The iteration still counts; never
+    // report drained while sessions are live.
+    WatchdogSweep();
+    ++step_;
+    return true;
+  }
+  StepMetrics sm;
+  const MatrixF out = Forward(batch, &sm);
+  Retire(batch, out, &sm);
+  return true;
+}
 
-  // 1. Ingress: requests whose arrival step has come due join the scheduler.
+void ServingEngine::Ingest() {
   for (Request& r : queue_.DrainArrived(step_)) {
     metrics_.OnArrival(r.id, step_, r.prompt_len, r.max_new_tokens);
     // Arm the liveness watchdog: the session's stall clock starts now (a
@@ -857,86 +904,85 @@ bool ServingEngine::Step() {
     session.last_progress_step = step_;
     scheduler_.Enqueue(std::move(r));
   }
+}
 
+void ServingEngine::ProbeShardFaults() {
   // Shard-level fault probes fire once per step, before any planning, so a
   // failover's compacted plan governs the whole iteration.
   injector_.BeginStep(step_);
-  if (injector_.enabled()) {
-    if (const FaultDecision d = injector_.Probe(FaultPoint::kShardDeath); d.fire) {
-      FailShard(static_cast<int>(d.arg));
-    }
-    if (const FaultDecision d = injector_.Probe(FaultPoint::kShardStall); d.fire) {
-      const auto pos = std::find(live_shards_.begin(), live_shards_.end(),
-                                 static_cast<int>(d.arg));
-      if (pos != live_shards_.end()) {
-        stalled_shard_ = static_cast<int>(pos - live_shards_.begin());
-      }
-    }
-    if (const FaultDecision d = injector_.Probe(FaultPoint::kLinkDegrade); d.fire) {
-      // Persistent interconnect degradation: every link's bandwidth divides
-      // by the rule's factor (the analytic all-to-all model slows down; the
-      // functional outputs are untouched).
-      const double factor = static_cast<double>(std::max<int64_t>(2, d.arg));
-      for (DeviceSpec& dev : cluster_.devices) {
-        dev.link_bandwidth_gbps /= factor;
-      }
+  if (!injector_.enabled()) {
+    return;
+  }
+  if (const FaultDecision d = injector_.Probe(FaultPoint::kShardDeath); d.fire) {
+    FailShard(static_cast<int>(d.arg));
+  }
+  if (const FaultDecision d = injector_.Probe(FaultPoint::kShardStall); d.fire) {
+    const auto pos =
+        std::find(live_shards_.begin(), live_shards_.end(), static_cast<int>(d.arg));
+    if (pos != live_shards_.end()) {
+      stalled_shard_ = static_cast<int>(pos - live_shards_.begin());
     }
   }
+  if (const FaultDecision d = injector_.Probe(FaultPoint::kLinkDegrade); d.fire) {
+    // Persistent interconnect degradation: every link's bandwidth divides
+    // by the rule's factor (the analytic all-to-all model slows down; the
+    // functional outputs are untouched).
+    const double factor = static_cast<double>(std::max<int64_t>(2, d.arg));
+    for (DeviceSpec& dev : cluster_.devices) {
+      dev.link_bandwidth_gbps /= factor;
+    }
+  }
+}
 
-  // Expire overdue sessions before planning so a timed-out resident never
-  // occupies batch rows or pages this iteration.
-  SweepDeadlines();
+ServingEngine::StepPlan ServingEngine::Plan() const {
+  obs::ScopedSpan plan_span("engine", "plan", obs::TraceDetail::kStep);
+  return PlanResidentRows();
+}
 
-  // 2. Plan this iteration's resident rows (decode rows + prefill chunks),
-  // then — under a bounded page pool with eviction enabled — make sure the
-  // planned rows can get pages. Victims are lowest-priority, then youngest —
-  // and may be a grower itself, in which case it simply sits out this batch
-  // from the queue head. A lone resident always fits (admission rejects
-  // lifetimes beyond the pool), so this terminates with at least one
-  // survivor. Evicting re-plans: freed budget can enlarge another
-  // resident's prefill chunk.
-  std::vector<int64_t> plan;
-  int64_t growth_pages = 0;
-  {
-    obs::ScopedSpan plan_span("engine", "plan", obs::TraceDetail::kStep);
+void ServingEngine::Evict(StepPlan& plan) {
+  // Victims are lowest-priority, then youngest — and may be a grower itself,
+  // in which case it simply sits out this batch from the queue head. A lone
+  // resident always fits (admission rejects lifetimes beyond the pool), so
+  // this terminates with at least one survivor. Evicting re-plans: freed
+  // budget can enlarge another resident's prefill chunk.
+  const SchedulerConfig& cfg = config_.scheduler;
+  if (cfg.max_pages <= 0 || (!cfg.preempt && prefix_cache_ == nullptr)) {
+    return;
+  }
+  obs::ScopedSpan evict_span("engine", "evict", obs::TraceDetail::kStep);
+  while (cache_.allocator().used_pages() + plan.growth_pages > cfg.max_pages) {
+    // Dropping a cold prefix-cache entry is strictly cheaper than evicting
+    // a live sequence, so the tree yields first.
+    if (prefix_cache_ != nullptr && prefix_cache_->ReclaimOne(cache_.mutable_allocator())) {
+      continue;
+    }
+    if (!cfg.preempt || running_.empty()) {
+      break;
+    }
+    std::vector<VictimCandidate> candidates;
+    candidates.reserve(running_.size());
+    for (int64_t id : running_) {
+      const Sequence& seq = sequences_.at(id);
+      const Request& r = seq.request;
+      const int64_t slack =
+          r.deadline_steps > 0 ? r.arrival_step + r.deadline_steps - step_ : INT64_MAX;
+      candidates.push_back(VictimCandidate{id, r.priority, seq.admit_seq, slack});
+    }
+    Preempt(candidates[Scheduler::PickVictim(candidates)].id);
     plan = PlanResidentRows();
-    growth_pages = PlannedGrowthPages(plan);
   }
-  if (sched_cfg.max_pages > 0 && (sched_cfg.preempt || prefix_cache_ != nullptr)) {
-    obs::ScopedSpan evict_span("engine", "evict", obs::TraceDetail::kStep);
-    while (cache_.allocator().used_pages() + growth_pages > sched_cfg.max_pages) {
-      // Dropping a cold prefix-cache entry is strictly cheaper than evicting
-      // a live sequence, so the tree yields first.
-      if (prefix_cache_ != nullptr && prefix_cache_->ReclaimOne(cache_.mutable_allocator())) {
-        continue;
-      }
-      if (!sched_cfg.preempt || running_.empty()) {
-        break;
-      }
-      std::vector<VictimCandidate> candidates;
-      candidates.reserve(running_.size());
-      for (int64_t id : running_) {
-        const Sequence& seq = sequences_.at(id);
-        const Request& r = seq.request;
-        const int64_t slack = r.deadline_steps > 0
-                                  ? r.arrival_step + r.deadline_steps - step_
-                                  : INT64_MAX;
-        candidates.push_back(VictimCandidate{id, r.priority, seq.admit_seq, slack});
-      }
-      Preempt(candidates[Scheduler::PickVictim(candidates)].id);
-      plan = PlanResidentRows();
-      growth_pages = PlannedGrowthPages(plan);
-    }
-  }
+}
 
-  // 3. Admission under the iteration token budget and the KV page cap. The
+ServingEngine::PlannedRows ServingEngine::Admit(StepPlan plan) {
+  // Admission runs under the iteration token budget and the KV page cap. The
   // committed rows are everything the residents planned; an admitted prompt
   // is charged its first chunk.
+  const SchedulerConfig& cfg = config_.scheduler;
   int64_t committed_rows = 0;
   std::vector<int64_t> finished_at_admit;
   {
     obs::ScopedSpan admit_span("engine", "admit", obs::TraceDetail::kStep);
-    for (int64_t rows : plan) {
+    for (int64_t rows : plan.rows) {
       committed_rows += rows;
     }
     AdmitProbe probe;
@@ -948,7 +994,8 @@ bool ServingEngine::Step() {
     // and the engine's first-chunk charge below stay in lockstep — new
     // admissions this step must not perturb the cap mid-pass.
     const int64_t admit_decode_rows = DecodeResidentRows();
-    AdmissionDecision decision = scheduler_.Admit(committed_rows, Resident(growth_pages), probe);
+    AdmissionDecision decision =
+        scheduler_.Admit(committed_rows, Resident(plan.growth_pages), probe);
     for (Rejection& rejection : decision.rejected) {
       Finalize(rejection.request.id, RequestStatus::kRejected, rejection.reason);
     }
@@ -977,7 +1024,6 @@ bool ServingEngine::Step() {
           (void)mapped;
           s.consumed = match.tokens;
           s.out_rows = std::move(match.out_rows);
-          step_prefix_hit_tokens_ += match.tokens;
           metrics_.OnPrefixHit(id, step_, match.tokens);
         }
       }
@@ -991,51 +1037,18 @@ bool ServingEngine::Step() {
       Sequence& seq = sequences_.at(id);
       if (const auto sw = swapped_.find(id); sw != swapped_.end()) {
         const int64_t tokens = sw->second.consumed;
-        // Transient transfer failure: bounded retries with backoff, then the
-        // shadow is dropped and the session preempts straight back to the
-        // queue head for a full recompute. Its produced rows move into the
-        // sequence first so the delivered prefix survives in the stash.
-        bool transfer_ok = true;
-        for (int attempt = 1; injector_.ShouldFail(FaultPoint::kSwapIn); ++attempt) {
-          ChargeRetry(attempt);
-          if (attempt > config_.fault_retry_limit) {
-            transfer_ok = false;
-            break;
-          }
-        }
-        if (!transfer_ok) {
-          const bool dropped = swap_tier_.Drop(id);
-          assert(dropped);
-          (void)dropped;
-          seq.out_rows = std::move(sw->second.out_rows);
-          swapped_.erase(sw);
-          Preempt(id);  // consumed == 0: recompute from row 0 at readmission
+        seq.out_rows = std::move(sw->second.out_rows);
+        swapped_.erase(sw);
+        if (!SwapIn(id, tokens)) {
+          // The shadow is gone: the session preempts straight back to the
+          // queue head for a full recompute (consumed == 0). Its produced
+          // rows moved into the sequence first, so the delivered prefix
+          // survives in the stash.
+          Preempt(id);
           --i;  // running_ compacted over this slot; re-visit the index
           continue;
         }
-        ReclaimFor(cache_.allocator().PagesToExtend(id, tokens));
-        const bool ok = cache_.Extend(id, tokens);
-        assert(ok);
-        (void)ok;
-        if (!swap_tier_.SwapIn(id, cache_)) {
-          // A parked page failed its checksum: the tier dropped the whole
-          // entry (never a partial restore). Free the just-extended pages
-          // and recompute — corrupted KV state must not reach attention.
-          cache_.Free(id);
-          seq.out_rows = std::move(sw->second.out_rows);
-          swapped_.erase(sw);
-          Preempt(id);
-          --i;
-          continue;
-        }
         seq.consumed = tokens;
-        seq.out_rows = std::move(sw->second.out_rows);
-        swapped_.erase(sw);
-        const int64_t bytes = swap_tier_.BytesForTokens(tokens);
-        const double ms = SwapTransferMs(bytes);
-        step_swap_in_bytes_ += static_cast<double>(bytes);
-        step_swap_ms_ += ms;
-        metrics_.OnSwapIn(id, step_, static_cast<double>(bytes), ms);
       }
       // First prefill chunk of the *remaining* prompt, sized exactly as the
       // scheduler charged it (the shared PrefillChunkRows and the engine's
@@ -1046,13 +1059,13 @@ bool ServingEngine::Step() {
           std::max<int64_t>(0, seq.request.prompt_len - seq.consumed);
       int64_t chunk = 0;
       if (remaining > 0) {
-        chunk = PrefillChunkRows(remaining, sched_cfg.token_budget - committed_rows,
-                                 sched_cfg, admit_decode_rows);
-        assert(chunk == FirstChunkRows(remaining, sched_cfg, admit_decode_rows));
+        chunk = PrefillChunkRows(remaining, cfg.token_budget - committed_rows, cfg,
+                                 admit_decode_rows);
+        assert(chunk == FirstChunkRows(remaining, cfg, admit_decode_rows));
       } else if (seq.consumed < seq.request.total_tokens()) {
         chunk = 1;
       }
-      plan.push_back(chunk);
+      plan.rows.push_back(chunk);
       committed_rows += chunk;
       if (seq.consumed >= seq.request.prompt_len) {
         // The cache (or swap shadow) already covers row prompt_len - 1: the
@@ -1064,16 +1077,16 @@ bool ServingEngine::Step() {
       }
     }
   }
-  assert(committed_rows <= sched_cfg.token_budget || sched_cfg.chunk_tokens <= 0);
+  assert(committed_rows <= cfg.token_budget || cfg.chunk_tokens <= 0);
 
   // The positional plan is resolved into id-keyed pairs before anything below
   // can fire a session callback: a reentrant Cancel() erases running_ entries
   // and would desynchronize plan indices, but the pairs stay valid (cancelled
   // ids simply stop resolving).
-  std::vector<std::pair<int64_t, int64_t>> planned;
+  PlannedRows planned;
   planned.reserve(running_.size());
   for (size_t i = 0; i < running_.size(); ++i) {
-    planned.emplace_back(running_[i], plan[i]);
+    planned.emplace_back(running_[i], plan.rows[i]);
   }
   // Retire fully-cached admissions (their planned rows are 0); their terminal
   // deltas fire here, before the batch assembles.
@@ -1083,107 +1096,66 @@ bool ServingEngine::Step() {
     }
     RetireFinished(id);
   }
+  return planned;
+}
 
-  // 4. Assemble the iteration batch from the plan: every sequence's page
-  // table is extended to cover its new rows up front (prefill chunks target
-  // KV pages directly) so the forward's parallel tasks never mutate
-  // allocator state. A 0-row plan (budget-starved prefill) sits out but
-  // stays resident.
-  AssembledBatch batch;
-  {
-    obs::ScopedSpan assemble_span("engine", "assemble", obs::TraceDetail::kStep);
-    std::vector<BatchAssembler::Contribution> parts;
-    for (const auto& [id, rows] : planned) {
-      const auto seq_it = sequences_.find(id);
-      if (seq_it == sequences_.end() || rows == 0) {
-        continue;  // retired at admission, cancelled reentrantly, or sits out
-      }
-      Sequence& seq = seq_it->second;
-      BatchAssembler::Contribution p;
-      p.request_id = id;
-      p.source = &seq.request.inputs;
-      p.row_begin = seq.consumed;
-      p.row_count = rows;
-      p.is_prefill = seq.consumed < seq.request.prompt_len;
-      parts.push_back(p);
+AssembledBatch ServingEngine::Assemble(const PlannedRows& planned) {
+  // Every sequence's page table is extended to cover its new rows up front
+  // (prefill chunks target KV pages directly) so the forward's parallel tasks
+  // never mutate allocator state. A 0-row plan (budget-starved prefill) sits
+  // out but stays resident.
+  obs::ScopedSpan assemble_span("engine", "assemble", obs::TraceDetail::kStep);
+  std::vector<BatchAssembler::Contribution> parts;
+  for (const auto& [id, rows] : planned) {
+    const auto seq_it = sequences_.find(id);
+    if (seq_it == sequences_.end() || rows == 0) {
+      continue;  // retired at admission, cancelled reentrantly, or sits out
     }
-
-    if (parts.empty()) {
-      if (!running_.empty() || scheduler_.pending() > 0) {
-        // Every resident sat this iteration out (possible only transiently —
-        // e.g. a budget-starved prefill next to retirements), or a swap-in
-        // failure requeued a session *after* this step's admission pass
-        // emptied the backlog into running_. Never report drained while
-        // sessions are live; the backlog readmits next step.
-        WatchdogSweep();
-        ++step_;
-        return true;
-      }
-      // Idle: fast-forward to the next trace arrival, or report drained.
-      const int64_t next = queue_.NextArrivalStep();
-      if (next < 0) {
-        return false;
-      }
-      step_ = next;
-      return true;
-    }
-
-    // An injected allocation failure drops the part from this iteration's
-    // batch (the sequence sits the step out) and charges one backoff retry;
-    // past the retry limit the sequence is preempted for recompute instead
-    // of stalling forever. Kept parts extend as before: cold prefix-cache
-    // pages yield first, then the extend cannot fail — decode growth was
-    // reserved by the preemption pass and admitted prompts were checked
-    // against the page budget.
-    std::vector<int64_t> alloc_exhausted;
-    for (auto it = parts.begin(); it != parts.end();) {
-      if (injector_.ShouldFail(FaultPoint::kKvAlloc)) {
-        Sequence& seq = sequences_.at(it->request_id);
-        ++seq.fault_retries;
-        ChargeRetry(seq.fault_retries);
-        if (seq.fault_retries > config_.fault_retry_limit) {
-          alloc_exhausted.push_back(it->request_id);
-        }
-        it = parts.erase(it);
-        continue;
-      }
-      ReclaimFor(cache_.allocator().PagesToPrepareWrite(it->request_id, it->row_count));
-      const bool ok = cache_.Extend(it->request_id, it->row_count);
-      assert(ok);
-      (void)ok;
-      sequences_.at(it->request_id).fault_retries = 0;
-      ++it;
-    }
-    for (int64_t id : alloc_exhausted) {
-      if (sequences_.count(id) != 0) {
-        Preempt(id);
-      }
-    }
-    if (parts.empty()) {
-      // Every planned part was dropped by injected faults: the iteration
-      // still counts (sessions remain live, retrying next step).
-      WatchdogSweep();
-      ++step_;
-      return true;
-    }
-
-    batch = BatchAssembler::Assemble(parts, hidden_);
+    Sequence& seq = seq_it->second;
+    BatchAssembler::Contribution p;
+    p.request_id = id;
+    p.source = &seq.request.inputs;
+    p.row_begin = seq.consumed;
+    p.row_count = rows;
+    p.is_prefill = seq.consumed < seq.request.prompt_len;
+    parts.push_back(p);
   }
 
-  // KV-page traffic this iteration: attention gathers every sequence's
-  // cached prefix rows through its page table and appends the new normed
-  // rows, once per layer (the ROADMAP's "charge cache gather/append traffic
-  // in the analytic timing model").
-  const double layer_count = static_cast<double>(layers_.size());
-  double kv_read_bytes = 0.0;
-  double kv_write_bytes = 0.0;
-  for (const BatchSlice& slice : batch.slices) {
-    kv_read_bytes +=
-        static_cast<double>(slice.position_begin * hidden_) * sizeof(float) * layer_count;
-    kv_write_bytes += static_cast<double>(slice.row_count * hidden_) * sizeof(float) * layer_count;
+  // An injected allocation failure drops the part from this iteration's
+  // batch (the sequence sits the step out) and charges one backoff retry;
+  // past the retry limit the sequence is preempted for recompute instead
+  // of stalling forever. Kept parts extend as before: cold prefix-cache
+  // pages yield first, then the extend cannot fail — decode growth was
+  // reserved by the preemption pass and admitted prompts were checked
+  // against the page budget.
+  std::vector<int64_t> alloc_exhausted;
+  for (auto it = parts.begin(); it != parts.end();) {
+    if (injector_.ShouldFail(FaultPoint::kKvAlloc)) {
+      Sequence& seq = sequences_.at(it->request_id);
+      ++seq.fault_retries;
+      ChargeRetry(seq.fault_retries);
+      if (seq.fault_retries > config_.fault_retry_limit) {
+        alloc_exhausted.push_back(it->request_id);
+      }
+      it = parts.erase(it);
+      continue;
+    }
+    ReclaimFor(cache_.allocator().PagesToPrepareWrite(it->request_id, it->row_count));
+    const bool ok = cache_.Extend(it->request_id, it->row_count);
+    assert(ok);
+    (void)ok;
+    sequences_.at(it->request_id).fault_retries = 0;
+    ++it;
   }
+  for (int64_t id : alloc_exhausted) {
+    if (sequences_.count(id) != 0) {
+      Preempt(id);
+    }
+  }
+  return parts.empty() ? AssembledBatch{} : BatchAssembler::Assemble(parts, hidden_);
+}
 
-  // 5. One forward over the whole batch.
+MatrixF ServingEngine::Forward(const AssembledBatch& batch, StepMetrics* sm) {
   const auto t0 = std::chrono::steady_clock::now();
   MatrixF out;
   {
@@ -1194,27 +1166,33 @@ bool ServingEngine::Step() {
   const double forward_ms =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
 
-  // 6. Scatter outputs back, advance sequences, retire finished ones.
-  StepMetrics sm;
-  sm.step = step_;
-  sm.batch_rows = batch.total_rows();
-  sm.running_sequences = static_cast<int64_t>(running_.size());
-  sm.kv_used_pages = cache_.allocator().used_pages();
-  sm.kv_frag_tokens = cache_.allocator().FragmentationWaste();
+  sm->step = step_;
+  sm->batch_rows = batch.total_rows();
+  sm->running_sequences = static_cast<int64_t>(running_.size());
+  sm->kv_used_pages = cache_.allocator().used_pages();
+  sm->kv_frag_tokens = cache_.allocator().FragmentationWaste();
   // Measured forward time, minus the host time the analytic accounting
   // itself spent inside ForwardBatch — simulation bookkeeping must not
   // contaminate the throughput metrics.
-  sm.wall_ms = std::max(0.0, forward_ms - acct_.account_ms);
+  sm->wall_ms = std::max(0.0, forward_ms - acct_.account_ms);
 
+  // KV-page traffic this iteration: attention gathers every sequence's
+  // cached prefix rows through its page table and appends the new normed
+  // rows, once per layer.
+  const double layer_count = static_cast<double>(layers_.size());
+  for (const BatchSlice& slice : batch.slices) {
+    sm->kv_read_bytes +=
+        static_cast<double>(slice.position_begin * hidden_) * sizeof(float) * layer_count;
+    sm->kv_write_bytes +=
+        static_cast<double>(slice.row_count * hidden_) * sizeof(float) * layer_count;
+  }
   // Analytic step estimate: the per-shard MoE device times accumulated by
   // ForwardBatch, plus the step's KV-page traffic as a bandwidth-roofline
   // stream split data-parallel across shards, plus the interconnect
   // all-to-all. The slowest shard gates the iteration.
-  sm.kv_read_bytes = kv_read_bytes;
-  sm.kv_write_bytes = kv_write_bytes;
-  sm.alltoall_dispatch_bytes = acct_.traffic.alltoall_dispatch_bytes;
-  sm.alltoall_combine_bytes = acct_.traffic.alltoall_combine_bytes;
-  sm.est_alltoall_ms = acct_.alltoall_ms;
+  sm->alltoall_dispatch_bytes = acct_.traffic.alltoall_dispatch_bytes;
+  sm->alltoall_combine_bytes = acct_.traffic.alltoall_combine_bytes;
+  sm->est_alltoall_ms = acct_.alltoall_ms;
   // A stalled shard (injected fault) runs this one step at half speed; the
   // slowest-shard gate below then charges the stall to the whole iteration.
   if (stalled_shard_ >= 0 && stalled_shard_ < static_cast<int>(acct_.shard_ms.size())) {
@@ -1224,9 +1202,9 @@ bool ServingEngine::Step() {
   const double max_shard_ms = *std::max_element(acct_.shard_ms.begin(), acct_.shard_ms.end());
   const double shard_count = static_cast<double>(live_shards_.size());
   TrafficReport kv;
-  kv.gmem_read_bytes = kv_read_bytes / shard_count;
-  kv.gmem_write_bytes = kv_write_bytes / shard_count;
-  kv.gmem_unique_bytes = (kv_read_bytes + kv_write_bytes) / shard_count;
+  kv.gmem_read_bytes = sm->kv_read_bytes / shard_count;
+  kv.gmem_write_bytes = sm->kv_write_bytes / shard_count;
+  kv.gmem_unique_bytes = (sm->kv_read_bytes + sm->kv_write_bytes) / shard_count;
   // Page-granular gathers stream whole pages — coalesced, bandwidth-bound;
   // give the stand-in kernel a launch shape wide enough to saturate.
   kv.thread_blocks = 1 + static_cast<int64_t>(kv.gmem_unique_bytes) / (128 << 10);
@@ -1234,7 +1212,7 @@ bool ServingEngine::Step() {
   kv.efficiency = 0.8;
   const double kv_stream_ms =
       TimingModel(cluster_.device(live_shards_.front())).Estimate(kv).total_ms;
-  sm.est_compute_ms = max_shard_ms + kv_stream_ms;
+  sm->est_compute_ms = max_shard_ms + kv_stream_ms;
   // The metrics' per-shard token tracks keep physical device identity, so a
   // dead shard's track simply flatlines after its failover.
   physical_shard_tokens_.assign(static_cast<size_t>(cluster_.num_shards()), 0);
@@ -1242,7 +1220,10 @@ bool ServingEngine::Step() {
     physical_shard_tokens_[static_cast<size_t>(live_shards_[s])] += acct_.shard_tokens[s];
   }
   metrics_.OnShardTokens(physical_shard_tokens_);
+  return out;
+}
 
+void ServingEngine::Retire(const AssembledBatch& batch, const MatrixF& out, StepMetrics* sm) {
   obs::ScopedSpan retire_span("engine", "retire", obs::TraceDetail::kStep);
   for (const BatchSlice& slice : batch.slices) {
     // Re-resolved per slice rather than cached across the loop: an OnRows
@@ -1254,7 +1235,7 @@ bool ServingEngine::Step() {
       continue;
     }
     Sequence& seq = seq_it->second;
-    (slice.is_prefill ? sm.prefill_rows : sm.decode_rows) += slice.row_count;
+    (slice.is_prefill ? sm->prefill_rows : sm->decode_rows) += slice.row_count;
     for (int64_t r = 0; r < slice.row_count; ++r) {
       const auto row = out.row(slice.row_begin + r);
       seq.out_rows.insert(seq.out_rows.end(), row.begin(), row.end());
@@ -1263,7 +1244,7 @@ bool ServingEngine::Step() {
     if (slice.is_prefill) {
       metrics_.OnPrefillSlice(slice.request_id);
       if (slice.position_begin != 0 || slice.position_end() != seq.request.prompt_len) {
-        ++sm.prefill_chunk_slices;  // a partial prompt: chunked prefill in flight
+        ++sm->prefill_chunk_slices;  // a partial prompt: chunked prefill in flight
       }
       if (seq.consumed >= seq.request.prompt_len) {
         // The chunk containing row prompt_len - 1 finalized: the session's
@@ -1277,23 +1258,15 @@ bool ServingEngine::Step() {
       StreamToCallback(slice.request_id, /*finished=*/false);
     }
   }
-  // Keep admission order; drop the sequences retired this step. Residents
-  // whose plan was 0 rows (budget-starved prefills) never entered the batch
-  // but stay resident.
-  std::vector<int64_t> still_running;
-  still_running.reserve(running_.size());
-  for (int64_t id : running_) {
-    if (sequences_.count(id) != 0) {
-      still_running.push_back(id);
-    }
-  }
-  running_ = std::move(still_running);
+  Record(sm);
+}
 
+void ServingEngine::Record(StepMetrics* sm) {
   // Counter tracks: one sample per step, after the batch's rows resolved
   // into prefill/decode and retirements freed their pages.
-  obs::TraceCounter("engine", "batch_rows", obs::TraceDetail::kStep, sm.batch_rows);
-  obs::TraceCounter("engine", "prefill_rows", obs::TraceDetail::kStep, sm.prefill_rows);
-  obs::TraceCounter("engine", "decode_rows", obs::TraceDetail::kStep, sm.decode_rows);
+  obs::TraceCounter("engine", "batch_rows", obs::TraceDetail::kStep, sm->batch_rows);
+  obs::TraceCounter("engine", "prefill_rows", obs::TraceDetail::kStep, sm->prefill_rows);
+  obs::TraceCounter("engine", "decode_rows", obs::TraceDetail::kStep, sm->decode_rows);
   obs::TraceCounter("engine", "resident_sequences", obs::TraceDetail::kStep,
                     static_cast<int64_t>(running_.size()));
   obs::TraceCounter("engine", "backlog", obs::TraceDetail::kStep,
@@ -1305,29 +1278,17 @@ bool ServingEngine::Step() {
                       cache_.allocator().shared_pages());
   }
   if (swap_enabled_) {
-    obs::TraceCounter("kv", "host_pages", obs::TraceDetail::kStep,
-                      swap_tier_.used_pages());
+    obs::TraceCounter("kv", "host_pages", obs::TraceDetail::kStep, swap_tier_.used_pages());
   }
-
-  // Prefix-sharing / swap activity folded into this step (including anything
-  // accumulated during idle fast-forward steps, which record no StepMetrics).
-  sm.prefix_hit_tokens = step_prefix_hit_tokens_;
-  sm.cow_splits = cache_.cow_splits() - last_cow_splits_;
-  sm.shared_pages = cache_.allocator().shared_pages();
-  sm.host_pages = swap_tier_.used_pages();
-  sm.swap_out_bytes = step_swap_out_bytes_;
-  sm.swap_in_bytes = step_swap_in_bytes_;
-  sm.est_swap_ms = step_swap_ms_;
+  // COW splits since the last recorded step: splits in a step that records
+  // nothing (a sit-out) fold into this one.
+  sm->cow_splits = cache_.cow_splits() - last_cow_splits_;
   last_cow_splits_ = cache_.cow_splits();
-  step_prefix_hit_tokens_ = 0;
-  step_swap_out_bytes_ = 0.0;
-  step_swap_in_bytes_ = 0.0;
-  step_swap_ms_ = 0.0;
-
-  metrics_.OnStep(sm);
+  sm->shared_pages = cache_.allocator().shared_pages();
+  sm->host_pages = swap_tier_.used_pages();
+  metrics_.OnStep(*sm);
   WatchdogSweep();
   ++step_;
-  return true;
 }
 
 int64_t ServingEngine::RunUntilDrained(int64_t max_steps) {

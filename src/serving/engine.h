@@ -10,31 +10,40 @@
 // mid-decode), freeing its KV pages and recording a kCancelled terminal
 // status.
 //
-// One Step() is one iteration of Orca-style iteration-level scheduling:
+// One Step() is one iteration of Orca-style iteration-level scheduling. It
+// runs a fixed sequence of private phase functions; a phase with a tracer
+// span opens it itself ("engine" category, named after the function), so the
+// spans perfbench reads and the code structure coincide:
 //
-//   1. Drain arrived requests from the ingress RequestQueue into the
-//      Scheduler.
-//   2. Plan each resident's rows for this iteration: one decode row per
-//      decode-phase sequence, then — under chunked prefill — the next
-//      prompt chunk of each mid-prefill sequence, sized to the leftover
-//      token budget (Sarathi-style prefill/decode interleaving).
-//   3. Under page pressure (paged KV cache + preemption enabled), evict the
-//      lowest-priority / youngest resident sequences until this iteration's
-//      planned rows can get pages; evictees free their pages and are
-//      requeued for recompute on readmission.
-//   4. The Scheduler admits new sequences under the token budget and KV-page
-//      accounting (an unbounded pool when max_pages is 0); with chunking on,
-//      admission charges a prompt's *first chunk*, so prompts longer than
-//      the token budget are served instead of rejected.
-//   5. Assemble one batch from the planned rows and extend each sequence's
-//      KV page table to cover them (chunks target pages directly).
-//   6. Forward the batch through the decoder stack. Attention runs
-//      per-sequence against the paged per-layer cache of that sequence's
-//      normed prefix rows (causal, so cached rows never change), gathered
-//      through its page table; the MoE sub-block routes the *whole* batch in
-//      one RoutingPlan and executes experts on the multi-threaded ExpertPool.
-//   7. Split outputs back per sequence, stream newly finalized rows to
-//      OnRows callbacks, retire finished ones (freeing pages).
+//   1. Ingest drains arrived requests from the ingress RequestQueue into the
+//      Scheduler. ProbeShardFaults then fires the step's shard-level fault
+//      probes, and SweepDeadlines expires overdue sessions (no spans).
+//   2. Plan ("plan") sizes each resident's rows for this iteration: one
+//      decode row per decode-phase sequence, then — under chunked prefill —
+//      the next prompt chunk of each mid-prefill sequence, sized to the
+//      leftover token budget (Sarathi-style prefill/decode interleaving).
+//   3. Evict ("evict"): under page pressure (paged KV cache + preemption
+//      enabled), evict the lowest-priority / youngest resident sequences
+//      until this iteration's planned rows can get pages; evictees free their
+//      pages and are requeued for recompute (or swap-in) on readmission.
+//   4. Admit ("admit"): the Scheduler admits new sequences under the token
+//      budget and KV-page accounting (an unbounded pool when max_pages is 0);
+//      with chunking on, admission charges a prompt's *first chunk*, so
+//      prompts longer than the token budget are served instead of rejected.
+//   5. Assemble ("assemble") builds one batch from the planned rows and
+//      extends each sequence's KV page table to cover them (chunks target
+//      pages directly). An empty batch ends the step early: idle
+//      fast-forward, drained, or a sit-out while sessions stay live.
+//   6. Forward ("forward") runs the batch through the decoder stack.
+//      Attention runs per-sequence against the paged per-layer cache of that
+//      sequence's normed prefix rows (causal, so cached rows never change),
+//      gathered through its page table; the MoE sub-block routes the *whole*
+//      batch in one RoutingPlan and executes experts on the multi-threaded
+//      ExpertPool. The step's measured and modeled cost is charged here.
+//   7. Retire ("retire") splits outputs back per sequence, streams newly
+//      finalized rows to OnRows callbacks and retires finished ones (freeing
+//      pages). Record then samples the counter tracks, publishes the
+//      StepMetrics and runs the watchdog, still inside the retire span.
 //
 // The incremental path computes exactly the rows a full-sequence
 // DecoderStackForwardSamoyeds would: causality guarantees earlier positions'
@@ -53,6 +62,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <functional>
@@ -338,14 +348,39 @@ class ServingEngine {
   // Snapshot for admission; `growth_pages` is what this iteration's planned
   // rows are about to claim (already guaranteed by the preemption pass).
   ResidentSnapshot Resident(int64_t growth_pages) const;
-  // Rows each resident (by running_ index) contributes this iteration: one
-  // decode row per decode-phase sequence, then prompt chunks for mid-prefill
-  // sequences out of the leftover token budget (possibly 0 — the sequence
-  // sits the iteration out). Chunking off degenerates to the legacy
+  // One iteration's plan: the rows each resident (by running_ index)
+  // contributes, and the pages those rows would claim across all residents.
+  struct StepPlan {
+    std::vector<int64_t> rows;
+    int64_t growth_pages = 0;
+  };
+  // One decode row per decode-phase sequence, then prompt chunks for
+  // mid-prefill sequences out of the leftover token budget (possibly 0 — the
+  // sequence sits the iteration out). Chunking off degenerates to the legacy
   // one-decode-row-or-whole-prompt plan.
-  std::vector<int64_t> PlanResidentRows() const;
-  // Pages the planned rows would claim across all residents.
-  int64_t PlannedGrowthPages(const std::vector<int64_t>& plan) const;
+  StepPlan PlanResidentRows() const;
+
+  // Step() phases, in order (see the file comment).
+  void Ingest();
+  void ProbeShardFaults();
+  StepPlan Plan() const;
+  // Evicts until the plan's growth fits the page pool, re-planning after
+  // each eviction.
+  void Evict(StepPlan& plan);
+  // Admits new sequences (charging each its first chunk into the plan) and
+  // retires fully cached admissions. Returns the plan as (id, rows) pairs,
+  // resolved before any session callback can reenter the engine.
+  using PlannedRows = std::vector<std::pair<int64_t, int64_t>>;
+  PlannedRows Admit(StepPlan plan);
+  // Extends page tables and builds the batch; empty when nothing runs.
+  AssembledBatch Assemble(const PlannedRows& planned);
+  // Runs the batch and fills `sm` with the step's measured and modeled cost.
+  MatrixF Forward(const AssembledBatch& batch, StepMetrics* sm);
+  // Scatters `out` back per sequence, retires finished ones, then Record()s.
+  void Retire(const AssembledBatch& batch, const MatrixF& out, StepMetrics* sm);
+  // Counter tracks, OnStep, the watchdog sweep, and the step advance.
+  void Record(StepMetrics* sm);
+
   // Evicts `id` and requeues it at the head of the scheduler queue. With
   // swap enabled (and host-tier room) its KV rows and partial outputs move
   // to the host tier for bit-exact restoration at readmission; otherwise its
@@ -362,6 +397,13 @@ class ServingEngine {
   // donates its pages to the prefix cache, materializes the result, frees
   // the page table and fires the terminal stream delta.
   void RetireFinished(int64_t id);
+  // Frees a resident's pages and drops it from running_ and sequences_ (the
+  // shared tail of Terminate, Preempt and RetireFinished).
+  void ReleaseResident(int64_t id);
+  // Restores a readmitted victim's parked KV rows into `tokens` fresh pages.
+  // False when the transfer exhausts its retries or a page fails its
+  // checksum: the host-tier entry is gone and no pages stay mapped.
+  bool SwapIn(int64_t id, int64_t tokens);
   // Modeled one-way host-link transfer time for `bytes` (0 without a link).
   double SwapTransferMs(int64_t bytes) const;
   // Rows finalized for session `id` so far (running: produced rows;
@@ -438,6 +480,9 @@ class ServingEngine {
   // Charges one exponential-backoff retry (base kFaultBackoffMs in
   // engine.cc, doubling per consecutive attempt) to the fault counters.
   void ChargeRetry(int attempt);
+  // Probes `point` (a swap transfer) with bounded retries: true once a probe
+  // passes, false past config_.fault_retry_limit.
+  bool SwapTransferSucceeds(FaultPoint point);
 
   const std::vector<SamoyedsDecoderLayerWeights> layers_;
   const EngineConfig config_;
@@ -475,13 +520,6 @@ class ServingEngine {
   };
   std::map<int64_t, SwappedSeq> swapped_;
   bool swap_enabled_ = false;
-  // Step-scoped accumulators for StepMetrics; zeroed after each OnStep (not
-  // at Step entry, so activity in an idle-fast-forward step folds into the
-  // next recorded one instead of vanishing).
-  int64_t step_prefix_hit_tokens_ = 0;
-  double step_swap_out_bytes_ = 0.0;
-  double step_swap_in_bytes_ = 0.0;
-  double step_swap_ms_ = 0.0;
   int64_t last_cow_splits_ = 0;  // cache_.cow_splits() at the last OnStep
 
   // Deterministic fault injection (probed only from the engine thread, so a

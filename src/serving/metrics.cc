@@ -11,8 +11,9 @@ namespace serving {
 
 // Request-lifecycle hooks double as trace emitters: each session becomes an
 // async span keyed by its id (its own Perfetto timeline row), with admission,
-// first output, preemptions, and termination as instants on that row. The
-// instants carry the engine step as their argument, so a trace reconciles
+// first output, preemptions, and termination as instants on that row. Most
+// instants carry the engine step as their argument (prefill_chunk carries the
+// chunk ordinal, prefix_hit the cached token count), so a trace reconciles
 // event-for-event with the RequestMetrics the same hooks record.
 
 void EngineMetrics::OnArrival(int64_t id, int64_t step, int64_t prompt_len, int64_t new_tokens) {
@@ -64,10 +65,15 @@ void EngineMetrics::OnFinish(int64_t id, int64_t step) {
 
 void EngineMetrics::OnCancel(int64_t id, int64_t step) {
   std::lock_guard<std::mutex> lock(mu_);
-  requests_[id].cancel_step = step;
   ++cancelled_;
-  obs::TraceAsyncInstant("request", "cancel", obs::TraceDetail::kRequest, id, step);
-  obs::TraceAsyncEnd("request", "session", obs::TraceDetail::kRequest, id, step);
+  // A session cancelled before its arrival step never reached OnArrival:
+  // no timeline entry, and no session end without a begin.
+  const auto it = requests_.find(id);
+  if (it != requests_.end()) {
+    it->second.cancel_step = step;
+    obs::TraceAsyncInstant("request", "cancel", obs::TraceDetail::kRequest, id, step);
+    obs::TraceAsyncEnd("request", "session", obs::TraceDetail::kRequest, id, step);
+  }
 }
 
 void EngineMetrics::OnTimeout(int64_t id, int64_t step) {

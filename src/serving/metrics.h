@@ -66,14 +66,10 @@ struct StepMetrics {
   double kv_read_bytes = 0.0;   // paged-KV gather traffic charged this step
   double kv_write_bytes = 0.0;  // appended cache rows
 
-  // Prefix-cache / swap activity this step (all zero with both features off).
-  int64_t prefix_hit_tokens = 0;  // prompt tokens skipped by admissions
-  int64_t cow_splits = 0;         // copy-on-write page splits
-  int64_t shared_pages = 0;       // pages with refcount >= 2 after the step
-  int64_t host_pages = 0;         // pages parked in the host swap tier
-  double swap_out_bytes = 0.0;    // KV bytes moved device -> host
-  double swap_in_bytes = 0.0;     // KV bytes restored host -> device
-  double est_swap_ms = 0.0;       // host-link transfer time for both
+  // Prefix-cache / swap state this step (all zero with both features off).
+  int64_t cow_splits = 0;    // copy-on-write page splits
+  int64_t shared_pages = 0;  // pages with refcount >= 2 after the step
+  int64_t host_pages = 0;    // pages parked in the host swap tier
 
   double est_total_ms() const { return est_compute_ms + est_alltoall_ms; }
 };
@@ -242,6 +238,8 @@ class EngineMetrics {
   void OnReject(int64_t id);
   void OnFirstOutput(int64_t id, int64_t step);
   void OnFinish(int64_t id, int64_t step);
+  // Cancel() terminated the session; one cancelled before its arrival step
+  // keeps no timeline entry.
   void OnCancel(int64_t id, int64_t step);
   // Deadline expiry terminated the session at `step`.
   void OnTimeout(int64_t id, int64_t step);

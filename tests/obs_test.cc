@@ -14,7 +14,10 @@
 //   * a sharded + chunked + genuinely-preempting engine run produces a
 //     request timeline that reconciles event-for-event with EngineMetrics
 //     (same admit/first-output/finish steps, same preemption count), and
-//     tracing does not perturb outputs (bit-identical traced vs untraced).
+//     tracing does not perturb outputs (bit-identical traced vs untraced);
+//   * the same run's "engine" spans keep the shape perfbench's per-phase
+//     breakdown reads: each step's phases in order, forward exactly when
+//     retire, one layer per decoder layer with attn then moe inside.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +26,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/moe/decoder_layer.h"
@@ -112,23 +116,6 @@ TEST(HistogramTest, ScaleEmptyAndClamps) {
   sat.Record(1e30);  // saturates, must not crash or wrap
   EXPECT_EQ(sat.count(), 1);
   EXPECT_GT(sat.Percentile(1.0), 0.0);
-}
-
-TEST(MetricRegistryTest, CountersHistogramsAndJson) {
-  MetricRegistry reg;
-  reg.GetCounter("steps").Add(3);
-  reg.GetCounter("steps").Add();
-  EXPECT_EQ(reg.GetCounter("steps").value(), 4);
-  reg.GetHistogram("ttft_ms", 1000.0).Record(1.5);
-  reg.GetHistogram("ttft_ms").Record(2.5);  // scale sticks from first creation
-  EXPECT_EQ(reg.GetHistogram("ttft_ms").count(), 2);
-
-  const std::string json = reg.ToJson();
-  EXPECT_TRUE(JsonParses(json)) << json;
-  EXPECT_TRUE(HasJsonKey(json, "counters"));
-  double v = 0.0;
-  ASSERT_TRUE(FindJsonNumber(json, "steps", &v));
-  EXPECT_DOUBLE_EQ(v, 4.0);
 }
 
 // ---- Tracer -----------------------------------------------------------------
@@ -381,6 +368,93 @@ TEST_F(TracerTest, RequestTimelineReconcilesWithEngineMetricsUnderPreemption) {
     EXPECT_TRUE(traced.outputs[i] == untraced.outputs[i]) << "request " << i;
   }
   EXPECT_EQ(untraced.preemptions, traced.preemptions);
+}
+
+// One "engine" span with the engine spans nested directly inside it. Spans
+// of other categories (pool dispatch/barrier/fold) are transparent, as in
+// perfbench's per-phase breakdown, which credits the nearest engine span.
+struct SpanNode {
+  std::string name;
+  std::vector<SpanNode> children;
+};
+
+// The outermost engine spans of the thread that ran Step().
+std::vector<SpanNode> EngineSpanForest(const Tracer& tracer) {
+  for (const TraceThread& thread : tracer.Snapshot()) {
+    EXPECT_EQ(thread.dropped, 0) << "ring too small for the test workload";
+    std::vector<SpanNode> roots;
+    std::vector<SpanNode> open;          // open engine spans, innermost last
+    std::vector<bool> open_is_engine;    // every open span, innermost last
+    for (const TraceEvent& ev : thread.events) {
+      if (ev.type == EventType::kBegin) {
+        const bool engine = std::string(ev.category) == "engine";
+        open_is_engine.push_back(engine);
+        if (engine) {
+          open.push_back(SpanNode{ev.name, {}});
+        }
+      } else if (ev.type == EventType::kEnd && !open_is_engine.empty()) {
+        const bool engine = open_is_engine.back();
+        open_is_engine.pop_back();
+        if (engine) {
+          SpanNode done = std::move(open.back());
+          open.pop_back();
+          (open.empty() ? roots : open.back().children).push_back(std::move(done));
+        }
+      }
+    }
+    if (!roots.empty()) {
+      return roots;
+    }
+  }
+  return {};
+}
+
+TEST_F(TracerTest, StepPhaseSpansKeepTheirOrderAndNesting) {
+  Rng seed_rng(95);
+  const auto model = BuildTinyModel(seed_rng, /*layers=*/2, TinyConfig());
+
+  Tracer& tracer = Tracer::Get();
+  tracer.Start(TraceDetail::kFull);
+  const EngineRun run = RunPreemptingWorkload(model);
+  tracer.Stop();
+  ASSERT_GT(run.preemptions, 0);
+
+  const std::vector<SpanNode> steps = EngineSpanForest(tracer);
+  ASSERT_FALSE(steps.empty());
+  const std::vector<std::string> phases = {"plan",     "evict",   "admit",
+                                           "assemble", "forward", "retire"};
+  int64_t evicts = 0;
+  int64_t forwards = 0;
+  for (const SpanNode& step : steps) {
+    ASSERT_EQ(step.name, "step");
+    // The step's direct engine children are an ordered subsequence of the
+    // phase list: each phase at most once, never out of order.
+    auto next = phases.begin();
+    bool forward = false;
+    bool retire = false;
+    for (const SpanNode& phase : step.children) {
+      const auto pos = std::find(next, phases.end(), phase.name);
+      ASSERT_NE(pos, phases.end()) << "phase '" << phase.name << "' repeated or out of order";
+      next = pos + 1;
+      evicts += phase.name == "evict" ? 1 : 0;
+      retire = retire || phase.name == "retire";
+      if (phase.name != "forward") {
+        continue;
+      }
+      forward = true;
+      ++forwards;
+      ASSERT_EQ(phase.children.size(), model.size());
+      for (const SpanNode& layer : phase.children) {
+        EXPECT_EQ(layer.name, "layer");
+        ASSERT_EQ(layer.children.size(), 2u);
+        EXPECT_EQ(layer.children[0].name, "attn");
+        EXPECT_EQ(layer.children[1].name, "moe");
+      }
+    }
+    EXPECT_EQ(forward, retire);
+  }
+  EXPECT_GT(evicts, 0);
+  EXPECT_GT(forwards, 0);
 }
 
 }  // namespace

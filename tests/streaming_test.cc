@@ -412,6 +412,10 @@ TEST(CancelTest, CancelWorksInEveryPreResidentLifecycleStage) {
   ASSERT_TRUE(queued.ok());
   EXPECT_EQ(queued.Cancel(), CancelOutcome::kCancelled);
   EXPECT_EQ(queued.status(), RequestStatus::kCancelled);
+  // It counts as cancelled but never arrived, so it has no timeline entry
+  // (one would read arrival_step -1).
+  EXPECT_EQ(engine.Report().requests_cancelled, 1);
+  EXPECT_EQ(engine.metrics().requests().count(0), 0u);
 
   // (b) In the scheduler backlog: admission blocked by a budget-saturating
   // resident. Request 1 occupies the whole 8-row budget for several steps;
