@@ -61,6 +61,47 @@ MatrixF AttentionForward(const MatrixF& x, const AttentionWeights& w, int heads)
   return GemmRef(ctx, w.wo.Transposed());
 }
 
+MatrixF CausalContextRows(const MatrixF& q, const MatrixF& k, const MatrixF& v, int64_t first,
+                          int heads) {
+  const int64_t rows = q.rows();
+  const int64_t hidden = q.cols();
+  assert(hidden % heads == 0);
+  assert(k.rows() == first + rows && v.rows() == first + rows);
+  const int64_t head_dim = hidden / heads;
+  const float inv_sqrt_d = 1.0f / std::sqrt(static_cast<float>(head_dim));
+
+  MatrixF ctx(rows, hidden);
+  std::vector<float> scores(static_cast<size_t>(first + rows));
+  for (int h = 0; h < heads; ++h) {
+    const int64_t off = static_cast<int64_t>(h) * head_dim;
+    for (int64_t r = 0; r < rows; ++r) {
+      const int64_t i = first + r;  // absolute position: attends to j <= i
+      float max_score = -1e30f;
+      for (int64_t j = 0; j <= i; ++j) {
+        float dot = 0.0f;
+        for (int64_t d = 0; d < head_dim; ++d) {
+          dot += q(r, off + d) * k(j, off + d);
+        }
+        scores[static_cast<size_t>(j)] = dot * inv_sqrt_d;
+        max_score = std::max(max_score, scores[static_cast<size_t>(j)]);
+      }
+      float denom = 0.0f;
+      for (int64_t j = 0; j <= i; ++j) {
+        scores[static_cast<size_t>(j)] = std::exp(scores[static_cast<size_t>(j)] - max_score);
+        denom += scores[static_cast<size_t>(j)];
+      }
+      for (int64_t d = 0; d < head_dim; ++d) {
+        float acc = 0.0f;
+        for (int64_t j = 0; j <= i; ++j) {
+          acc += scores[static_cast<size_t>(j)] * v(j, off + d);
+        }
+        ctx(r, off + d) = acc / denom;
+      }
+    }
+  }
+  return ctx;
+}
+
 KernelProfile AttentionProfile(int64_t seq, int64_t batch, int hidden, int heads, bool flash) {
   if (heads <= 0) {
     heads = std::max<int>(8, hidden / 128);

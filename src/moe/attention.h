@@ -25,6 +25,14 @@ struct AttentionWeights {
 // Functional causal multi-head self-attention; hidden % heads == 0.
 MatrixF AttentionForward(const MatrixF& x, const AttentionWeights& w, int heads);
 
+// Causal attention context (before the output projection) of query rows
+// [first, first + q.rows()), given projected K/V rows [0, first + q.rows()).
+// Same loop nest and accumulation order as AttentionForward, so its rows are
+// bit-identical to the matching rows of AttentionForward's context: feeding
+// only a step's new rows costs linear, not quadratic, time in the context.
+MatrixF CausalContextRows(const MatrixF& q, const MatrixF& k, const MatrixF& v, int64_t first,
+                          int heads);
+
 // Analytic profile of one attention block over a batch of `batch` sequences
 // of `seq` tokens each (attention scores are quadratic in seq, linear in
 // batch). flash = true fuses the softmax(QK^T)V pipeline (no score

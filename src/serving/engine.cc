@@ -8,9 +8,11 @@
 #include <utility>
 
 #include "src/core/samoyeds_kernel.h"
+#include "src/moe/attention.h"
 #include "src/obs/tracer.h"
 #include "src/simgpu/timing_model.h"
 #include "src/tensor/bf16.h"
+#include "src/tensor/gemm_ref.h"
 
 namespace samoyeds {
 namespace serving {
@@ -18,6 +20,23 @@ namespace serving {
 // Modeled backoff charged to the first retry of a transient fault; each
 // consecutive retry doubles it.
 constexpr double kFaultBackoffMs = 0.05;
+
+namespace {
+
+// Each layer's attention projections transposed once, so every step's Q/K/V
+// and output projections are plain row-major GEMMs against them.
+std::vector<AttentionWeights> TransposedAttention(
+    const std::vector<SamoyedsDecoderLayerWeights>& layers) {
+  std::vector<AttentionWeights> out;
+  out.reserve(layers.size());
+  for (const SamoyedsDecoderLayerWeights& layer : layers) {
+    const AttentionWeights& w = layer.attention;
+    out.push_back({w.wq.Transposed(), w.wk.Transposed(), w.wv.Transposed(), w.wo.Transposed()});
+  }
+  return out;
+}
+
+}  // namespace
 
 const char* RoutingAlgoName(RoutingAlgo r) {
   switch (r) {
@@ -100,6 +119,7 @@ CancelOutcome SessionHandle::Cancel() {
 ServingEngine::ServingEngine(std::vector<SamoyedsDecoderLayerWeights> layers,
                              const EngineConfig& config)
     : layers_(std::move(layers)),
+      attention_t_(TransposedAttention(layers_)),
       config_(config),
       hidden_(static_cast<int64_t>(layers_.empty() ? 0 : layers_.front().attn_norm_gamma.size())),
       scheduler_(config.scheduler),
@@ -699,16 +719,20 @@ MatrixF ServingEngine::ForwardBatch(const AssembledBatch& batch) {
                                static_cast<int64_t>(layer));
 
     // Attention sub-block, per sequence: normed new rows extend the paged
-    // cached prefix (gathered through the page table); causal attention over
-    // the full prefix yields the new rows' outputs. Sequences are
-    // independent — and own disjoint pages — so they fan out over the pool.
+    // cached prefix (gathered through the page table). K and V project the
+    // whole prefix; Q, the causal softmax and the output projection run over
+    // the new rows only. Every GEMM row is an independent dot product and
+    // causal row i reads only rows j <= i, so the new rows are bit-identical
+    // to AttentionForward over the full prefix. Sequences are independent —
+    // and own disjoint pages — so they fan out over the pool.
     // Each pooled slice runs on the home shard of its batch rows — the same
     // contiguous data-parallel split the all-to-all model and the shared
     // experts use, so the simulation has one notion of where a token lives.
     MatrixF h1 = h;  // residual base
     {
       obs::ScopedSpan attn_span("engine", "attn", obs::TraceDetail::kFull);
-      const auto attn_slice = [this, &h, &h1, &w, layer](const BatchSlice& slice) {
+      const AttentionWeights& wt = attention_t_[layer];
+      const auto attn_slice = [this, &h, &h1, &w, &wt, layer](const BatchSlice& slice) {
         obs::ScopedSpan slice_span("attn", "slice", obs::TraceDetail::kFull,
                                    slice.request_id);
         MatrixF x_new(slice.row_count, hidden_);
@@ -725,10 +749,12 @@ MatrixF ServingEngine::ForwardBatch(const AssembledBatch& batch) {
         std::copy(normed_new.data(), normed_new.data() + normed_new.size(),
                   full.data() + prefix * hidden_);
 
-        const MatrixF attn = AttentionForward(full, w.attention, config_.heads);
+        const MatrixF ctx = CausalContextRows(GemmRef(normed_new, wt.wq), GemmRef(full, wt.wk),
+                                              GemmRef(full, wt.wv), prefix, config_.heads);
+        const MatrixF attn = GemmRef(ctx, wt.wo);
         for (int64_t r = 0; r < slice.row_count; ++r) {
           for (int64_t c = 0; c < hidden_; ++c) {
-            h1(slice.row_begin + r, c) += attn(prefix + r, c);
+            h1(slice.row_begin + r, c) += attn(r, c);
           }
           std::copy(normed_new.row(r).begin(), normed_new.row(r).end(),
                     cache_.Row(slice.request_id, static_cast<int64_t>(layer), prefix + r));

@@ -51,7 +51,8 @@
 // therefore produces outputs bit-identical to one-shot prefill, and a
 // preempted sequence recomputes from row 0, reproducing the same rows
 // bit-for-bit. Tests compare against DecoderStackForwardReference at bf16
-// tolerance and assert chunked == unchunked exactly.
+// tolerance, against DecoderStackForwardSamoyeds bit for bit (scalar
+// backend), and assert chunked == unchunked exactly.
 
 #ifndef SAMOYEDS_SRC_SERVING_ENGINE_H_
 #define SAMOYEDS_SRC_SERVING_ENGINE_H_
@@ -485,6 +486,8 @@ class ServingEngine {
   bool SwapTransferSucceeds(FaultPoint point);
 
   const std::vector<SamoyedsDecoderLayerWeights> layers_;
+  // Per layer: wq/wk/wv/wo transposed once at construction.
+  const std::vector<AttentionWeights> attention_t_;
   const EngineConfig config_;
   const int64_t hidden_;
 

@@ -34,10 +34,13 @@ void EngineMetrics::OnAdmit(int64_t id, int64_t step) {
 
 void EngineMetrics::OnReject(int64_t id) {
   std::lock_guard<std::mutex> lock(mu_);
-  requests_.erase(id);
   ++rejected_;
-  obs::TraceAsyncInstant("request", "reject", obs::TraceDetail::kRequest, id);
-  obs::TraceAsyncEnd("request", "session", obs::TraceDetail::kRequest, id);
+  // A request rejected at Submit (malformed shape) never reached OnArrival:
+  // no session begin, so no reject instant or session end either.
+  if (requests_.erase(id) > 0) {
+    obs::TraceAsyncInstant("request", "reject", obs::TraceDetail::kRequest, id);
+    obs::TraceAsyncEnd("request", "session", obs::TraceDetail::kRequest, id);
+  }
 }
 
 void EngineMetrics::OnFirstOutput(int64_t id, int64_t step) {

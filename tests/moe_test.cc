@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "src/moe/attention.h"
 #include "src/moe/expert.h"
 #include "src/moe/model_configs.h"
@@ -229,6 +231,31 @@ TEST(AttentionTest, SingleHeadMatchesManual) {
   const MatrixF expect = GemmRef(v, w.wo.Transposed());
   const MatrixF out = AttentionForward(x, w, 1);
   EXPECT_LE(MaxAbsDiff(out, expect), 1e-4f);
+}
+
+TEST(AttentionTest, CausalContextRowsMatchesForwardBitwise) {
+  // Q for rows [first, ctx) only, K/V for every row: after the output
+  // projection the rows equal AttentionForward's rows [first, ctx) bit for bit.
+  for (const int heads : {1, 4}) {
+    for (const int64_t ctx : {int64_t{1}, int64_t{7}, int64_t{64}}) {
+      Rng rng(82 + ctx);
+      const AttentionWeights w = AttentionWeights::Random(rng, 32);
+      const MatrixF x = rng.GaussianMatrix(ctx, 32, 0.5f);
+      const MatrixF full = AttentionForward(x, w, heads);
+      for (const int64_t first : {int64_t{0}, ctx - 1, ctx / 2}) {
+        MatrixF x_new(ctx - first, 32);
+        std::memcpy(x_new.data(), x.data() + first * 32, sizeof(float) * x_new.size());
+        const MatrixF ctx_rows =
+            CausalContextRows(GemmRef(x_new, w.wq.Transposed()), GemmRef(x, w.wk.Transposed()),
+                              GemmRef(x, w.wv.Transposed()), first, heads);
+        const MatrixF out = GemmRef(ctx_rows, w.wo.Transposed());
+        ASSERT_EQ(out.rows(), ctx - first);
+        EXPECT_EQ(std::memcmp(out.data(), full.data() + first * 32, sizeof(float) * out.size()),
+                  0)
+            << "heads=" << heads << " ctx=" << ctx << " first=" << first;
+      }
+    }
+  }
 }
 
 TEST(AttentionProfileTest, FlashRemovesScoreTraffic) {

@@ -15,6 +15,8 @@
 //     request timeline that reconciles event-for-event with EngineMetrics
 //     (same admit/first-output/finish steps, same preemption count), and
 //     tracing does not perturb outputs (bit-identical traced vs untraced);
+//   * a request rejected at Submit never arrived, so it leaves no session
+//     end (nor any other request event) on the timeline;
 //   * the same run's "engine" spans keep the shape perfbench's per-phase
 //     breakdown reads: each step's phases in order, forward exactly when
 //     retire, one layer per decoder layer with attn then moe inside.
@@ -368,6 +370,32 @@ TEST_F(TracerTest, RequestTimelineReconcilesWithEngineMetricsUnderPreemption) {
     EXPECT_TRUE(traced.outputs[i] == untraced.outputs[i]) << "request " << i;
   }
   EXPECT_EQ(untraced.preemptions, traced.preemptions);
+}
+
+TEST_F(TracerTest, RejectedAtSubmitLeavesNoGhostSession) {
+  Rng seed_rng(97);
+  const MoeModelConfig cfg = TinyConfig();
+  const auto model = BuildTinyModel(seed_rng, /*layers=*/1, cfg);
+
+  Tracer& tracer = Tracer::Get();
+  tracer.Start(TraceDetail::kFull);
+  serving::ServingEngine engine(model, PreemptingShardedConfig());
+  Rng rng(98);
+  const serving::TraceEntry e{/*arrival_step=*/0, /*prompt_len=*/4, /*max_new_tokens=*/2};
+  // Wrong hidden size: rejected at Submit, before it could ever arrive.
+  EXPECT_FALSE(engine.Submit(serving::MakeRequest(rng, 0, e, cfg.hidden + 1)));
+  EXPECT_TRUE(engine.Submit(serving::MakeRequest(rng, 1, e, cfg.hidden)));
+  engine.RunUntilDrained(/*max_steps=*/1000);
+  tracer.Stop();
+
+  EXPECT_EQ(engine.Report().requests_rejected, 1);
+  EXPECT_EQ(engine.Status(1), serving::RequestStatus::kFinished);
+  const std::map<int64_t, RequestTrack> tracks = CollectRequestTracks(tracer);
+  // No session end without a begin, and no reject instant either.
+  EXPECT_EQ(tracks.count(0), 0u);
+  ASSERT_EQ(tracks.count(1), 1u);
+  EXPECT_GE(tracks.at(1).begin_step, 0);
+  EXPECT_GE(tracks.at(1).end_step, tracks.at(1).begin_step);
 }
 
 // One "engine" span with the engine spans nested directly inside it. Spans

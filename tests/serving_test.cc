@@ -1,7 +1,8 @@
 // Serving engine: batching invariants, scheduler policies, admission
 // control, thread-pool determinism, and the end-to-end property that the
 // continuous-batching incremental execution matches a full-sequence
-// DecoderStackForwardReference call at bf16 tolerance.
+// DecoderStackForwardReference call at bf16 tolerance and, under the scalar
+// backend, DecoderStackForwardSamoyeds bit for bit.
 
 #include <gtest/gtest.h>
 
@@ -1216,6 +1217,69 @@ TEST(SwapPreemptionEngineTest, CappedHostTierFallsBackToRecompute) {
   EXPECT_GT(report.preemptions, 0);
   EXPECT_EQ(report.swap_outs, 0);  // every eviction fell back to recompute
   EXPECT_EQ(report.peak_host_pages, 0);
+}
+
+// ---- Engine: bit-exactness against the full-sequence Samoyeds stack --------
+
+TEST(BitExactEngineTest, RowsEqualTheFullSequenceSamoyedsStackInEveryMode) {
+  // Under the scalar backend every served row must equal the full-sequence
+  // DecoderStackForwardSamoyeds bit for bit. The tolerance checks above
+  // cannot see a reordered softmax or a one-ULP drift in the attention path;
+  // this test can, in every execution mode that changes how attention is fed.
+  Rng seed_rng(141);
+  const MoeModelConfig cfg = TinyConfig();
+  const TinyModel model = BuildTinyModel(seed_rng, /*layers=*/2, cfg);
+
+  struct Case {
+    const char* name;
+    EngineConfig config;
+    int64_t arrival_gap;
+    int64_t ServingReport::*engaged;  // must end positive; null for none
+  };
+  std::vector<Case> cases;
+  cases.push_back({"plain", TinyEngineConfig(/*threads=*/1), 1, nullptr});
+  EngineConfig sharded = TinyEngineConfig(/*threads=*/3);
+  sharded.shards = 2;
+  cases.push_back({"threads=3 shards=2", sharded, 1, nullptr});
+  EngineConfig chunked = TinyEngineConfig();
+  chunked.scheduler.chunk_tokens = 4;
+  cases.push_back({"chunk=4", chunked, 1, nullptr});
+  // Tenants arrive after earlier ones have donated; the 6-row prefix ends
+  // mid-page, so sharing it splits a page copy-on-write.
+  EngineConfig prefix = PagedEngineConfig(/*page_tokens=*/4, /*max_pages=*/64,
+                                          /*preempt=*/false);
+  prefix.prefix_cache = true;
+  cases.push_back({"prefix cache", prefix, 12, &ServingReport::cow_splits});
+  EngineConfig preempt = PagedEngineConfig(/*page_tokens=*/4, /*max_pages=*/14,
+                                           /*preempt=*/true);
+  preempt.scheduler.token_budget = 40;
+  cases.push_back({"preempt (recompute)", preempt, 1, &ServingReport::preemptions});
+  EngineConfig swap = preempt;
+  swap.swap = true;
+  swap.host_pages = 64;
+  cases.push_back({"preempt (swap)", swap, 1, &ServingReport::swap_outs});
+
+  for (const Case& c : cases) {
+    Rng req_rng(142);
+    const std::vector<Request> requests =
+        SharedPrefixWorkload(req_rng, cfg.hidden, /*tenants=*/4, /*shared_rows=*/6,
+                             /*prompt=*/8, /*decode=*/8, c.arrival_gap);
+    ServingReport report;
+    const std::vector<MatrixF> outputs = RunToOutputs(model, c.config, requests, &report);
+    ASSERT_EQ(outputs.size(), requests.size()) << c.name;
+    if (c.engaged != nullptr) {
+      EXPECT_GT(report.*c.engaged, 0) << c.name << ": the mode never engaged";
+    }
+    for (size_t i = 0; i < requests.size(); ++i) {
+      const MatrixF ref = DecoderStackForwardSamoyeds(requests[i].inputs, model.sparse,
+                                                      /*heads=*/4, /*top_k=*/2,
+                                                      Activation::kSilu);
+      ASSERT_EQ(outputs[i].rows(), ref.rows()) << c.name << " request " << i;
+      ASSERT_EQ(outputs[i].cols(), ref.cols()) << c.name << " request " << i;
+      EXPECT_EQ(std::memcmp(outputs[i].data(), ref.data(), sizeof(float) * ref.size()), 0)
+          << c.name << " request " << i;
+    }
+  }
 }
 
 // ---- Engine: expert-choice routing ------------------------------------------
