@@ -1268,7 +1268,8 @@ void ServingEngine::Retire(const AssembledBatch& batch, const MatrixF& out, Step
     }
     seq.consumed += slice.row_count;
     if (slice.is_prefill) {
-      metrics_.OnPrefillSlice(slice.request_id);
+      metrics_.OnPrefillSlice(slice.request_id,
+                              slice.position_end() < seq.request.prompt_len);
       if (slice.position_begin != 0 || slice.position_end() != seq.request.prompt_len) {
         ++sm->prefill_chunk_slices;  // a partial prompt: chunked prefill in flight
       }

@@ -16,7 +16,8 @@
 // Probes are only ever issued from the engine thread at deterministic
 // program points, which makes every chaos run replayable: the same schedule
 // + seed + trace produces the same fault sequence, the same recovery
-// actions, and byte-identical reports (see ServingReport::StripWallClock).
+// actions, and byte-identical reports once ServingReport::StripWallClock has
+// zeroed the measured (wall-clock) fields.
 //
 // The schedule grammar (CLI `--faults=`):
 //

@@ -1,8 +1,7 @@
 #include "src/serving/metrics.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstring>
+#include <variant>
 
 #include "src/obs/tracer.h"
 
@@ -34,7 +33,7 @@ void EngineMetrics::OnAdmit(int64_t id, int64_t step) {
 
 void EngineMetrics::OnReject(int64_t id) {
   std::lock_guard<std::mutex> lock(mu_);
-  ++rejected_;
+  ++totals_.requests_rejected;
   // A request rejected at Submit (malformed shape) never reached OnArrival:
   // no session begin, so no reject instant or session end either.
   if (requests_.erase(id) > 0) {
@@ -68,7 +67,7 @@ void EngineMetrics::OnFinish(int64_t id, int64_t step) {
 
 void EngineMetrics::OnCancel(int64_t id, int64_t step) {
   std::lock_guard<std::mutex> lock(mu_);
-  ++cancelled_;
+  ++totals_.requests_cancelled;
   // A session cancelled before its arrival step never reached OnArrival:
   // no timeline entry, and no session end without a begin.
   const auto it = requests_.find(id);
@@ -82,14 +81,14 @@ void EngineMetrics::OnCancel(int64_t id, int64_t step) {
 void EngineMetrics::OnTimeout(int64_t id, int64_t step) {
   std::lock_guard<std::mutex> lock(mu_);
   requests_[id].timeout_step = step;
-  ++timed_out_;
+  ++totals_.requests_timed_out;
   obs::TraceAsyncInstant("request", "timeout", obs::TraceDetail::kRequest, id, step);
   obs::TraceAsyncEnd("request", "session", obs::TraceDetail::kRequest, id, step);
 }
 
 void EngineMetrics::OnShed(int64_t id, int64_t step) {
   std::lock_guard<std::mutex> lock(mu_);
-  ++shed_;
+  ++totals_.requests_shed;
   // A request shed at Submit never reached OnArrival; don't let the map
   // lookup create a ghost timeline entry for it.
   const auto it = requests_.find(id);
@@ -100,10 +99,11 @@ void EngineMetrics::OnShed(int64_t id, int64_t step) {
   }
 }
 
-void EngineMetrics::OnPrefillSlice(int64_t id) {
+void EngineMetrics::OnPrefillSlice(int64_t id, bool ends_before_prompt) {
   std::lock_guard<std::mutex> lock(mu_);
   RequestMetrics& r = requests_[id];
   ++r.prefill_chunks;
+  r.chunked = r.chunked || ends_before_prompt;
   obs::TraceAsyncInstant("request", "prefill_chunk", obs::TraceDetail::kRequest, id,
                          r.prefill_chunks);
 }
@@ -123,25 +123,25 @@ void EngineMetrics::OnPreempt(int64_t id, int64_t step) {
 void EngineMetrics::OnPrefixHit(int64_t id, int64_t step, int64_t tokens) {
   std::lock_guard<std::mutex> lock(mu_);
   requests_[id].cached_prompt_tokens = tokens;  // latest admission overwrites
-  ++prefix_hit_requests_;
-  prefix_hit_tokens_ += tokens;
+  ++totals_.prefix_hit_requests;
+  totals_.prefix_hit_tokens += tokens;
   obs::TraceAsyncInstant("request", "prefix_hit", obs::TraceDetail::kRequest, id, tokens);
   (void)step;
 }
 
 void EngineMetrics::OnSwapOut(int64_t id, int64_t step, double bytes, double est_ms) {
   std::lock_guard<std::mutex> lock(mu_);
-  ++swap_outs_;
-  swap_out_bytes_ += bytes;
-  est_swap_ms_ += est_ms;
+  ++totals_.swap_outs;
+  totals_.swap_out_bytes += bytes;
+  totals_.est_swap_ms += est_ms;
   obs::TraceAsyncInstant("request", "swap_out", obs::TraceDetail::kRequest, id, step);
 }
 
 void EngineMetrics::OnSwapIn(int64_t id, int64_t step, double bytes, double est_ms) {
   std::lock_guard<std::mutex> lock(mu_);
-  ++swap_ins_;
-  swap_in_bytes_ += bytes;
-  est_swap_ms_ += est_ms;
+  ++totals_.swap_ins;
+  totals_.swap_in_bytes += bytes;
+  totals_.est_swap_ms += est_ms;
   obs::TraceAsyncInstant("request", "swap_in", obs::TraceDetail::kRequest, id, step);
 }
 
@@ -152,61 +152,46 @@ void EngineMetrics::OnStep(const StepMetrics& step) {
 
 void EngineMetrics::OnRoutingPlan(const RoutingPlan& plan) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (static_cast<int>(expert_tokens_.size()) < plan.num_experts) {
-    expert_tokens_.resize(static_cast<size_t>(plan.num_experts));
+  std::vector<int64_t>& tokens = totals_.expert_tokens;
+  if (static_cast<int>(tokens.size()) < plan.num_experts) {
+    tokens.resize(static_cast<size_t>(plan.num_experts));
   }
   for (int e = 0; e < plan.num_experts; ++e) {
-    expert_tokens_[static_cast<size_t>(e)] += plan.TokensForExpert(e);
+    tokens[static_cast<size_t>(e)] += plan.TokensForExpert(e);
   }
 }
 
 void EngineMetrics::OnShardTokens(const std::vector<int64_t>& shard_tokens) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (shard_tokens_.size() < shard_tokens.size()) {
-    shard_tokens_.resize(shard_tokens.size());
+  std::vector<int64_t>& totals = totals_.shard_tokens;
+  if (totals.size() < shard_tokens.size()) {
+    totals.resize(shard_tokens.size());
   }
   for (size_t s = 0; s < shard_tokens.size(); ++s) {
-    shard_tokens_[s] += shard_tokens[s];
+    totals[s] += shard_tokens[s];
   }
 }
 
 void EngineMetrics::OnAutotune(double default_ms, double tuned_ms, bool cache_hit) {
   std::lock_guard<std::mutex> lock(mu_);
-  ++autotune_lookups_;
-  autotune_cache_hits_ += cache_hit ? 1 : 0;
-  autotune_default_ms_ += default_ms;
-  autotune_tuned_ms_ += tuned_ms;
+  ++totals_.autotune_lookups;
+  totals_.autotune_cache_hits += cache_hit ? 1 : 0;
+  totals_.autotune_default_ms += default_ms;
+  totals_.autotune_tuned_ms += tuned_ms;
 }
 
 ServingReport EngineMetrics::Summarize(int64_t token_budget, int64_t max_pages) const {
   std::lock_guard<std::mutex> lock(mu_);
-  ServingReport rep;
-  rep.requests_rejected = rejected_;
-  rep.requests_cancelled = cancelled_;
-  rep.requests_timed_out = timed_out_;
-  rep.requests_shed = shed_;
-  rep.autotune_lookups = autotune_lookups_;
-  rep.autotune_cache_hits = autotune_cache_hits_;
-  rep.autotune_default_ms = autotune_default_ms_;
-  rep.autotune_tuned_ms = autotune_tuned_ms_;
+  ServingReport rep = totals_;
   rep.autotune_speedup =
-      autotune_tuned_ms_ > 0.0 ? autotune_default_ms_ / autotune_tuned_ms_ : 1.0;
+      rep.autotune_tuned_ms > 0.0 ? rep.autotune_default_ms / rep.autotune_tuned_ms : 1.0;
   rep.steps = static_cast<int64_t>(steps_.size());
   rep.preemptions = static_cast<int64_t>(preemption_log_.size());
-  rep.prefix_hit_requests = prefix_hit_requests_;
-  rep.prefix_hit_tokens = prefix_hit_tokens_;
-  rep.swap_outs = swap_outs_;
-  rep.swap_ins = swap_ins_;
-  rep.swap_out_bytes = swap_out_bytes_;
-  rep.swap_in_bytes = swap_in_bytes_;
-  rep.est_swap_ms = est_swap_ms_;
-  rep.expert_tokens = expert_tokens_;
-  rep.shard_tokens = shard_tokens_;
 
   rep.request_timelines.reserve(requests_.size());
   for (const auto& [id, r] : requests_) {
     rep.streamed_rows += r.streamed_rows;
-    if (r.finish_step >= 0 && r.prefill_chunks > 1) {
+    if (r.finish_step >= 0 && r.chunked) {
       ++rep.chunked_prefill_requests;
     }
     // Per-request timeline summary — the report-side mirror of the trace's
@@ -309,41 +294,154 @@ ServingReport EngineMetrics::Summarize(int64_t token_budget, int64_t max_pages) 
     return static_cast<double>(max) /
            (static_cast<double>(sum) / static_cast<double>(tokens.size()));
   };
-  rep.expert_imbalance = imbalance(expert_tokens_);
-  rep.shard_imbalance = imbalance(shard_tokens_);
+  rep.expert_imbalance = imbalance(rep.expert_tokens);
+  rep.shard_imbalance = imbalance(rep.shard_tokens);
   return rep;
 }
 
 namespace {
 
-void AppendField(std::string& out, const char* key, double value, bool last = false) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "  \"%s\": %.6f%s\n", key, value, last ? "" : ",");
+// The clock a serialized value is read from. Measured fields are wall-clock
+// times of this run; deterministic ones are a function of the trace, seed,
+// config and fault schedule alone. StripWallClock zeroes the measured ones.
+enum class FieldClock { kDeterministic, kMeasured };
+constexpr FieldClock kMeasured = FieldClock::kMeasured;
+
+// One serialized field of `S`: its JSON key, the member it reads, its clock.
+template <typename S>
+struct Field {
+  const char* key;
+  std::variant<int64_t S::*, double S::*, std::vector<int64_t> S::*, std::string S::*> member;
+  FieldClock clock = FieldClock::kDeterministic;
+};
+
+// The report schema: one table per struct, in emission order. ToJson emits
+// "schema_version", then this table as the "config" object.
+const Field<ReportProvenance> kProvenanceFields[] = {
+    {"model", &ReportProvenance::model},
+    {"trace", &ReportProvenance::trace},
+    {"seed", &ReportProvenance::seed},
+    {"shards", &ReportProvenance::shards},
+    {"placement", &ReportProvenance::placement},
+    {"routing", &ReportProvenance::routing},
+    {"policy", &ReportProvenance::policy},
+    {"threads", &ReportProvenance::threads},
+    {"token_budget", &ReportProvenance::token_budget},
+    {"chunk_tokens", &ReportProvenance::chunk_tokens},
+    {"page_tokens", &ReportProvenance::page_tokens},
+    {"max_pages", &ReportProvenance::max_pages},
+    {"prefix_cache", &ReportProvenance::prefix_cache},
+    {"swap", &ReportProvenance::swap},
+    {"host_pages", &ReportProvenance::host_pages},
+    {"kernel_backend", &ReportProvenance::kernel_backend},
+    {"llc_bytes", &ReportProvenance::llc_bytes},
+    {"llc_bandwidth_gbps", &ReportProvenance::llc_bandwidth_gbps},
+    {"dram_bandwidth_gbps", &ReportProvenance::dram_bandwidth_gbps},
+    {"chunk_policy", &ReportProvenance::chunk_policy},
+};
+
+// The top-level report keys after "config"; "request_timelines" follows.
+const Field<ServingReport> kReportFields[] = {
+    {"requests_finished", &ServingReport::requests_finished},
+    {"requests_rejected", &ServingReport::requests_rejected},
+    {"requests_cancelled", &ServingReport::requests_cancelled},
+    {"requests_timed_out", &ServingReport::requests_timed_out},
+    {"requests_shed", &ServingReport::requests_shed},
+    {"steps", &ServingReport::steps},
+    {"prefill_rows", &ServingReport::prefill_rows},
+    {"decode_rows", &ServingReport::decode_rows},
+    {"prefill_chunk_slices", &ServingReport::prefill_chunk_slices},
+    {"chunked_prefill_requests", &ServingReport::chunked_prefill_requests},
+    {"streamed_rows", &ServingReport::streamed_rows},
+    {"wall_ms", &ServingReport::wall_ms, kMeasured},
+    {"mean_ttft_steps", &ServingReport::mean_ttft_steps},
+    {"p95_ttft_steps", &ServingReport::p95_ttft_steps},
+    {"mean_turnaround_steps", &ServingReport::mean_turnaround_steps},
+    {"p95_turnaround_steps", &ServingReport::p95_turnaround_steps},
+    {"mean_ttft_ms", &ServingReport::mean_ttft_ms, kMeasured},
+    {"p95_ttft_ms", &ServingReport::p95_ttft_ms, kMeasured},
+    {"mean_turnaround_ms", &ServingReport::mean_turnaround_ms, kMeasured},
+    {"p95_turnaround_ms", &ServingReport::p95_turnaround_ms, kMeasured},
+    {"mean_step_ms", &ServingReport::mean_step_ms, kMeasured},
+    {"tokens_per_second", &ServingReport::tokens_per_second, kMeasured},
+    {"mean_batch_rows", &ServingReport::mean_batch_rows},
+    {"mean_occupancy", &ServingReport::mean_occupancy},
+    {"peak_batch_rows", &ServingReport::peak_batch_rows},
+    {"peak_sequences", &ServingReport::peak_sequences},
+    {"preemptions", &ServingReport::preemptions},
+    {"peak_used_pages", &ServingReport::peak_used_pages},
+    {"mean_page_utilization", &ServingReport::mean_page_utilization},
+    {"mean_frag_tokens", &ServingReport::mean_frag_tokens},
+    {"prefix_hit_requests", &ServingReport::prefix_hit_requests},
+    {"prefix_hit_tokens", &ServingReport::prefix_hit_tokens},
+    {"prefix_hit_rate", &ServingReport::prefix_hit_rate},
+    {"cow_splits", &ServingReport::cow_splits},
+    {"peak_shared_pages", &ServingReport::peak_shared_pages},
+    {"swap_outs", &ServingReport::swap_outs},
+    {"swap_ins", &ServingReport::swap_ins},
+    {"swap_out_bytes", &ServingReport::swap_out_bytes},
+    {"swap_in_bytes", &ServingReport::swap_in_bytes},
+    {"est_swap_ms", &ServingReport::est_swap_ms},
+    {"peak_host_pages", &ServingReport::peak_host_pages},
+    {"expert_tokens", &ServingReport::expert_tokens},
+    {"expert_imbalance", &ServingReport::expert_imbalance},
+    {"shard_tokens", &ServingReport::shard_tokens},
+    {"shard_imbalance", &ServingReport::shard_imbalance},
+    {"est_compute_ms", &ServingReport::est_compute_ms},
+    {"est_alltoall_ms", &ServingReport::est_alltoall_ms},
+    {"est_alltoall_share", &ServingReport::est_alltoall_share},
+    {"alltoall_bytes", &ServingReport::alltoall_bytes},
+    {"kv_traffic_bytes", &ServingReport::kv_traffic_bytes},
+    {"injected_faults", &ServingReport::injected_faults},
+    {"fault_retries", &ServingReport::fault_retries},
+    {"fault_backoff_ms", &ServingReport::fault_backoff_ms},
+    {"swap_corruptions", &ServingReport::swap_corruptions},
+    {"shard_failovers", &ServingReport::shard_failovers},
+    {"watchdog_trips", &ServingReport::watchdog_trips},
+    {"autotune_lookups", &ServingReport::autotune_lookups},
+    {"autotune_cache_hits", &ServingReport::autotune_cache_hits},
+    {"autotune_default_ms", &ServingReport::autotune_default_ms},
+    {"autotune_tuned_ms", &ServingReport::autotune_tuned_ms},
+    {"autotune_speedup", &ServingReport::autotune_speedup},
+};
+
+// One inline object per "request_timelines" entry.
+const Field<RequestTimeline> kTimelineFields[] = {
+    {"id", &RequestTimeline::id},
+    {"prompt_len", &RequestTimeline::prompt_len},
+    {"arrival_step", &RequestTimeline::arrival_step},
+    {"admit_step", &RequestTimeline::admit_step},
+    {"first_output_step", &RequestTimeline::first_output_step},
+    {"finish_step", &RequestTimeline::finish_step},
+    {"cancel_step", &RequestTimeline::cancel_step},
+    {"timeout_step", &RequestTimeline::timeout_step},
+    {"prefill_chunks", &RequestTimeline::prefill_chunks},
+    {"preemptions", &RequestTimeline::preemptions},
+    {"cached_prompt_tokens", &RequestTimeline::cached_prompt_tokens},
+    {"ttft_ms", &RequestTimeline::ttft_ms, kMeasured},
+    {"turnaround_ms", &RequestTimeline::turnaround_ms, kMeasured},
+};
+
+void EmitValue(std::string& out, int64_t value, const char* /*double_fmt*/) {
+  out += std::to_string(value);
+}
+
+void EmitValue(std::string& out, double value, const char* double_fmt) {
+  char buf[320];  // fits %.6f of any finite double
+  std::snprintf(buf, sizeof(buf), double_fmt, value);
   out += buf;
 }
 
-void AppendField(std::string& out, const char* key, int64_t value, bool last = false) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "  \"%s\": %lld%s\n", key, static_cast<long long>(value),
-                last ? "" : ",");
-  out += buf;
-}
-
-void AppendField(std::string& out, const char* key, const std::vector<int64_t>& values,
-                 bool last = false) {
-  out += "  \"";
-  out += key;
-  out += "\": [";
+void EmitValue(std::string& out, const std::vector<int64_t>& values, const char* /*double_fmt*/) {
+  out += '[';
   for (size_t i = 0; i < values.size(); ++i) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%s%lld", i == 0 ? "" : ", ",
-                  static_cast<long long>(values[i]));
-    out += buf;
+    out += i == 0 ? "" : ", ";
+    out += std::to_string(values[i]);
   }
-  out += last ? "]\n" : "],\n";
+  out += ']';
 }
 
-void AppendJsonString(std::string& out, const std::string& s) {
+void EmitValue(std::string& out, const std::string& s, const char* /*double_fmt*/) {
   out += '"';
   for (const char c : s) {
     if (c == '"' || c == '\\') {
@@ -360,156 +458,50 @@ void AppendJsonString(std::string& out, const std::string& s) {
   out += '"';
 }
 
-void AppendConfigField(std::string& out, const char* key, const std::string& value,
-                       bool last = false) {
-  out += "    \"";
-  out += key;
-  out += "\": ";
-  AppendJsonString(out, value);
-  out += last ? "\n" : ",\n";
+// Appends `"key": value` for every field of `s`, joined by `separator`.
+template <typename S, size_t N>
+void EmitFields(std::string& out, const S& s, const Field<S> (&fields)[N], const char* separator,
+                const char* double_fmt) {
+  for (size_t i = 0; i < N; ++i) {
+    out += i == 0 ? "" : separator;
+    out += '"';
+    out += fields[i].key;
+    out += "\": ";
+    std::visit([&](auto member) { EmitValue(out, s.*member, double_fmt); }, fields[i].member);
+  }
 }
 
-void AppendConfigField(std::string& out, const char* key, int64_t value, bool last = false) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "    \"%s\": %lld%s\n", key, static_cast<long long>(value),
-                last ? "" : ",");
-  out += buf;
-}
-
-void AppendConfigField(std::string& out, const char* key, double value, bool last = false) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "    \"%s\": %.6g%s\n", key, value, last ? "" : ",");
-  out += buf;
+template <typename S, size_t N>
+void ZeroMeasured(S& s, const Field<S> (&fields)[N]) {
+  for (const Field<S>& f : fields) {
+    if (f.clock == kMeasured) {
+      std::visit([&](auto member) { s.*member = {}; }, f.member);
+    }
+  }
 }
 
 }  // namespace
 
 std::string ServingReport::ToJson() const {
-  std::string out = "{\n";
-  AppendField(out, "schema_version", provenance.schema_version);
-  out += "  \"config\": {\n";
-  AppendConfigField(out, "model", provenance.model);
-  AppendConfigField(out, "trace", provenance.trace);
-  AppendConfigField(out, "seed", provenance.seed);
-  AppendConfigField(out, "shards", provenance.shards);
-  AppendConfigField(out, "placement", provenance.placement);
-  AppendConfigField(out, "routing", provenance.routing);
-  AppendConfigField(out, "policy", provenance.policy);
-  AppendConfigField(out, "threads", provenance.threads);
-  AppendConfigField(out, "token_budget", provenance.token_budget);
-  AppendConfigField(out, "chunk_tokens", provenance.chunk_tokens);
-  AppendConfigField(out, "page_tokens", provenance.page_tokens);
-  AppendConfigField(out, "max_pages", provenance.max_pages);
-  AppendConfigField(out, "prefix_cache", provenance.prefix_cache);
-  AppendConfigField(out, "swap", provenance.swap);
-  AppendConfigField(out, "host_pages", provenance.host_pages);
-  AppendConfigField(out, "kernel_backend", provenance.kernel_backend);
-  AppendConfigField(out, "llc_bytes", provenance.llc_bytes);
-  AppendConfigField(out, "llc_bandwidth_gbps", provenance.llc_bandwidth_gbps);
-  AppendConfigField(out, "dram_bandwidth_gbps", provenance.dram_bandwidth_gbps);
-  AppendConfigField(out, "chunk_policy", provenance.chunk_policy, /*last=*/true);
-  out += "  },\n";
-  AppendField(out, "requests_finished", requests_finished);
-  AppendField(out, "requests_rejected", requests_rejected);
-  AppendField(out, "requests_cancelled", requests_cancelled);
-  AppendField(out, "requests_timed_out", requests_timed_out);
-  AppendField(out, "requests_shed", requests_shed);
-  AppendField(out, "steps", steps);
-  AppendField(out, "prefill_rows", prefill_rows);
-  AppendField(out, "decode_rows", decode_rows);
-  AppendField(out, "prefill_chunk_slices", prefill_chunk_slices);
-  AppendField(out, "chunked_prefill_requests", chunked_prefill_requests);
-  AppendField(out, "streamed_rows", streamed_rows);
-  AppendField(out, "wall_ms", wall_ms);
-  AppendField(out, "mean_ttft_steps", mean_ttft_steps);
-  AppendField(out, "p95_ttft_steps", p95_ttft_steps);
-  AppendField(out, "mean_turnaround_steps", mean_turnaround_steps);
-  AppendField(out, "p95_turnaround_steps", p95_turnaround_steps);
-  AppendField(out, "mean_ttft_ms", mean_ttft_ms);
-  AppendField(out, "p95_ttft_ms", p95_ttft_ms);
-  AppendField(out, "mean_turnaround_ms", mean_turnaround_ms);
-  AppendField(out, "p95_turnaround_ms", p95_turnaround_ms);
-  AppendField(out, "mean_step_ms", mean_step_ms);
-  AppendField(out, "tokens_per_second", tokens_per_second);
-  AppendField(out, "mean_batch_rows", mean_batch_rows);
-  AppendField(out, "mean_occupancy", mean_occupancy);
-  AppendField(out, "peak_batch_rows", peak_batch_rows);
-  AppendField(out, "peak_sequences", peak_sequences);
-  AppendField(out, "preemptions", preemptions);
-  AppendField(out, "peak_used_pages", peak_used_pages);
-  AppendField(out, "mean_page_utilization", mean_page_utilization);
-  AppendField(out, "mean_frag_tokens", mean_frag_tokens);
-  AppendField(out, "prefix_hit_requests", prefix_hit_requests);
-  AppendField(out, "prefix_hit_tokens", prefix_hit_tokens);
-  AppendField(out, "prefix_hit_rate", prefix_hit_rate);
-  AppendField(out, "cow_splits", cow_splits);
-  AppendField(out, "peak_shared_pages", peak_shared_pages);
-  AppendField(out, "swap_outs", swap_outs);
-  AppendField(out, "swap_ins", swap_ins);
-  AppendField(out, "swap_out_bytes", swap_out_bytes);
-  AppendField(out, "swap_in_bytes", swap_in_bytes);
-  AppendField(out, "est_swap_ms", est_swap_ms);
-  AppendField(out, "peak_host_pages", peak_host_pages);
-  AppendField(out, "expert_tokens", expert_tokens);
-  AppendField(out, "expert_imbalance", expert_imbalance);
-  AppendField(out, "shard_tokens", shard_tokens);
-  AppendField(out, "shard_imbalance", shard_imbalance);
-  AppendField(out, "est_compute_ms", est_compute_ms);
-  AppendField(out, "est_alltoall_ms", est_alltoall_ms);
-  AppendField(out, "est_alltoall_share", est_alltoall_share);
-  AppendField(out, "alltoall_bytes", alltoall_bytes);
-  AppendField(out, "kv_traffic_bytes", kv_traffic_bytes);
-  AppendField(out, "injected_faults", injected_faults);
-  AppendField(out, "fault_retries", fault_retries);
-  AppendField(out, "fault_backoff_ms", fault_backoff_ms);
-  AppendField(out, "swap_corruptions", swap_corruptions);
-  AppendField(out, "shard_failovers", shard_failovers);
-  AppendField(out, "watchdog_trips", watchdog_trips);
-  AppendField(out, "autotune_lookups", autotune_lookups);
-  AppendField(out, "autotune_cache_hits", autotune_cache_hits);
-  AppendField(out, "autotune_default_ms", autotune_default_ms);
-  AppendField(out, "autotune_tuned_ms", autotune_tuned_ms);
-  AppendField(out, "autotune_speedup", autotune_speedup);
-  out += "  \"request_timelines\": [";
+  std::string out = "{\n  \"schema_version\": " + std::to_string(provenance.schema_version) +
+                    ",\n  \"config\": {\n    ";
+  EmitFields(out, provenance, kProvenanceFields, ",\n    ", "%.6g");
+  out += "\n  },\n  ";
+  EmitFields(out, *this, kReportFields, ",\n  ", "%.6f");
+  out += ",\n  \"request_timelines\": [";
   for (size_t i = 0; i < request_timelines.size(); ++i) {
-    const RequestTimeline& tl = request_timelines[i];
-    char buf[448];
-    std::snprintf(buf, sizeof(buf),
-                  "%s\n    {\"id\": %lld, \"prompt_len\": %lld, \"arrival_step\": %lld, "
-                  "\"admit_step\": %lld, \"first_output_step\": %lld, \"finish_step\": %lld, "
-                  "\"cancel_step\": %lld, \"timeout_step\": %lld, \"prefill_chunks\": %lld, "
-                  "\"preemptions\": %lld, \"cached_prompt_tokens\": %lld, \"ttft_ms\": %.6f, "
-                  "\"turnaround_ms\": %.6f}",
-                  i == 0 ? "" : ",", static_cast<long long>(tl.id),
-                  static_cast<long long>(tl.prompt_len),
-                  static_cast<long long>(tl.arrival_step),
-                  static_cast<long long>(tl.admit_step),
-                  static_cast<long long>(tl.first_output_step),
-                  static_cast<long long>(tl.finish_step),
-                  static_cast<long long>(tl.cancel_step),
-                  static_cast<long long>(tl.timeout_step),
-                  static_cast<long long>(tl.prefill_chunks),
-                  static_cast<long long>(tl.preemptions),
-                  static_cast<long long>(tl.cached_prompt_tokens), tl.ttft_ms,
-                  tl.turnaround_ms);
-    out += buf;
+    out += i == 0 ? "\n    {" : ",\n    {";
+    EmitFields(out, request_timelines[i], kTimelineFields, ", ", "%.6f");
+    out += '}';
   }
-  out += request_timelines.empty() ? "]\n" : "\n  ]\n";
-  out += "}\n";
+  out += request_timelines.empty() ? "]\n}\n" : "\n  ]\n}\n";
   return out;
 }
 
 void ServingReport::StripWallClock() {
-  wall_ms = 0.0;
-  mean_step_ms = 0.0;
-  tokens_per_second = 0.0;
-  mean_ttft_ms = 0.0;
-  p95_ttft_ms = 0.0;
-  mean_turnaround_ms = 0.0;
-  p95_turnaround_ms = 0.0;
+  ZeroMeasured(*this, kReportFields);
   for (RequestTimeline& tl : request_timelines) {
-    tl.ttft_ms = 0.0;
-    tl.turnaround_ms = 0.0;
+    ZeroMeasured(tl, kTimelineFields);
   }
 }
 

@@ -4,6 +4,12 @@
 //
 // Latencies are tracked both in engine steps (deterministic, what tests
 // assert on) and wall-clock milliseconds (what the CLI and bench report).
+//
+// The serialized schema lives in metrics.cc: one field table per struct
+// (ReportProvenance, ServingReport, RequestTimeline) names each JSON key
+// once, in emission order, with the member it reads and whether that value
+// is measured (wall clock) or deterministic. ToJson and StripWallClock both
+// walk those tables, so a new field is one struct member plus one table row.
 
 #ifndef SAMOYEDS_SRC_SERVING_METRICS_H_
 #define SAMOYEDS_SRC_SERVING_METRICS_H_
@@ -34,6 +40,7 @@ struct RequestMetrics {
   int64_t timeout_step = -1;       // deadline expiry terminated the session
   int64_t preemptions = 0;         // times evicted (swapped out or recomputed)
   int64_t prefill_chunks = 0;      // prefill slices consumed (1 = one-shot)
+  bool chunked = false;            // some prefill slice ended before the prompt
   int64_t streamed_rows = 0;       // rows delivered incrementally (cursor/callback)
   int64_t cached_prompt_tokens = 0;  // prefix-cache tokens skipped at admission
   double arrival_ms = 0.0;
@@ -140,8 +147,9 @@ struct ServingReport {
   int64_t prefill_rows = 0;
   int64_t decode_rows = 0;
   // Chunked prefill activity: partial-prompt prefill slices across the run,
-  // requests whose prefill spanned more than one iteration, and rows
-  // delivered through the streaming session surface (cursor or callback).
+  // finished requests with at least one prefill slice that ended before the
+  // prompt did (a recompute re-prefill after preemption is not chunking),
+  // and rows delivered through the streaming session surface.
   int64_t prefill_chunk_slices = 0;
   int64_t chunked_prefill_requests = 0;
   int64_t streamed_rows = 0;
@@ -221,11 +229,12 @@ struct ServingReport {
   // --report-json=FILE` writes so sweeps never scrape the printed summary.
   std::string ToJson() const;
 
-  // Zeroes every wall-clock-derived field (wall_ms, tokens/s, the ms latency
-  // stats, per-timeline ms pairs), leaving only deterministic step counts and
-  // analytic estimates — after which two runs of the same trace + seed +
-  // fault schedule must produce byte-identical ToJson() output. The chaos
-  // reproducibility gate diffs exactly this.
+  // Zeroes every field the tables in metrics.cc tag as measured (wall_ms,
+  // mean_step_ms, tokens_per_second, the ms latency stats, per-timeline ms
+  // pairs), leaving only deterministic step counts and analytic estimates —
+  // after which two runs of the same trace + seed + fault schedule must
+  // produce byte-identical ToJson() output. The chaos reproducibility gate
+  // diffs exactly this.
   void StripWallClock();
 };
 
@@ -253,8 +262,9 @@ class EngineMetrics {
   // instead of discarding it; OnSwapIn is the restore on re-admission.
   void OnSwapOut(int64_t id, int64_t step, double bytes, double est_ms);
   void OnSwapIn(int64_t id, int64_t step, double bytes, double est_ms);
-  // One prefill slice consumed for `id` (chunked prefills record several).
-  void OnPrefillSlice(int64_t id);
+  // One prefill slice consumed for `id` (chunked prefills record several);
+  // `ends_before_prompt` marks a partial-prompt slice, i.e. real chunking.
+  void OnPrefillSlice(int64_t id, bool ends_before_prompt);
   // `rows` output rows delivered to the session (cursor drain or callback).
   void OnRowsDelivered(int64_t id, int64_t rows);
   void OnStep(const StepMetrics& step);
@@ -283,7 +293,7 @@ class EngineMetrics {
   // failover re-balances orphaned experts against.
   std::vector<int64_t> expert_tokens() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return expert_tokens_;
+    return totals_.expert_tokens;
   }
   // Every eviction as (request id, step), in order — the record tests replay
   // to assert eviction-order determinism.
@@ -316,23 +326,10 @@ class EngineMetrics {
   obs::Histogram turnaround_ms_hist_{1000.0};
   std::vector<StepMetrics> steps_;
   std::vector<std::pair<int64_t, int64_t>> preemption_log_;
-  std::vector<int64_t> expert_tokens_;
-  std::vector<int64_t> shard_tokens_;
-  int64_t rejected_ = 0;
-  int64_t cancelled_ = 0;
-  int64_t timed_out_ = 0;
-  int64_t shed_ = 0;
-  int64_t prefix_hit_requests_ = 0;
-  int64_t prefix_hit_tokens_ = 0;
-  int64_t swap_outs_ = 0;
-  int64_t swap_ins_ = 0;
-  double swap_out_bytes_ = 0.0;
-  double swap_in_bytes_ = 0.0;
-  double est_swap_ms_ = 0.0;
-  int64_t autotune_lookups_ = 0;
-  int64_t autotune_cache_hits_ = 0;
-  double autotune_default_ms_ = 0.0;
-  double autotune_tuned_ms_ = 0.0;
+  // Report fields the hooks accumulate directly (terminal counts, prefix
+  // hits, swap traffic, autotune totals, routed tokens per expert and per
+  // shard); Summarize starts from a copy and derives the rest.
+  ServingReport totals_;
 };
 
 }  // namespace serving

@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <regex>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -646,6 +648,69 @@ TEST(ServingFaultsTest, SameScheduleAndSeedReproduceByteIdenticalReports) {
   // The whole wall-clock-stripped report — counters, fault telemetry, and
   // per-request timelines — replays byte-for-byte.
   EXPECT_EQ(first.report_json, second.report_json);
+}
+
+// StripWallClock zeroes exactly the measured keys. Listed here independently
+// of the field tables in metrics.cc: a deterministic field wrongly tagged
+// measured would be zeroed in both replays and still compare equal above.
+TEST(ServingFaultsTest, StripWallClockZeroesExactlyTheMeasuredKeys) {
+  Rng seed_rng(183);
+  MoeModelConfig cfg = TinyConfig();
+  cfg.num_experts = 8;
+  const TinyModel model = BuildTinyModel(seed_rng, 2, cfg);
+  EngineConfig engine_cfg = ChaosEngineConfig(/*faults=*/true);
+  engine_cfg.autotune = true;
+  ServingEngine engine(model.sparse, engine_cfg);
+  for (const Request& r : ChaosWorkload(cfg.hidden)) {
+    EXPECT_TRUE(engine.Submit(r));
+  }
+  engine.RunUntilDrained(20000);
+  ServingReport report = engine.Report();
+  // Most counters are live on this run, so a wrongly zeroed one shows.
+  EXPECT_GT(report.preemptions, 0);
+  EXPECT_GT(report.swap_outs, 0);
+  EXPECT_GT(report.injected_faults, 0);
+  EXPECT_GT(report.autotune_lookups, 0);
+  EXPECT_GT(report.prefill_chunk_slices, 0);
+
+  const std::string before = report.ToJson();
+  report.StripWallClock();
+  const std::string after = report.ToJson();
+
+  const std::set<std::string> measured = {
+      "wall_ms",      "mean_step_ms",       "tokens_per_second", "mean_ttft_ms",
+      "p95_ttft_ms",  "mean_turnaround_ms", "p95_turnaround_ms", "ttft_ms",
+      "turnaround_ms"};
+  // Every `"key": number` pair in emission order (timeline keys repeat).
+  const std::regex number_field("\"(\\w+)\": (-?[0-9][0-9.eE+-]*)");
+  const auto numbers = [&](const std::string& json) {
+    std::vector<std::pair<std::string, std::string>> out;
+    for (auto it = std::sregex_iterator(json.begin(), json.end(), number_field);
+         it != std::sregex_iterator(); ++it) {
+      out.emplace_back((*it)[1].str(), (*it)[2].str());
+    }
+    return out;
+  };
+  const auto b = numbers(before);
+  const auto a = numbers(after);
+  ASSERT_EQ(b.size(), a.size());
+  std::set<std::string> nonzero_before;
+  for (size_t i = 0; i < b.size(); ++i) {
+    const std::string& key = b[i].first;
+    ASSERT_EQ(key, a[i].first);
+    if (measured.count(key) > 0) {
+      if (std::stod(b[i].second) != 0.0) {
+        nonzero_before.insert(key);
+      }
+      EXPECT_EQ(std::stod(a[i].second), 0.0) << key;
+    } else {
+      EXPECT_EQ(b[i].second, a[i].second) << key;
+    }
+  }
+  EXPECT_EQ(nonzero_before, measured);
+  // Arrays and strings (token histograms, the config echo) are untouched too.
+  EXPECT_EQ(std::regex_replace(before, number_field, ""),
+            std::regex_replace(after, number_field, ""));
 }
 
 // ---- Terminal-status exhaustiveness (cancel x preempt x fault) --------------

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <regex>
 #include <string>
 #include <vector>
 
@@ -85,6 +86,52 @@ TEST(ReportJsonTest, KeyCoverageOnARealRun) {
   for (const char* key : {"overlap", "est_overlap_saved_ms"}) {
     EXPECT_FALSE(HasJsonKey(json, key)) << "dropped key present: " << key;
   }
+
+  // The whole schema, in emission order: the independent oracle for the
+  // field tables in metrics.cc. Each object's keys appear exactly once, in
+  // this order; timeline keys repeat once per request.
+  const std::vector<std::string> header = {"schema_version", "config"};
+  const std::vector<std::string> config = {
+      "model", "trace", "seed", "shards", "placement", "routing", "policy", "threads",
+      "token_budget", "chunk_tokens", "page_tokens", "max_pages", "prefix_cache", "swap",
+      "host_pages", "kernel_backend", "llc_bytes", "llc_bandwidth_gbps", "dram_bandwidth_gbps",
+      "chunk_policy"};
+  const std::vector<std::string> report = {
+      "requests_finished", "requests_rejected", "requests_cancelled", "requests_timed_out",
+      "requests_shed", "steps", "prefill_rows", "decode_rows", "prefill_chunk_slices",
+      "chunked_prefill_requests", "streamed_rows", "wall_ms", "mean_ttft_steps",
+      "p95_ttft_steps", "mean_turnaround_steps", "p95_turnaround_steps", "mean_ttft_ms",
+      "p95_ttft_ms", "mean_turnaround_ms", "p95_turnaround_ms", "mean_step_ms",
+      "tokens_per_second", "mean_batch_rows", "mean_occupancy", "peak_batch_rows",
+      "peak_sequences", "preemptions", "peak_used_pages", "mean_page_utilization",
+      "mean_frag_tokens", "prefix_hit_requests", "prefix_hit_tokens", "prefix_hit_rate",
+      "cow_splits", "peak_shared_pages", "swap_outs", "swap_ins", "swap_out_bytes",
+      "swap_in_bytes", "est_swap_ms", "peak_host_pages", "expert_tokens", "expert_imbalance",
+      "shard_tokens", "shard_imbalance", "est_compute_ms", "est_alltoall_ms",
+      "est_alltoall_share", "alltoall_bytes", "kv_traffic_bytes", "injected_faults",
+      "fault_retries", "fault_backoff_ms", "swap_corruptions", "shard_failovers",
+      "watchdog_trips", "autotune_lookups", "autotune_cache_hits", "autotune_default_ms",
+      "autotune_tuned_ms", "autotune_speedup", "request_timelines"};
+  const std::vector<std::string> timeline = {
+      "id", "prompt_len", "arrival_step", "admit_step", "first_output_step", "finish_step",
+      "cancel_step", "timeout_step", "prefill_chunks", "preemptions", "cached_prompt_tokens",
+      "ttft_ms", "turnaround_ms"};
+  EXPECT_EQ(config.size(), 20u);
+  EXPECT_EQ(report.size(), 62u);  // 61 fields + "request_timelines"
+  EXPECT_EQ(timeline.size(), 13u);
+  std::vector<std::string> expected = header;
+  expected.insert(expected.end(), config.begin(), config.end());
+  expected.insert(expected.end(), report.begin(), report.end());
+  for (size_t i = 0; i < rep.request_timelines.size(); ++i) {
+    expected.insert(expected.end(), timeline.begin(), timeline.end());
+  }
+  const std::regex key_pattern("\"(\\w+)\":");
+  std::vector<std::string> keys;
+  for (auto it = std::sregex_iterator(json.begin(), json.end(), key_pattern);
+       it != std::sregex_iterator(); ++it) {
+    keys.push_back((*it)[1].str());
+  }
+  EXPECT_EQ(keys, expected);
 }
 
 TEST(ReportJsonTest, RequestTimelinesMirrorTheRun) {

@@ -768,6 +768,8 @@ TEST(ServingEngineTest, PreemptedRequestsFinishAndMatchTheReference) {
   // Capacity really was forced low enough to evict.
   EXPECT_FALSE(engine.metrics().preemption_log().empty());
   EXPECT_GT(engine.Report().preemptions, 0);
+  // Chunking is off: a recompute re-prefill after preemption is not chunking.
+  EXPECT_EQ(engine.Report().chunked_prefill_requests, 0);
 
   // Every request — including every preempted one — finished and reproduces
   // the full-sequence reference at the usual bf16 tolerance.
