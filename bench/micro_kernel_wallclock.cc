@@ -10,7 +10,8 @@
 //     allocations per iteration for every benchmark, and the run FAILS if
 //     the workspace-enabled MoE forward allocates in steady state;
 //   * the run FAILS if the optimized kernel is not bit-identical to the
-//     fragment-model reference;
+//     fragment-model reference, or the dispatched dense GEMM to the scalar
+//     loop;
 //   * --json=PATH emits machine-readable results (tokens/s, GFLOP/s, alloc
 //     counts) so the perf trajectory is tracked from PR 3 onward;
 //   * --smoke shrinks every measurement for fast CI sanity runs.
@@ -37,6 +38,7 @@
 #include "src/serving/engine.h"
 #include "src/serving/expert_pool.h"
 #include "src/sptc/mma_sp.h"
+#include "src/tensor/gemm_ref.h"
 #include "src/tensor/rng.h"
 
 // ---- global allocation counter ---------------------------------------------
@@ -65,6 +67,12 @@ void* CountedAlignedAlloc(std::size_t size, std::size_t align) noexcept {
   }
   return p;
 }
+
+// Every operator delete frees through this one out-of-line call. Were
+// std::free inlined into a delete, GCC's -Wmismatched-new-delete would pair
+// it with the operator new call it cannot see into and report a mismatch
+// that depends only on what else got inlined nearby.
+[[gnu::noinline]] void ReleaseAlloc(void* p) noexcept { std::free(p); }
 
 }  // namespace
 
@@ -113,21 +121,21 @@ void* operator new[](std::size_t size, std::align_val_t align,
   return CountedAlignedAlloc(size, static_cast<std::size_t>(align));
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { ReleaseAlloc(p); }
+void operator delete[](void* p) noexcept { ReleaseAlloc(p); }
+void operator delete(void* p, std::size_t) noexcept { ReleaseAlloc(p); }
+void operator delete[](void* p, std::size_t) noexcept { ReleaseAlloc(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { ReleaseAlloc(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { ReleaseAlloc(p); }
+void operator delete(void* p, std::align_val_t) noexcept { ReleaseAlloc(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { ReleaseAlloc(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { ReleaseAlloc(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { ReleaseAlloc(p); }
 void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept {
-  std::free(p);
+  ReleaseAlloc(p);
 }
 void operator delete[](void* p, std::align_val_t, const std::nothrow_t&) noexcept {
-  std::free(p);
+  ReleaseAlloc(p);
 }
 
 namespace samoyeds {
@@ -221,6 +229,45 @@ void AppendJson(std::string& out, const BenchResult& r) {
     out += ",\n";
   }
   out += buf;
+}
+
+// GemmAccumulateRef over a ctx-row prefix against a hidden x hidden weight
+// (hidden 64, the perfbench model's). It runs the widest SIMD variant this
+// CPU has, whatever the kernel backend. Returns false (and says why) unless
+// every row matches the scalar loop bit for bit.
+bool BenchDenseGemm(double seconds, std::vector<BenchResult>& results) {
+  bool bit_identical = true;
+  Rng rng(13);  // own stream: the other rows keep their inputs
+  const int64_t hidden = 64;
+  const MatrixF wt = rng.GaussianMatrix(hidden, hidden);
+  for (const int64_t ctx : {int64_t{64}, int64_t{256}}) {
+    const MatrixF a = rng.GaussianMatrix(ctx, hidden);
+    MatrixF c(ctx, hidden);
+    results.push_back(Measure("dense_gemm_ctx" + std::to_string(ctx), seconds, ctx,
+                              2.0 * static_cast<double>(ctx * hidden * hidden), [&] {
+                                c.Fill(0.0f);
+                                GemmAccumulateRef(a, wt, c);
+                              }));
+    PrintResult(results.back());
+    MatrixF want(ctx, hidden);
+    for (int64_t i = 0; i < ctx; ++i) {
+      for (int64_t p = 0; p < hidden; ++p) {
+        const float av = a(i, p);
+        if (av == 0.0f) {
+          continue;
+        }
+        for (int64_t j = 0; j < hidden; ++j) {
+          want(i, j) += av * wt(p, j);
+        }
+      }
+    }
+    if (std::memcmp(c.data(), want.data(), sizeof(float) * static_cast<size_t>(c.size())) != 0) {
+      std::fprintf(stderr, "FAIL: dense GEMM (ctx %lld) is not bit-identical to the scalar loop\n",
+                   static_cast<long long>(ctx));
+      bit_identical = false;
+    }
+  }
+  return bit_identical;
 }
 
 int RunBench(int argc, char** argv) {
@@ -428,6 +475,10 @@ int RunBench(int argc, char** argv) {
     }
   }
 
+  // --- dense GEMM: the engine's attention projections ---------------------
+  const bool dense_bit_identical = BenchDenseGemm(seconds, results);
+  failed = failed || !dense_bit_identical;
+
   // --- MoE forward through the workspace API ------------------------------
   MoeModelConfig cfg;
   cfg.name = "bench";
@@ -551,10 +602,12 @@ int RunBench(int argc, char** argv) {
                   "  \"shape\": {\"hidden\": %lld, \"intermediate\": %lld, \"tokens\": %lld, "
                   "\"experts\": %d, \"top_k\": %d, \"format\": [1, 2, 32]},\n"
                   "  \"kernel_speedup\": %.3f,\n  \"bit_identical\": %s,\n"
+                  "  \"dense_gemm_bit_identical\": %s,\n"
                   "  \"moe_workspace_steady_allocs\": %.2f,\n",
                   smoke ? "smoke" : "full", threads, seconds, static_cast<long long>(hidden),
                   static_cast<long long>(inter), static_cast<long long>(tokens), num_experts,
-                  top_k, kernel_speedup, bit_identical ? "true" : "false", moe_steady_allocs);
+                  top_k, kernel_speedup, bit_identical ? "true" : "false",
+                  dense_bit_identical ? "true" : "false", moe_steady_allocs);
     std::FILE* f = std::fopen(json_path.c_str(), "w");
     if (f == nullptr) {
       std::fprintf(stderr, "cannot write %s\n", json_path.c_str());

@@ -22,6 +22,8 @@ extern const bool kPanelKernelNeonCompiled;
 void PanelKernelAvx2(const PanelGroupTask& task);
 void PanelKernelAvx512(const PanelGroupTask& task);
 void PanelKernelNeon(const PanelGroupTask& task);
+void DenseGemmAvx2(const DenseGemmTask& task);
+void DenseGemmAvx512(const DenseGemmTask& task);
 
 namespace {
 
@@ -169,6 +171,20 @@ PanelKernelFn GetPanelKernel(KernelBackend b) {
       return &PanelKernelNeon;
     default:
       return nullptr;  // scalar runs the built-in loop in samoyeds_kernel.cc
+  }
+}
+
+DenseGemmFn GetDenseGemmKernel(KernelBackend b) {
+  if (!KernelBackendSupported(b)) {
+    return nullptr;
+  }
+  switch (b) {
+    case KernelBackend::kAvx2:
+      return &DenseGemmAvx2;
+    case KernelBackend::kAvx512:
+      return &DenseGemmAvx512;
+    default:
+      return nullptr;  // scalar (and neon) run the loop in gemm_ref.cc
   }
 }
 

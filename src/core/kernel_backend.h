@@ -24,6 +24,23 @@
 // default (explicit per-call backends, e.g. in tests, are never overridden).
 // Each SIMD variant lives in its own translation unit compiled with just
 // that ISA's flags, so the core library still runs on the baseline ISA.
+//
+// Dense GEMM contract (GemmAccumulateRef, under GemmRef: the engine's
+// attention projections and AttentionForward):
+//
+//   avx512 / avx2 — register-blocked C += A * B that keeps the scalar loop's
+//             arithmetic per element: c(i,j) += a(i,p) * b(p,j) for p
+//             ascending, a separate multiply then add (never an FMA), and
+//             the same a(i,p) == 0 skip, so a -0 already in C keeps its sign
+//             and 0 * inf never enters. Each variant is therefore *bit-exact*
+//             against the scalar loop. The avx2 unit is also compiled with
+//             -mfma, so this relies on -ffp-contract=off (CMakeLists) to keep
+//             the compiler from fusing the multiply and the add.
+//
+// Unlike the panel kernels, the dense dispatch has no knob: it is resolved
+// once from CpuHasAvx512() / CpuHasAvx2() (widest first, scalar loop as the
+// portable fallback) and ignores SetKernelBackend, EngineConfig and
+// SAMOYEDS_FORCE_BACKEND — being bit-exact, there is nothing to choose.
 
 #ifndef SAMOYEDS_SRC_CORE_KERNEL_BACKEND_H_
 #define SAMOYEDS_SRC_CORE_KERNEL_BACKEND_H_
@@ -58,6 +75,19 @@ struct PanelGroupTask {
 
 using PanelKernelFn = void (*)(const PanelGroupTask&);
 
+// Dense C(m x n) += A(m x k) * B(k x n), every matrix row-major and
+// contiguous (row stride == its column count).
+struct DenseGemmTask {
+  const float* a = nullptr;
+  const float* b = nullptr;
+  float* c = nullptr;
+  int64_t m = 0;
+  int64_t n = 0;
+  int64_t k = 0;
+};
+
+using DenseGemmFn = void (*)(const DenseGemmTask&);
+
 // ---- CPU feature detection (cpuid + xgetbv on x86, compile-time on arm) ----
 bool CpuHasAvx2();
 bool CpuHasAvx512();
@@ -72,6 +102,11 @@ bool KernelBackendSupported(KernelBackend b);
 // The backend's panel kernel, or nullptr for kScalar/kAuto/uncompiled
 // variants (callers fall back to the built-in scalar loop).
 PanelKernelFn GetPanelKernel(KernelBackend b);
+
+// The backend's bit-exact dense GEMM (see the contract above), or nullptr
+// unless b is avx2/avx512, compiled in and runnable here. GemmAccumulateRef
+// picks its kernel from these once; tests call each variant explicitly.
+DenseGemmFn GetDenseGemmKernel(KernelBackend b);
 
 // fp32 lanes per vector op (1 for scalar). Feeds the autotuner's
 // lane-padding model: a SEL width that is not a multiple of the vector

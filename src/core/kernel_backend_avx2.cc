@@ -1,14 +1,19 @@
-// AVX2+FMA variant of the SSMM panel-group kernel. Compiled with
-// -mavx2 -mfma on x86 builds (see CMakeLists); on other targets this unit
-// compiles to a stub and the dispatcher reports the backend as absent.
+// AVX2+FMA variants of the SSMM panel-group kernel and of the dense GEMM.
+// Compiled with -mavx2 -mfma on x86 builds (see CMakeLists); on other
+// targets this unit compiles to a stub and the dispatcher reports the
+// backend as absent.
 //
-// Vectorization is across the panel-column (token) dimension: each output
-// element still accumulates its packed entries in exactly the scalar order,
-// but through fused multiply-adds (products are not rounded before the
-// add), so the backend is ULP-gated against an fp64 reference rather than
-// bit-gated against RunReference. The scalar tail uses std::fmaf so every
-// lane of this backend — vector or remainder — obeys the same fused
-// contract.
+// Dense GEMM: bit-exact against the scalar loop (kernel_backend.h) — it
+// never fuses, and -ffp-contract=off keeps the compiler from fusing its
+// separate multiply and add despite -mfma.
+//
+// Panel kernel: vectorization is across the panel-column (token) dimension.
+// Each output element still accumulates its packed entries in exactly the
+// scalar order, but through fused multiply-adds (products are not rounded
+// before the add), so the backend is ULP-gated against an fp64 reference
+// rather than bit-gated against RunReference. The scalar tail uses
+// std::fmaf so every lane of this backend — vector or remainder — obeys the
+// same fused contract.
 
 #include "src/core/kernel_backend.h"
 
@@ -16,6 +21,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
 
 namespace samoyeds {
@@ -65,6 +71,92 @@ void PanelKernelAvx2(const PanelGroupTask& t) {
   }
 }
 
+namespace {
+
+// C rows [i0, i0 + MR) x columns [j0, j0 + 8 * NV) stay in registers across
+// all of k (4 x 2 accumulators leave room for B and the broadcasts in the 16
+// ymm registers). With kTail the final vector goes through `last`'s lanes
+// only. Per element this is the scalar loop's c += a * b over p ascending,
+// multiply and add kept separate, and a zero a(i, p) skips the row's update.
+template <int MR, int NV, bool kTail>
+void DenseBlockAvx2(const DenseGemmTask& t, int64_t i0, int64_t j0, __m256i last) {
+  const auto load = [last](int v, const float* src) {
+    return kTail && v + 1 == NV ? _mm256_maskload_ps(src, last) : _mm256_loadu_ps(src);
+  };
+  __m256 acc[MR][NV];
+#pragma GCC unroll 4
+  for (int r = 0; r < MR; ++r) {
+#pragma GCC unroll 2
+    for (int v = 0; v < NV; ++v) {
+      acc[r][v] = load(v, t.c + (i0 + r) * t.n + j0 + 8 * v);
+    }
+  }
+  const float* arow = t.a + i0 * t.k;
+  for (int64_t p = 0; p < t.k; ++p) {
+    const float* brow = t.b + p * t.n + j0;
+    __m256 bv[NV];
+#pragma GCC unroll 2
+    for (int v = 0; v < NV; ++v) {
+      bv[v] = load(v, brow + 8 * v);
+    }
+#pragma GCC unroll 4
+    for (int r = 0; r < MR; ++r) {
+      const float av = arow[r * t.k + p];
+      if (av == 0.0f) {
+        continue;
+      }
+      const __m256 avv = _mm256_set1_ps(av);
+#pragma GCC unroll 2
+      for (int v = 0; v < NV; ++v) {
+        acc[r][v] = _mm256_add_ps(acc[r][v], _mm256_mul_ps(avv, bv[v]));
+      }
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < MR; ++r) {
+#pragma GCC unroll 2
+    for (int v = 0; v < NV; ++v) {
+      float* dst = t.c + (i0 + r) * t.n + j0 + 8 * v;
+      if (kTail && v + 1 == NV) {
+        _mm256_maskstore_ps(dst, last, acc[r][v]);
+      } else {
+        _mm256_storeu_ps(dst, acc[r][v]);
+      }
+    }
+  }
+}
+
+using DenseBlockFn = void (*)(const DenseGemmTask&, int64_t, int64_t, __m256i);
+
+template <bool kTail>
+constexpr DenseBlockFn kDenseBlocks[4][2] = {
+    {DenseBlockAvx2<1, 1, kTail>, DenseBlockAvx2<1, 2, kTail>},
+    {DenseBlockAvx2<2, 1, kTail>, DenseBlockAvx2<2, 2, kTail>},
+    {DenseBlockAvx2<3, 1, kTail>, DenseBlockAvx2<3, 2, kTail>},
+    {DenseBlockAvx2<4, 1, kTail>, DenseBlockAvx2<4, 2, kTail>},
+};
+
+}  // namespace
+
+void DenseGemmAvx2(const DenseGemmTask& t) {
+  for (int64_t i = 0; i < t.m; i += 4) {
+    const int64_t rows = std::min<int64_t>(4, t.m - i);
+    for (int64_t j = 0; j < t.n; j += 16) {
+      const int64_t cols = std::min<int64_t>(16, t.n - j);
+      const int64_t vectors = (cols + 7) / 8;
+      const int64_t tail = cols - 8 * (vectors - 1);
+      if (tail == 8) {
+        kDenseBlocks<false>[rows - 1][vectors - 1](t, i, j, __m256i{});
+      } else {
+        // Lane l of the final vector is live iff l < tail.
+        const __m256i last = _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(tail)),
+                                                _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+        kDenseBlocks<true>[rows - 1][vectors - 1](t, i, j, last);
+      }
+    }
+  }
+}
+
 }  // namespace samoyeds
 
 #else  // !(__AVX2__ && __FMA__)
@@ -74,6 +166,7 @@ namespace samoyeds {
 extern const bool kPanelKernelAvx2Compiled = false;
 
 void PanelKernelAvx2(const PanelGroupTask&) {}  // unreachable: dispatch guards
+void DenseGemmAvx2(const DenseGemmTask&) {}     // unreachable: dispatch guards
 
 }  // namespace samoyeds
 

@@ -1,5 +1,6 @@
 #include "src/moe/attention.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <vector>
@@ -72,6 +73,7 @@ MatrixF CausalContextRows(const MatrixF& q, const MatrixF& k, const MatrixF& v, 
 
   MatrixF ctx(rows, hidden);
   std::vector<float> scores(static_cast<size_t>(first + rows));
+  std::vector<float> acc(static_cast<size_t>(head_dim));
   for (int h = 0; h < heads; ++h) {
     const int64_t off = static_cast<int64_t>(h) * head_dim;
     for (int64_t r = 0; r < rows; ++r) {
@@ -90,12 +92,18 @@ MatrixF CausalContextRows(const MatrixF& q, const MatrixF& k, const MatrixF& v, 
         scores[static_cast<size_t>(j)] = std::exp(scores[static_cast<size_t>(j)] - max_score);
         denom += scores[static_cast<size_t>(j)];
       }
-      for (int64_t d = 0; d < head_dim; ++d) {
-        float acc = 0.0f;
-        for (int64_t j = 0; j <= i; ++j) {
-          acc += scores[static_cast<size_t>(j)] * v(j, off + d);
+      // Walk v by row, one accumulator per head column: each column still
+      // sums over ascending j, as AttentionForward does column by column.
+      std::fill(acc.begin(), acc.end(), 0.0f);
+      for (int64_t j = 0; j <= i; ++j) {
+        const float s = scores[static_cast<size_t>(j)];
+        const float* vrow = &v(j, off);
+        for (int64_t d = 0; d < head_dim; ++d) {
+          acc[static_cast<size_t>(d)] += s * vrow[d];
         }
-        ctx(r, off + d) = acc / denom;
+      }
+      for (int64_t d = 0; d < head_dim; ++d) {
+        ctx(r, off + d) = acc[static_cast<size_t>(d)] / denom;
       }
     }
   }

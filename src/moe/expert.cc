@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <vector>
 
 #include "src/tensor/bf16.h"
 #include "src/tensor/gemm_ref.h"
@@ -46,6 +47,44 @@ SamoyedsExpertWeights SamoyedsExpertWeights::Encode(const ExpertWeights& dense,
   SamoyedsKernel::PackWeights(w.gate, w.gate_packed);
   SamoyedsKernel::PackWeights(w.up, w.up_packed);
   SamoyedsKernel::PackWeights(w.down, w.down_packed);
+
+  // A row is live when a non-empty group of each projection writes it.
+  const auto written = [](const SsmmPackedA& packed, int64_t rows) {
+    std::vector<bool> out(static_cast<size_t>(rows), false);
+    for (size_t g = 0; g < packed.rows.size(); ++g) {
+      if (packed.off[g] != packed.off[g + 1]) {
+        out[static_cast<size_t>(packed.rows[g])] = true;
+      }
+    }
+    return out;
+  };
+  std::vector<bool> live = written(w.gate_packed, w.gate.rows);
+  const std::vector<bool> up_rows = written(w.up_packed, w.up.rows);
+  for (size_t r = 0; r < live.size(); ++r) {
+    live[r] = live[r] && up_rows[r];
+    if (live[r]) {
+      w.live_rows.push_back(static_cast<int32_t>(r));
+    }
+  }
+
+  // Compact down's groups in place to the entries that read a live row.
+  SsmmPackedA& down = w.down_packed;
+  int64_t cursor = 0;
+  for (size_t g = 0; g + 1 < down.off.size(); ++g) {
+    const int64_t begin = down.off[g];
+    const int64_t end = down.off[g + 1];
+    down.off[g] = cursor;
+    for (int64_t e = begin; e < end; ++e) {
+      if (live[static_cast<size_t>(down.cols[static_cast<size_t>(e)])]) {
+        down.vals[static_cast<size_t>(cursor)] = down.vals[static_cast<size_t>(e)];
+        down.cols[static_cast<size_t>(cursor)] = down.cols[static_cast<size_t>(e)];
+        ++cursor;
+      }
+    }
+  }
+  down.off.back() = cursor;
+  down.vals.resize(static_cast<size_t>(cursor));
+  down.cols.resize(static_cast<size_t>(cursor));
   return w;
 }
 
@@ -72,6 +111,20 @@ void GatedActivationInPlace(MatrixF& gate, const MatrixF& up, Activation act) {
   const int64_t n = gate.size();
   for (int64_t i = 0; i < n; ++i) {
     g[i] = RoundToBf16(ApplyActivation(act, g[i]) * u[i]);
+  }
+}
+
+// Same, on the listed rows only.
+void GatedActivationRows(MatrixF& gate, const MatrixF& up, Activation act,
+                         const std::vector<int32_t>& rows) {
+  assert(gate.rows() == up.rows() && gate.cols() == up.cols());
+  const int64_t n = gate.cols();
+  for (const int32_t r : rows) {
+    float* g = gate.data() + r * n;
+    const float* u = up.data() + r * n;
+    for (int64_t j = 0; j < n; ++j) {
+      g[j] = RoundToBf16(ApplyActivation(act, g[j]) * u[j]);
+    }
   }
 }
 
@@ -116,7 +169,8 @@ void ExpertForwardSamoyeds(const MatrixF& x, const SamoyedsExpertWeights& w,
   if (!w.gate_packed.empty()) {
     SamoyedsKernel::RunPanel(w.gate, w.gate_packed, ws.panel, ws, ws.gate_t);  // inter x n_sel
     SamoyedsKernel::RunPanel(w.up, w.up_packed, ws.panel, ws, ws.up_t);        // inter x n_sel
-    GatedActivationInPlace(ws.gate_t, ws.up_t, act);
+    // Dead rows stay as they are: down's pack no longer reads them.
+    GatedActivationRows(ws.gate_t, ws.up_t, act, w.live_rows);
     SamoyedsKernel::RunPanel(w.down, w.down_packed, ws.gate_t, ws, ws.out_t);  // hidden x n_sel
   } else {
     SamoyedsKernel::RunPanel(w.gate, ws.panel, ws, ws.gate_t);

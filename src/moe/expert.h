@@ -11,6 +11,9 @@
 #ifndef SAMOYEDS_SRC_MOE_EXPERT_H_
 #define SAMOYEDS_SRC_MOE_EXPERT_H_
 
+#include <cstdint>
+#include <vector>
+
 #include "src/core/samoyeds_kernel.h"
 #include "src/core/ssmm_workspace.h"
 #include "src/formats/samoyeds_format.h"
@@ -46,6 +49,13 @@ struct SamoyedsExpertWeights {
   SsmmPackedA gate_packed;
   SsmmPackedA up_packed;
   SsmmPackedA down_packed;
+  // Intermediate rows that both a non-empty gate group and a non-empty up
+  // group write, ascending. Every other row of act(gate) ⊙ up is ±0 for
+  // finite activations, so Encode drops down_packed's entries in those
+  // columns and the forward runs the gated activation on these rows only.
+  // Bit-exact: each fp32 partial starts at +0 and a sum that starts at +0
+  // never becomes -0, so adding a ±0 product never changes it.
+  std::vector<int32_t> live_rows;
 
   static SamoyedsExpertWeights Encode(const ExpertWeights& dense, const SamoyedsConfig& cfg);
 };

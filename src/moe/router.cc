@@ -118,23 +118,54 @@ RoutingPlan Route(const MatrixF& x, const MatrixF& gate_weight, int top_k) {
   plan.token_assignments.resize(static_cast<size_t>(tokens));
   plan.expert_gate.resize(static_cast<size_t>(num_experts));
 
-  const MatrixF logits = GemmRef(x, gate_weight.Transposed());  // tokens x experts
-  std::vector<int> order(static_cast<size_t>(num_experts));
+  // One token's logits and its running top-k, reused for every token.
+  std::vector<float> logits(static_cast<size_t>(num_experts));
+  std::vector<int> top(static_cast<size_t>(top_k));
   for (int64_t t = 0; t < tokens; ++t) {
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(), [&logits, t](int a, int b) {
-      return logits(t, a) > logits(t, b);
-    });
+    // logit(e) = x(t, :) . gate_weight(e, :) over ascending p with the
+    // GEMM's zero skip: the bits GemmRef(x, gate_weight^T) gives. The experts'
+    // dots advance together, so their add chains overlap.
+    const float* xrow = x.row(t).data();
+    std::fill(logits.begin(), logits.end(), 0.0f);
+    for (int64_t p = 0; p < x.cols(); ++p) {
+      const float xv = xrow[p];
+      if (xv == 0.0f) {
+        continue;
+      }
+      const float* gcol = gate_weight.data() + p;
+      for (int e = 0; e < num_experts; ++e) {
+        logits[static_cast<size_t>(e)] += xv * gcol[e * x.cols()];
+      }
+    }
+    // Stable top-k by insertion: a strictly greater logit displaces, so on a
+    // tie the lower expert index stays ahead — the first k of a stable
+    // descending sort.
+    int kept = 0;
+    for (int e = 0; e < num_experts; ++e) {
+      const float l = logits[static_cast<size_t>(e)];
+      int pos = kept;
+      while (pos > 0 && l > logits[static_cast<size_t>(top[static_cast<size_t>(pos - 1)])]) {
+        --pos;
+      }
+      if (pos == top_k) {
+        continue;
+      }
+      for (int i = std::min(kept, top_k - 1); i > pos; --i) {
+        top[static_cast<size_t>(i)] = top[static_cast<size_t>(i - 1)];
+      }
+      top[static_cast<size_t>(pos)] = e;
+      kept = std::min(kept + 1, top_k);
+    }
     // Softmax over the selected top-k logits.
-    float max_logit = logits(t, order[0]);
+    const float max_logit = logits[static_cast<size_t>(top[0])];
     float denom = 0.0f;
     for (int i = 0; i < top_k; ++i) {
-      denom += std::exp(logits(t, order[static_cast<size_t>(i)]) - max_logit);
+      denom += std::exp(logits[static_cast<size_t>(top[static_cast<size_t>(i)])] - max_logit);
     }
     auto& assignment = plan.token_assignments[static_cast<size_t>(t)];
     for (int i = 0; i < top_k; ++i) {
-      const int e = order[static_cast<size_t>(i)];
-      const float w = std::exp(logits(t, e) - max_logit) / denom;
+      const int e = top[static_cast<size_t>(i)];
+      const float w = std::exp(logits[static_cast<size_t>(e)] - max_logit) / denom;
       assignment.emplace_back(e, w);
       plan.expert_tokens[static_cast<size_t>(e)].push_back(static_cast<int32_t>(t));
       plan.expert_gate[static_cast<size_t>(e)].push_back(w);

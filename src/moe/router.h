@@ -58,7 +58,8 @@ struct RoutingPlan {
 
 // Numeric top-k routing: logits = x * gate_weight^T, softmax over the top-k
 // logits per token (the normalization used by Mixtral-style routers).
-// gate_weight is (num_experts x hidden).
+// gate_weight is (num_experts x hidden). Each token's experts are listed by
+// descending logit, ties broken toward the lower expert index.
 RoutingPlan Route(const MatrixF& x, const MatrixF& gate_weight, int top_k);
 
 // Synthetic plan with Zipf-like expert popularity controlled by `skew`

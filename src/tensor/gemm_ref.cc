@@ -3,7 +3,27 @@
 #include <cassert>
 #include <cmath>
 
+#include "src/core/kernel_backend.h"
+
 namespace samoyeds {
+
+namespace {
+
+// The widest bit-exact SIMD variant this machine runs, resolved once from
+// cpuid; nullptr keeps the portable scalar loop (see kernel_backend.h).
+DenseGemmFn DenseKernel() {
+  static const DenseGemmFn kernel = [] {
+    for (KernelBackend b : {KernelBackend::kAvx512, KernelBackend::kAvx2}) {
+      if (DenseGemmFn fn = GetDenseGemmKernel(b)) {
+        return fn;
+      }
+    }
+    return DenseGemmFn{nullptr};
+  }();
+  return kernel;
+}
+
+}  // namespace
 
 MatrixF GemmRef(const MatrixF& a, const MatrixF& b) {
   MatrixF c(a.rows(), b.cols());
@@ -17,6 +37,10 @@ void GemmAccumulateRef(const MatrixF& a, const MatrixF& b, MatrixF& c) {
   const int64_t m = a.rows();
   const int64_t k = a.cols();
   const int64_t n = b.cols();
+  if (DenseGemmFn kernel = DenseKernel()) {
+    kernel(DenseGemmTask{a.data(), b.data(), c.data(), m, n, k});
+    return;
+  }
   // ikj loop order keeps the inner loop contiguous on both B and C.
   for (int64_t i = 0; i < m; ++i) {
     for (int64_t p = 0; p < k; ++p) {

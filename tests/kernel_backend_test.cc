@@ -1,8 +1,8 @@
 // Kernel backend dispatch and equivalence: cpuid-consistent feature
 // detection, flag parsing, randomized SIMD-vs-reference agreement across
-// formats and ragged shapes, the cache-aware autotuner's LLC-fitting
-// preference, and the engine-level guarantee that switching backends does
-// not change serving behavior.
+// formats and ragged shapes, bit-exact dense GEMM variants, the cache-aware
+// autotuner's LLC-fitting preference, and the engine-level guarantee that
+// switching backends does not change serving behavior.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,9 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/autotune.h"
@@ -229,6 +231,124 @@ TEST(KernelBackendEquivalenceTest, TinyTailWidthsAllBackends) {
       EXPECT_LE(MaxUlp(out, expect), 4)
           << KernelBackendName(backend) << " n_out=" << n;
     }
+  }
+}
+
+// ---- Dense GEMM: every variant bit-exact against the scalar loop -----------
+
+// The scalar loop GemmAccumulateRef falls back to, restated here so the
+// oracle cannot drift with the library.
+void ScalarGemmAccumulate(const MatrixF& a, const MatrixF& b, MatrixF& c) {
+  for (int64_t i = 0; i < a.rows(); ++i) {
+    for (int64_t p = 0; p < a.cols(); ++p) {
+      const float av = a(i, p);
+      if (av == 0.0f) {
+        continue;
+      }
+      for (int64_t j = 0; j < b.cols(); ++j) {
+        c(i, j) += av * b(p, j);
+      }
+    }
+  }
+}
+
+// Full-precision Gaussians (off the bf16 grid, so products round and a fused
+// multiply-add would show) with the special cases the contract names: +-0
+// in A (the zero skip), -0 in C (must keep its sign) and +-inf/NaN in B
+// (0 * inf must never be formed). Every NaN here carries the bits x86
+// itself produces for inf - inf, so results do not depend on which NaN
+// operand an add returns.
+MatrixF SpecialMatrix(Rng& rng, int64_t rows, int64_t cols, const float* specials,
+                      int n_specials, uint64_t one_in) {
+  MatrixF m = rng.GaussianMatrix(rows, cols, 1.0f);
+  for (float& v : m.flat()) {
+    if (rng.NextU64() % one_in == 0) {
+      v = specials[rng.NextU64() % static_cast<uint64_t>(n_specials)];
+    }
+  }
+  return m;
+}
+
+// Every compiled and runnable SIMD variant, by name. Called explicitly, so
+// they run whatever SAMOYEDS_FORCE_BACKEND says.
+std::vector<std::pair<std::string, DenseGemmFn>> DenseVariants() {
+  std::vector<std::pair<std::string, DenseGemmFn>> variants;
+  for (KernelBackend b : {KernelBackend::kAvx2, KernelBackend::kAvx512}) {
+    if (DenseGemmFn fn = GetDenseGemmKernel(b)) {
+      variants.emplace_back(KernelBackendName(b), fn);
+    }
+  }
+  return variants;
+}
+
+bool BitEqual(const MatrixF& x, const MatrixF& y) {
+  return x.rows() == y.rows() && x.cols() == y.cols() &&
+         std::memcmp(x.data(), y.data(), sizeof(float) * static_cast<size_t>(x.size())) == 0;
+}
+
+TEST(DenseGemmTest, KernelPresenceMatchesSupport) {
+  for (KernelBackend b : {KernelBackend::kScalar, KernelBackend::kNeon, KernelBackend::kAuto}) {
+    EXPECT_EQ(GetDenseGemmKernel(b), nullptr) << KernelBackendName(b);
+  }
+  for (KernelBackend b : {KernelBackend::kAvx2, KernelBackend::kAvx512}) {
+    EXPECT_EQ(GetDenseGemmKernel(b) != nullptr, KernelBackendSupported(b))
+        << KernelBackendName(b);
+  }
+}
+
+TEST(DenseGemmTest, EveryVariantIsBitExactAgainstTheScalarLoop) {
+  float nan_bits = 0.0f;
+  const uint32_t kX86DefaultNan = 0xFFC00000u;
+  std::memcpy(&nan_bits, &kX86DefaultNan, sizeof(nan_bits));
+  const float inf = std::numeric_limits<float>::infinity();
+  const float a_specials[] = {0.0f, -0.0f};
+  const float b_specials[] = {inf, -inf, nan_bits};
+  const float c_specials[] = {-0.0f};
+
+  // The dispatched GemmAccumulateRef is checked alongside each variant.
+  const auto variants = DenseVariants();
+
+  Rng rng(1931);
+  int64_t cases = 0;
+  for (int64_t m = 1; m <= 9; ++m) {
+    for (int64_t n : {1, 7, 8, 15, 16, 17, 63, 64, 65, 130}) {
+      for (int64_t k : {1, 3, 64}) {
+        const MatrixF a = SpecialMatrix(rng, m, k, a_specials, 2, 4);
+        // Specials in B are rare enough that most columns stay finite.
+        const MatrixF b = SpecialMatrix(rng, k, n, b_specials, 3, 97);
+        const MatrixF c0 = SpecialMatrix(rng, m, n, c_specials, 1, 4);
+        MatrixF want = c0;
+        ScalarGemmAccumulate(a, b, want);
+
+        MatrixF got = c0;
+        GemmAccumulateRef(a, b, got);
+        ASSERT_TRUE(BitEqual(got, want)) << "dispatched m=" << m << " n=" << n << " k=" << k;
+        for (const auto& [name, fn] : variants) {
+          MatrixF c = c0;
+          fn(DenseGemmTask{a.data(), b.data(), c.data(), m, n, k});
+          ASSERT_TRUE(BitEqual(c, want)) << name << " m=" << m << " n=" << n << " k=" << k;
+        }
+        ++cases;
+      }
+    }
+  }
+  EXPECT_EQ(cases, 9 * 10 * 3);
+}
+
+TEST(DenseGemmTest, NegativeZeroInCSurvivesAZeroRowOfA) {
+  // Multiply-then-add over a zero a(i, p) would turn -0 + (+0 * b) into +0
+  // and 0 * inf into NaN; the skip must leave C exactly as it was.
+  const float inf = std::numeric_limits<float>::infinity();
+  const MatrixF a = MatrixF::FromRowMajor(2, 2, {0.0f, -0.0f, -0.0f, 0.0f});
+  const MatrixF b = MatrixF::FromRowMajor(2, 3, {1.0f, inf, -2.0f, inf, 3.0f, -inf});
+  const MatrixF c0 = MatrixF::FromRowMajor(2, 3, {-0.0f, -0.0f, 5.0f, -0.0f, 1.0f, -0.0f});
+  MatrixF got = c0;
+  GemmAccumulateRef(a, b, got);
+  EXPECT_TRUE(BitEqual(got, c0));
+  for (const auto& [name, fn] : DenseVariants()) {
+    MatrixF c = c0;
+    fn(DenseGemmTask{a.data(), b.data(), c.data(), 2, 3, 2});
+    EXPECT_TRUE(BitEqual(c, c0)) << name;
   }
 }
 

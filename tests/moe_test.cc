@@ -131,6 +131,38 @@ TEST(ExpertTest, GeluVariantAlsoMatches) {
   EXPECT_LT(RelativeError(sparse_out, dense_out), 2e-2);
 }
 
+TEST(ExpertTest, DeadRowSkipIsBitExactAgainstPerCallPacking) {
+  // Encode drops the intermediate rows no gate or no up group writes; the
+  // same weights with their packs cleared take the per-call path, which
+  // packs and runs every row. Both must give the same bits.
+  const SamoyedsConfig cfgs[] = {{1, 2, 32}, {2, 4, 32}, {1, 4, 32}, {1, 2, 64}};
+  Rng rng(77);
+  for (const SamoyedsConfig& cfg : cfgs) {
+    const int hidden = 128;
+    const int inter = 192;
+    const ExpertWeights w = ExpertWeights::Random(rng, hidden, inter);
+    const SamoyedsExpertWeights encoded = SamoyedsExpertWeights::Encode(w, cfg);
+    SamoyedsExpertWeights per_call = encoded;
+    per_call.gate_packed = {};
+    per_call.up_packed = {};
+    per_call.down_packed = {};
+    per_call.live_rows.clear();
+    // The skip must have something to skip.
+    EXPECT_GT(encoded.live_rows.size(), 0u);
+    EXPECT_LT(encoded.live_rows.size(), static_cast<size_t>(inter));
+
+    const MatrixF x = RandomBf16Matrix(rng, 24, hidden);
+    const Selection sel = RandomSelection(rng, 24, 17);
+    for (const Activation act : {Activation::kSilu, Activation::kGeluTanh}) {
+      const MatrixF got = ExpertForwardSamoyeds(x, encoded, sel, act);
+      const MatrixF want = ExpertForwardSamoyeds(x, per_call, sel, act);
+      ASSERT_EQ(got.rows(), want.rows());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), sizeof(float) * got.size()), 0)
+          << "format {" << cfg.n << ", " << cfg.m << ", " << cfg.v << "}";
+    }
+  }
+}
+
 // Full MoE layer: the Samoyeds dual-side execution must reproduce the
 // Transformers-style reference on masked weights — the core end-to-end
 // integration property of the system.

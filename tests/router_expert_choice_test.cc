@@ -1,8 +1,15 @@
 // Edge cases for expert-choice routing (RouteExpertChoice /
-// IsBalancedConsistent) and zero-token experts under top-k routing — the
-// load-balance properties the serving engine's scheduling story leans on.
+// IsBalancedConsistent), zero-token experts and tie-breaking under top-k
+// routing — the load-balance properties the serving engine's scheduling
+// story leans on.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <numeric>
+#include <vector>
 
 #include "src/moe/moe_layer.h"
 #include "src/moe/router.h"
@@ -159,6 +166,96 @@ TEST(TopKRoutingTest, ZeroTokenExpertsAreLegalAndExecutable) {
   const MatrixF ref = MoeForwardReference(xb, w, plan, Activation::kSilu);
   const MatrixF got = MoeForwardSamoyeds(xb, sw, plan, Activation::kSilu);
   EXPECT_LT(RelativeError(got, ref), 2e-2);
+}
+
+// Route's selection as it was written before the stable top-k insertion:
+// logits from the dense GEMM against the transposed gate, then a stable
+// descending sort of every expert per token. Kept here as the oracle.
+RoutingPlan StableSortRoute(const MatrixF& x, const MatrixF& gate_weight, int top_k) {
+  const int64_t tokens = x.rows();
+  const int num_experts = static_cast<int>(gate_weight.rows());
+  RoutingPlan plan;
+  plan.num_experts = num_experts;
+  plan.top_k = top_k;
+  plan.tokens = tokens;
+  plan.expert_tokens.resize(static_cast<size_t>(num_experts));
+  plan.token_assignments.resize(static_cast<size_t>(tokens));
+  plan.expert_gate.resize(static_cast<size_t>(num_experts));
+  const MatrixF logits = GemmRef(x, gate_weight.Transposed());
+  std::vector<int> order(static_cast<size_t>(num_experts));
+  for (int64_t t = 0; t < tokens; ++t) {
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(),
+                     [&logits, t](int a, int b) { return logits(t, a) > logits(t, b); });
+    const float max_logit = logits(t, order[0]);
+    float denom = 0.0f;
+    for (int i = 0; i < top_k; ++i) {
+      denom += std::exp(logits(t, order[static_cast<size_t>(i)]) - max_logit);
+    }
+    for (int i = 0; i < top_k; ++i) {
+      const int e = order[static_cast<size_t>(i)];
+      const float w = std::exp(logits(t, e) - max_logit) / denom;
+      plan.token_assignments[static_cast<size_t>(t)].emplace_back(e, w);
+      plan.expert_tokens[static_cast<size_t>(e)].push_back(static_cast<int32_t>(t));
+      plan.expert_gate[static_cast<size_t>(e)].push_back(w);
+    }
+  }
+  return plan;
+}
+
+bool SameBits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), sizeof(float) * a.size()) == 0;
+}
+
+TEST(TopKRoutingTest, TieHeavyLogitsMatchTheStableSortOracle) {
+  Rng rng(2024);
+  // Values on a coarse grid make most logits exact small multiples of 0.5,
+  // so ties are real: duplicated and all-zero gate rows tie every token,
+  // and all-zero tokens tie every expert.
+  const float grid[] = {-1.0f, -0.5f, 0.0f, -0.0f, 0.5f, 1.0f};
+  const auto pick = [&rng, &grid] { return grid[rng.NextU64() % 6]; };
+  constexpr int kExperts = 8;
+  constexpr int64_t kHidden = 16;
+  for (int trial = 0; trial < 40; ++trial) {
+    MatrixF gate(kExperts, kHidden);
+    for (int e = 0; e < kExperts; ++e) {
+      const int kind = static_cast<int>(rng.NextU64() % 4);
+      for (int64_t c = 0; c < kHidden; ++c) {
+        // kind 0: copy of row 0 (or fresh for row 0); 1: all zero; else fresh.
+        gate(e, c) = kind == 0 && e > 0 ? gate(0, c) : kind == 1 ? 0.0f : pick();
+      }
+    }
+    MatrixF x(24, kHidden);
+    for (int64_t t = 0; t < x.rows(); ++t) {
+      const bool zero_token = t % 5 == 0;
+      for (int64_t c = 0; c < kHidden; ++c) {
+        x(t, c) = zero_token ? 0.0f : pick();
+      }
+    }
+    for (int top_k : {1, 2, 3, kExperts}) {
+      const RoutingPlan got = Route(x, gate, top_k);
+      const RoutingPlan want = StableSortRoute(x, gate, top_k);
+      ASSERT_TRUE(got.IsConsistent());
+      ASSERT_EQ(got.token_assignments.size(), want.token_assignments.size());
+      for (size_t t = 0; t < want.token_assignments.size(); ++t) {
+        const auto& g = got.token_assignments[t];
+        const auto& w = want.token_assignments[t];
+        ASSERT_EQ(g.size(), w.size());
+        for (size_t i = 0; i < w.size(); ++i) {
+          EXPECT_EQ(g[i].first, w[i].first) << "trial " << trial << " token " << t;
+          EXPECT_EQ(std::memcmp(&g[i].second, &w[i].second, sizeof(float)), 0)
+              << "trial " << trial << " token " << t;
+        }
+      }
+      EXPECT_EQ(got.expert_tokens, want.expert_tokens) << "trial " << trial;
+      for (int e = 0; e < kExperts; ++e) {
+        EXPECT_TRUE(SameBits(got.expert_gate[static_cast<size_t>(e)],
+                             want.expert_gate[static_cast<size_t>(e)]))
+            << "trial " << trial << " expert " << e;
+      }
+    }
+  }
 }
 
 }  // namespace
