@@ -43,11 +43,12 @@ SamoyedsMoeLayerWeights SamoyedsMoeLayerWeights::Encode(const MoeLayerWeights& d
 void MoeScatterAdd(const MatrixF& expert_out, const RoutingPlan& plan, int expert_id,
                    MatrixF& out) {
   const auto& tokens = plan.expert_tokens[static_cast<size_t>(expert_id)];
+  const auto& gates = plan.expert_gate[static_cast<size_t>(expert_id)];
   assert(expert_out.rows() >= static_cast<int64_t>(tokens.size()));
+  assert(gates.size() == tokens.size());
   const int64_t cols = out.cols();
   for (size_t i = 0; i < tokens.size(); ++i) {
-    Axpy(plan.GateWeight(expert_id, static_cast<int64_t>(i)),
-         expert_out.data() + static_cast<int64_t>(i) * cols,
+    Axpy(gates[i], expert_out.data() + static_cast<int64_t>(i) * cols,
          out.data() + static_cast<int64_t>(tokens[i]) * cols, cols);
   }
 }

@@ -64,10 +64,9 @@ inline void MatrixAxpy(float alpha, const MatrixF& x, MatrixF& y) {
 // Scatter-accumulate one expert's output rows into the layer output with
 // per-token gate weights (the weighted un-permutation phase of Fig. 5),
 // addressed directly through plan.expert_tokens[expert_id] — no Selection
-// materialization. With a routing plan carrying precomputed expert_gate
-// vectors each row is one straight axpy. Exposed so alternative executors
-// (the serving engine's tile-granular expert pool) reuse the exact
-// reference accumulation.
+// materialization; each row is one straight axpy weighted by the plan's
+// expert_gate. Exposed so alternative executors (the serving engine's
+// tile-granular expert pool) reuse the exact reference accumulation.
 void MoeScatterAdd(const MatrixF& expert_out, const RoutingPlan& plan, int expert_id,
                    MatrixF& out);
 

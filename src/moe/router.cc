@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <numeric>
-
-#include "src/tensor/gemm_ref.h"
 
 namespace samoyeds {
 
@@ -14,21 +11,6 @@ Selection RoutingPlan::SelectionForExpert(int e) const {
   sel.full_size = tokens;
   sel.indices = expert_tokens[static_cast<size_t>(e)];
   return sel;
-}
-
-float RoutingPlan::GateWeight(int e, int64_t i) const {
-  if (static_cast<int>(expert_gate.size()) == num_experts) {
-    return expert_gate[static_cast<size_t>(e)][static_cast<size_t>(i)];
-  }
-  // Fallback for hand-built plans: find this expert in the token's
-  // assignment list.
-  const int32_t token = expert_tokens[static_cast<size_t>(e)][static_cast<size_t>(i)];
-  for (const auto& [expert, weight] : token_assignments[static_cast<size_t>(token)]) {
-    if (expert == e) {
-      return weight;
-    }
-  }
-  return 0.0f;
 }
 
 int64_t RoutingPlan::MaxTokensPerExpert() const {
@@ -75,15 +57,13 @@ bool RoutingPlan::IsConsistent() const {
   if (total != tokens * top_k) {
     return false;
   }
-  if (!expert_gate.empty()) {
-    if (static_cast<int>(expert_gate.size()) != num_experts) {
+  if (static_cast<int>(expert_gate.size()) != num_experts) {
+    return false;
+  }
+  for (int e = 0; e < num_experts; ++e) {
+    if (expert_gate[static_cast<size_t>(e)].size() !=
+        expert_tokens[static_cast<size_t>(e)].size()) {
       return false;
-    }
-    for (int e = 0; e < num_experts; ++e) {
-      if (expert_gate[static_cast<size_t>(e)].size() !=
-          expert_tokens[static_cast<size_t>(e)].size()) {
-        return false;
-      }
     }
   }
   for (const auto& assignment : token_assignments) {
@@ -172,111 +152,6 @@ RoutingPlan Route(const MatrixF& x, const MatrixF& gate_weight, int top_k) {
     }
   }
   return plan;
-}
-
-RoutingPlan RouteExpertChoice(const MatrixF& x, const MatrixF& gate_weight, int top_k_equiv) {
-  assert(x.cols() == gate_weight.cols());
-  const int64_t tokens = x.rows();
-  const int num_experts = static_cast<int>(gate_weight.rows());
-  const int64_t capacity =
-      std::max<int64_t>(1, tokens * top_k_equiv / num_experts);
-
-  RoutingPlan plan;
-  plan.num_experts = num_experts;
-  plan.top_k = top_k_equiv;
-  plan.tokens = tokens;
-  plan.expert_tokens.resize(static_cast<size_t>(num_experts));
-  plan.token_assignments.resize(static_cast<size_t>(tokens));
-
-  const MatrixF logits = GemmRef(x, gate_weight.Transposed());  // tokens x experts
-  // Each expert takes its `capacity` highest-affinity tokens.
-  std::vector<int64_t> order(static_cast<size_t>(tokens));
-  for (int e = 0; e < num_experts; ++e) {
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(), [&logits, e](int64_t a, int64_t b) {
-      return logits(a, e) > logits(b, e);
-    });
-    auto& chosen = plan.expert_tokens[static_cast<size_t>(e)];
-    for (int64_t i = 0; i < capacity; ++i) {
-      chosen.push_back(static_cast<int32_t>(order[static_cast<size_t>(i)]));
-    }
-    std::sort(chosen.begin(), chosen.end());
-    for (int32_t tok : chosen) {
-      plan.token_assignments[static_cast<size_t>(tok)].emplace_back(e, logits(tok, e));
-    }
-  }
-  // Softmax-normalize each token's weights over the experts that chose it.
-  for (auto& assignment : plan.token_assignments) {
-    if (assignment.empty()) {
-      continue;
-    }
-    float max_logit = assignment.front().second;
-    for (const auto& [e, l] : assignment) {
-      max_logit = std::max(max_logit, l);
-    }
-    float denom = 0.0f;
-    for (auto& [e, l] : assignment) {
-      l = std::exp(l - max_logit);
-      denom += l;
-    }
-    for (auto& [e, l] : assignment) {
-      l /= denom;
-    }
-  }
-  // Normalized weights are only known now; build the per-expert vectors in a
-  // second pass.
-  plan.expert_gate.resize(static_cast<size_t>(num_experts));
-  for (int e = 0; e < num_experts; ++e) {
-    auto& gates = plan.expert_gate[static_cast<size_t>(e)];
-    gates.reserve(plan.expert_tokens[static_cast<size_t>(e)].size());
-    for (int32_t tok : plan.expert_tokens[static_cast<size_t>(e)]) {
-      float weight = 0.0f;
-      for (const auto& [expert, w] : plan.token_assignments[static_cast<size_t>(tok)]) {
-        if (expert == e) {
-          weight = w;
-          break;
-        }
-      }
-      gates.push_back(weight);
-    }
-  }
-  return plan;
-}
-
-bool IsBalancedConsistent(const RoutingPlan& plan) {
-  if (static_cast<int>(plan.expert_tokens.size()) != plan.num_experts) {
-    return false;
-  }
-  const int64_t capacity =
-      std::max<int64_t>(1, plan.tokens * plan.top_k / plan.num_experts);
-  for (int e = 0; e < plan.num_experts; ++e) {
-    if (plan.TokensForExpert(e) != capacity) {
-      return false;  // expert choice guarantees exact balance
-    }
-    int32_t prev = -1;
-    for (int32_t t : plan.expert_tokens[static_cast<size_t>(e)]) {
-      if (t <= prev || t >= plan.tokens) {
-        return false;
-      }
-      prev = t;
-    }
-  }
-  for (const auto& assignment : plan.token_assignments) {
-    if (assignment.empty()) {
-      continue;  // dropped token: legal under expert choice
-    }
-    float weight_sum = 0.0f;
-    for (const auto& [e, w] : assignment) {
-      if (e < 0 || e >= plan.num_experts || w < 0.0f) {
-        return false;
-      }
-      weight_sum += w;
-    }
-    if (std::fabs(weight_sum - 1.0f) > 1e-4f) {
-      return false;
-    }
-  }
-  return true;
 }
 
 RoutingPlan MakeSyntheticPlan(Rng& rng, int64_t tokens, int num_experts, int top_k,

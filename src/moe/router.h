@@ -28,10 +28,9 @@ struct RoutingPlan {
   // For each token: its top_k (expert, gate weight) pairs.
   std::vector<std::vector<std::pair<int, float>>> token_assignments;
   // For each expert: the gate weight of each routed token, parallel to
-  // expert_tokens — precomputed by the routing constructors so the weighted
-  // scatter-accumulate (MoeScatterAdd) is a straight per-row axpy instead of
-  // an O(top_k) assignment lookup per scattered element. May be empty for
-  // hand-built plans; consumers fall back to token_assignments.
+  // expert_tokens — filled by both plan constructors (and required by
+  // IsConsistent) so the weighted scatter-accumulate (MoeScatterAdd) is a
+  // straight per-row axpy. The one gate-weight source for execution.
   std::vector<std::vector<float>> expert_gate;
 
   int64_t TokensForExpert(int e) const {
@@ -40,9 +39,6 @@ struct RoutingPlan {
   // Selection array view of one expert's tokens — the input half of the
   // Samoyeds dual-side format.
   Selection SelectionForExpert(int e) const;
-  // Gate weight of `expert_tokens[e][i]` for expert e: the precomputed
-  // vector when present, otherwise the token_assignments lookup.
-  float GateWeight(int e, int64_t i) const;
   // Largest per-expert token count (drives padding overheads).
   int64_t MaxTokensPerExpert() const;
   // Routed-token totals per bucket under an expert -> bucket map (the
@@ -66,19 +62,6 @@ RoutingPlan Route(const MatrixF& x, const MatrixF& gate_weight, int top_k);
 // (0 = uniform). Token assignments get uniform gate weights (1/top_k).
 RoutingPlan MakeSyntheticPlan(Rng& rng, int64_t tokens, int num_experts, int top_k,
                               double skew = 0.0);
-
-// Expert-choice routing (Zhou et al., NeurIPS'22 — the alternative routing
-// family §7 cites): instead of tokens picking experts, each expert picks
-// its top-capacity tokens by affinity, guaranteeing perfect load balance.
-// capacity = tokens * top_k_equiv / num_experts. Tokens may end up with
-// fewer (even zero) or more than top_k_equiv experts, so the resulting plan
-// satisfies IsBalancedConsistent() rather than IsConsistent(); per-token
-// gate weights are softmax-normalized over the experts that chose it.
-RoutingPlan RouteExpertChoice(const MatrixF& x, const MatrixF& gate_weight, int top_k_equiv);
-
-// Consistency for expert-choice plans: ascending valid token lists, exact
-// per-expert capacity, normalized weights for every assigned token.
-bool IsBalancedConsistent(const RoutingPlan& plan);
 
 }  // namespace samoyeds
 

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <utility>
 
 #include "src/core/samoyeds_kernel.h"
@@ -37,26 +36,6 @@ std::vector<AttentionWeights> TransposedAttention(
 }
 
 }  // namespace
-
-const char* RoutingAlgoName(RoutingAlgo r) {
-  switch (r) {
-    case RoutingAlgo::kTopK:
-      return "top-k";
-    case RoutingAlgo::kExpertChoice:
-      return "expert-choice";
-  }
-  return "?";
-}
-
-bool ParseRoutingAlgo(const char* text, RoutingAlgo* out) {
-  for (RoutingAlgo r : {RoutingAlgo::kTopK, RoutingAlgo::kExpertChoice}) {
-    if (std::strcmp(text, RoutingAlgoName(r)) == 0) {
-      *out = r;
-      return true;
-    }
-  }
-  return false;
-}
 
 const char* RequestStatusName(RequestStatus s) {
   switch (s) {
@@ -154,12 +133,11 @@ ServingEngine::ServingEngine(std::vector<SamoyedsDecoderLayerWeights> layers,
   // SetKernelBackend resolves kAuto and applies SAMOYEDS_FORCE_BACKEND.
   effective_backend_ = SetKernelBackend(config_.kernel_backend);
   injector_.Configure(config_.faults, config_.fault_seed);
-  // Prefix sharing relies on per-row outputs being independent of batch
-  // composition; expert-choice routing breaks that, so the cache is silently
-  // suppressed there (replaying another batch's rows would not be
-  // bit-lossless). Swap preemption needs an eviction path (preempt + bounded
-  // pool) and a modeled host link to charge transfers against.
-  if (config_.prefix_cache && config_.routing != RoutingAlgo::kExpertChoice) {
+  // Prefix sharing replays cached rows, which is bit-lossless because top-k
+  // routing makes each row's output independent of batch composition. Swap
+  // preemption needs an eviction path (preempt + bounded pool) and a modeled
+  // host link to charge transfers against.
+  if (config_.prefix_cache) {
     prefix_cache_ = std::make_unique<PrefixCache>(config_.scheduler.page_tokens, hidden_);
   }
   swap_enabled_ = config_.swap && config_.scheduler.preempt &&
@@ -773,9 +751,7 @@ MatrixF ServingEngine::ForwardBatch(const AssembledBatch& batch) {
     obs::ScopedSpan moe_span("engine", "moe", obs::TraceDetail::kFull);
     MatrixF normed = RmsNorm(h1, w.moe_norm_gamma);
     RoundMatrixToBf16(normed);
-    const RoutingPlan plan = config_.routing == RoutingAlgo::kExpertChoice
-                                 ? RouteExpertChoice(normed, w.moe.router_gate, config_.top_k)
-                                 : Route(normed, w.moe.router_gate, config_.top_k);
+    const RoutingPlan plan = Route(normed, w.moe.router_gate, config_.top_k);
     metrics_.OnRoutingPlan(plan);
     SsmmConfig tile_cfg = SsmmConfig::Default();
     if (config_.autotune) {
@@ -1334,7 +1310,6 @@ ServingReport ServingEngine::Report() const {
       metrics_.Summarize(config_.scheduler.token_budget, config_.scheduler.max_pages);
   rep.provenance.shards = config_.shards;
   rep.provenance.placement = ShardPlacementName(config_.placement);
-  rep.provenance.routing = RoutingAlgoName(config_.routing);
   rep.provenance.policy = SchedulerPolicyName(config_.scheduler.policy);
   rep.provenance.threads = config_.threads;
   rep.provenance.token_budget = config_.scheduler.token_budget;

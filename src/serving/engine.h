@@ -84,21 +84,6 @@
 namespace samoyeds {
 namespace serving {
 
-// Which router the engine drives each layer's MoE sub-block with. Top-k is
-// the default (tokens pick experts; per-row outputs are independent of
-// batch composition, which is what the engine's incremental-equals-full
-// property and preemption recompute rely on). Expert-choice inverts the
-// selection (experts pick tokens, perfectly balanced per layer) — note its
-// outputs legitimately depend on batch composition, so it trades the
-// full-sequence-reference equivalence for load balance.
-enum class RoutingAlgo {
-  kTopK,
-  kExpertChoice,
-};
-
-const char* RoutingAlgoName(RoutingAlgo r);
-bool ParseRoutingAlgo(const char* text, RoutingAlgo* out);
-
 // What a cancellation attempt found (see ServingEngine::Cancel). The async
 // front end and the CLI surface the distinction (an unknown id is an operator
 // error, an already-terminal id is a benign race).
@@ -121,7 +106,6 @@ struct EngineConfig {
   // outputs are unchanged (asserted by ServingTest.AutotuneDoesNotChangeOutputs);
   // the resolved config also feeds the per-step analytic wall-clock estimate.
   bool autotune = false;
-  RoutingAlgo routing = RoutingAlgo::kTopK;
   // Expert-parallel sharding: experts partition across `shards` simulated
   // devices (per-shard expert-pool queues + per-shard analytic timing).
   // Outputs are bit-identical at any shard count.
@@ -135,9 +119,8 @@ struct EngineConfig {
   // Prefix-sharing radix KV cache: an admission whose prompt rows bit-match a
   // previously served prefix maps the cached pages (refcounted,
   // copy-on-write on the first divergent write) and replays the cached
-  // output rows instead of re-prefilling them. Silently disabled under
-  // expert-choice routing, whose outputs depend on batch composition, so
-  // replaying another batch's rows would not be bit-lossless.
+  // output rows instead of re-prefilling them. Bit-lossless because a row's
+  // output is independent of batch composition.
   bool prefix_cache = false;
   // Swap-style preemption: a victim's KV pages move to a simulated host tier
   // (transfer time charged against the device's host link for the bytes
@@ -285,7 +268,7 @@ class ServingEngine {
   int64_t queued() const { return queue_.size() + scheduler_.pending(); }
 
   const PagedKvCache& kv_cache() const { return cache_; }
-  // nullptr when prefix sharing is off (or suppressed by expert-choice).
+  // nullptr when prefix sharing is off.
   const PrefixCache* prefix_cache() const { return prefix_cache_.get(); }
   const HostSwapTier& swap_tier() const { return swap_tier_; }
   // Swap preemption actually in effect (config.swap gated on preempt, a
@@ -311,7 +294,7 @@ class ServingEngine {
   // Distinct batch shapes the autotuner has resolved (0 with autotune off).
   int64_t autotune_cache_size() const { return static_cast<int64_t>(autotune_cache_.size()); }
   // Summarized metrics with the engine-known provenance fields (shards,
-  // placement, routing, policy, threads, budgets) filled in; the CLI layers
+  // placement, policy, threads, budgets) filled in; the CLI layers
   // the workload-level fields (model, trace, seed) on top before export.
   ServingReport Report() const;
 

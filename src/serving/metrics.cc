@@ -323,7 +323,6 @@ const Field<ReportProvenance> kProvenanceFields[] = {
     {"seed", &ReportProvenance::seed},
     {"shards", &ReportProvenance::shards},
     {"placement", &ReportProvenance::placement},
-    {"routing", &ReportProvenance::routing},
     {"policy", &ReportProvenance::policy},
     {"threads", &ReportProvenance::threads},
     {"token_budget", &ReportProvenance::token_budget},

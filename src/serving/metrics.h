@@ -86,13 +86,12 @@ struct StepMetrics {
 // the flags that produced it are forgotten. Emitted as the leading
 // "schema_version" / "config" keys of `ServingReport::ToJson`.
 struct ReportProvenance {
-  int64_t schema_version = 2;
+  int64_t schema_version = 3;
   std::string model;  // model-shape echo ("layers=2 experts=8 hidden=32 ...")
   std::string trace;  // workload description ("poisson n=24" / trace file)
   int64_t seed = 0;
   int64_t shards = 1;
   std::string placement;  // shard placement policy name
-  std::string routing;    // routing algorithm name
   std::string policy;     // scheduler admission policy name
   int64_t threads = 0;
   int64_t token_budget = 0;

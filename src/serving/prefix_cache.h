@@ -24,9 +24,7 @@
 // Cached payload: alongside the KV pages the node keeps the *output* rows for
 // its token range, so a session admitted with a cache hit can replay the
 // client-visible rows it will never compute. Under top-k routing a row's
-// forward depends only on its own prefix, making the replay bit-lossless;
-// expert-choice routing breaks that (batch-composition-dependent), so the
-// engine disables the prefix cache there.
+// forward depends only on its own prefix, making the replay bit-lossless.
 //
 // Engine thread only; no internal locking.
 

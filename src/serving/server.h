@@ -20,8 +20,7 @@
 // thread/shard/chunk combination). Under ServerClock::kWall, arrival steps
 // are stamped from the engine's live step counter at drain time, so the
 // schedule depends on real interleaving; per-row *outputs* remain
-// batch-composition-independent under top-k routing, but which step serves
-// which row does not.
+// batch-composition-independent, but which step serves which row does not.
 //
 // Backpressure. A bounded mailbox (ServerConfig::mailbox_capacity > 0)
 // composes with the engine's priority shedding: when a submit arrives at a

@@ -368,7 +368,7 @@ const ServeFlag kServeFlags[] = {
      [](ServeOptions& o, const FlagArg& a) { o.engine.scheduler.preempt = a.Bool(); }},
     {"--prefix-cache", "[=0|1]",
      "share KV pages between sessions whose prompts bit-match a cached prefix (radix tree, "
-     "copy-on-write pages; outputs unchanged; ignored under expert-choice routing)",
+     "copy-on-write pages; outputs unchanged)",
      [](ServeOptions& o, const FlagArg& a) { o.engine.prefix_cache = a.Bool(); }},
     {"--swap", "[=0|1]",
      "move preemption victims' KV pages to a simulated host tier and restore them bit-exactly on "
@@ -406,12 +406,6 @@ const ServeFlag kServeFlags[] = {
      [](ServeOptions& o, const FlagArg& a) { o.seed = static_cast<uint64_t>(a.I64()); }},
     {"--autotune", "[=0|1]", "resolve SSMM tile configs per batch shape (cached; same outputs)",
      [](ServeOptions& o, const FlagArg& a) { o.engine.autotune = a.Bool(); }},
-    {"--routing", "=top-k|expert-choice",
-     "expert-choice gives perfect per-layer expert balance; its outputs depend on batch "
-     "composition",
-     [](ServeOptions& o, const FlagArg& a) {
-       o.engine.routing = a.Parse(serving::ParseRoutingAlgo);
-     }},
     {"--shards", "=N", "partition experts across N simulated devices (bit-identical outputs)",
      [](ServeOptions& o, const FlagArg& a) { o.engine.shards = a.Int(1); }},
     {"--placement", "=round-robin|capacity|gate-stats", "expert layout across shards",
@@ -675,7 +669,6 @@ int CmdServe(int argc, char** argv) {
                     ? std::to_string(opt.server.mailbox_capacity).c_str()
                     : "unbounded");
   }
-  std::printf("routing: %s\n", serving::RoutingAlgoName(engine_cfg.routing));
   std::printf("kernel backend: %s (%s)\n", KernelBackendName(engine_cfg.kernel_backend),
               engine_cfg.kernel_backend == KernelBackend::kScalar
                   ? "bit-exact scalar oracle"
@@ -696,8 +689,6 @@ int CmdServe(int argc, char** argv) {
   }
   if (engine.prefix_cache() != nullptr) {
     std::printf("prefix-cache: on (radix sharing, copy-on-write pages)\n");
-  } else if (engine_cfg.prefix_cache) {
-    std::printf("prefix-cache: suppressed (expert-choice routing is batch-dependent)\n");
   }
   if (engine.swap_enabled()) {
     const DeviceSpec& dev = engine.cluster().device(0);

@@ -220,6 +220,13 @@ TEST(CliTest, ResidentTokenCapFlagIsGone) {
   EXPECT_NE(result.output.find("unknown serve flag"), std::string::npos) << result.output;
 }
 
+TEST(CliTest, RoutingFlagIsGone) {
+  REQUIRE_CLI();
+  const CliResult result = RunCli("serve tiny synthetic:2 --routing=top-k");
+  EXPECT_EQ(result.exit_code, 2) << result.output;
+  EXPECT_NE(result.output.find("unknown serve flag"), std::string::npos) << result.output;
+}
+
 // Every distinct first capture of `re` in `text`.
 std::set<std::string> Matches(const std::string& text, const std::regex& re) {
   std::set<std::string> out;

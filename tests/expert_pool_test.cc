@@ -32,22 +32,19 @@ MoeModelConfig SmallConfig(int experts, int shared) {
 }
 
 // All tokens routed to expert `hot` with unit weight; every other expert
-// idle. expert_gate deliberately left empty on demand to exercise the
-// token_assignments fallback.
-RoutingPlan SkewedPlan(int64_t tokens, int num_experts, int hot, bool with_gate_vectors) {
+// idle.
+RoutingPlan SkewedPlan(int64_t tokens, int num_experts, int hot) {
   RoutingPlan plan;
   plan.num_experts = num_experts;
   plan.top_k = 1;
   plan.tokens = tokens;
   plan.expert_tokens.resize(static_cast<size_t>(num_experts));
   plan.token_assignments.resize(static_cast<size_t>(tokens));
+  plan.expert_gate.resize(static_cast<size_t>(num_experts));
   for (int64_t t = 0; t < tokens; ++t) {
     plan.expert_tokens[static_cast<size_t>(hot)].push_back(static_cast<int32_t>(t));
     plan.token_assignments[static_cast<size_t>(t)].emplace_back(hot, 1.0f);
-  }
-  if (with_gate_vectors) {
-    plan.expert_gate.resize(static_cast<size_t>(num_experts));
-    plan.expert_gate[static_cast<size_t>(hot)].assign(static_cast<size_t>(tokens), 1.0f);
+    plan.expert_gate[static_cast<size_t>(hot)].push_back(1.0f);
   }
   EXPECT_TRUE(plan.IsConsistent());
   return plan;
@@ -61,20 +58,16 @@ TEST(ExpertPoolTilingTest, PathologicalSkewIsBitDeterministicAcrossThreadCounts)
       SamoyedsMoeLayerWeights::Encode(dense, SamoyedsConfig{1, 2, 32});
   const MatrixF x = RandomBf16Matrix(rng, 96, cfg.hidden);
 
-  for (const bool with_gate_vectors : {true, false}) {
-    const RoutingPlan plan = SkewedPlan(96, cfg.num_experts, /*hot=*/1, with_gate_vectors);
-    const MatrixF sequential = MoeForwardSamoyeds(x, sw, plan, Activation::kSilu);
-    for (int threads : {1, 2, 8}) {
-      ExpertPool pool(threads);
-      ParallelMoeWorkspace ws;
-      MatrixF out;
-      // Twice through the same workspace: reuse must not perturb results.
-      for (int round = 0; round < 2; ++round) {
-        ParallelMoeForwardSamoyeds(pool, x, sw, plan, Activation::kSilu, ws, out);
-        ASSERT_TRUE(out == sequential)
-            << "threads=" << threads << " round=" << round
-            << " gate_vectors=" << with_gate_vectors;
-      }
+  const RoutingPlan plan = SkewedPlan(96, cfg.num_experts, /*hot=*/1);
+  const MatrixF sequential = MoeForwardSamoyeds(x, sw, plan, Activation::kSilu);
+  for (int threads : {1, 2, 8}) {
+    ExpertPool pool(threads);
+    ParallelMoeWorkspace ws;
+    MatrixF out;
+    // Twice through the same workspace: reuse must not perturb results.
+    for (int round = 0; round < 2; ++round) {
+      ParallelMoeForwardSamoyeds(pool, x, sw, plan, Activation::kSilu, ws, out);
+      ASSERT_TRUE(out == sequential) << "threads=" << threads << " round=" << round;
     }
   }
 }
@@ -86,7 +79,7 @@ TEST(ExpertPoolTilingTest, HotExpertSplitsIntoMultipleTiles) {
   const SamoyedsMoeLayerWeights sw =
       SamoyedsMoeLayerWeights::Encode(dense, SamoyedsConfig{1, 2, 32});
   const MatrixF x = RandomBf16Matrix(rng, 128, cfg.hidden);
-  const RoutingPlan plan = SkewedPlan(128, cfg.num_experts, /*hot=*/0, true);
+  const RoutingPlan plan = SkewedPlan(128, cfg.num_experts, /*hot=*/0);
 
   ExpertPool pool(4);
   ParallelMoeWorkspace ws;
@@ -108,7 +101,7 @@ TEST(ExpertPoolTilingTest, ZeroTokenExpertSubmitsNoTasks) {
       SamoyedsMoeLayerWeights::Encode(dense, SamoyedsConfig{1, 2, 32});
   const MatrixF x = RandomBf16Matrix(rng, 16, cfg.hidden);
   // Experts 0 and 2 idle, expert 1 takes all 16 tokens.
-  const RoutingPlan plan = SkewedPlan(16, cfg.num_experts, /*hot=*/1, true);
+  const RoutingPlan plan = SkewedPlan(16, cfg.num_experts, /*hot=*/1);
 
   // Inline pool: exactly one tile per non-empty expert plus one per shared
   // expert. The two zero-token experts must contribute nothing.
@@ -186,7 +179,7 @@ TEST(ShardedMoeForwardTest, SkewedRoutingStaysBitIdenticalWhenSharded) {
       SamoyedsMoeLayerWeights::Encode(dense, SamoyedsConfig{1, 2, 32});
   const MatrixF x = RandomBf16Matrix(rng, 128, cfg.hidden);
   // Everything on expert 1 — one shard does all the work, the rest idle.
-  const RoutingPlan plan = SkewedPlan(128, cfg.num_experts, /*hot=*/1, true);
+  const RoutingPlan plan = SkewedPlan(128, cfg.num_experts, /*hot=*/1);
   const MatrixF sequential = MoeForwardSamoyeds(x, sw, plan, Activation::kSilu);
 
   for (int shards : {2, 4}) {
@@ -208,7 +201,7 @@ TEST(ShardedMoeForwardTest, ZeroTokenShardReceivesNoTasks) {
   const MatrixF x = RandomBf16Matrix(rng, 64, cfg.hidden);
   // All tokens to expert 1, which round-robin places on shard 1 of 2: shard
   // 0 (experts 0 and 2) must see zero submissions.
-  const RoutingPlan plan = SkewedPlan(64, cfg.num_experts, /*hot=*/1, true);
+  const RoutingPlan plan = SkewedPlan(64, cfg.num_experts, /*hot=*/1);
 
   ExpertPool pool(4, /*shards=*/2);
   const ExpertShardPlan placement = ExpertShardPlan::RoundRobin(cfg.num_experts, 2);
@@ -227,7 +220,7 @@ TEST(ShardedMoeForwardTest, SharedExpertsSplitAcrossShardHomeRanges) {
   const SamoyedsMoeLayerWeights sw =
       SamoyedsMoeLayerWeights::Encode(dense, SamoyedsConfig{1, 2, 32});
   const MatrixF x = RandomBf16Matrix(rng, 64, cfg.hidden);
-  const RoutingPlan plan = SkewedPlan(64, cfg.num_experts, /*hot=*/0, true);
+  const RoutingPlan plan = SkewedPlan(64, cfg.num_experts, /*hot=*/0);
   const MatrixF sequential = MoeForwardSamoyeds(x, sw, plan, Activation::kSilu);
 
   // The shared expert covers every token, so with 2 shards *both* queues

@@ -1,7 +1,8 @@
 // Broad parameterized sweeps over MoE layer structure: every combination of
 // expert count, top-k, activation and Samoyeds format must keep the
-// dual-side sparse execution numerically faithful to the reference, and the
-// expert-choice routing extension must compose with the same machinery.
+// dual-side sparse execution numerically faithful to the reference; the
+// router's edge cases (top_k == experts, one token, descending gate weights)
+// ride along.
 
 #include <gtest/gtest.h>
 
@@ -71,70 +72,6 @@ INSTANTIATE_TEST_SUITE_P(
                       SweepCase{16, 2, Activation::kSilu, 1, 2, 32},
                       SweepCase{16, 6, Activation::kSilu, 4, 8, 32},
                       SweepCase{6, 3, Activation::kGeluTanh, 1, 2, 32}));
-
-// ------------------------------------------------------- expert choice
-
-TEST(ExpertChoiceTest, PlanIsBalanced) {
-  Rng rng(701);
-  const MatrixF x = rng.GaussianMatrix(64, 32);
-  const MatrixF gate = rng.GaussianMatrix(8, 32);
-  const RoutingPlan plan = RouteExpertChoice(x, gate, 2);
-  EXPECT_TRUE(IsBalancedConsistent(plan));
-  // Exactly tokens * k / E tokens per expert, for every expert.
-  for (int e = 0; e < 8; ++e) {
-    EXPECT_EQ(plan.TokensForExpert(e), 64 * 2 / 8);
-  }
-}
-
-TEST(ExpertChoiceTest, TokenLoadVariesButExpertLoadDoesNot) {
-  Rng rng(702);
-  const MatrixF x = rng.GaussianMatrix(128, 16);
-  const MatrixF gate = rng.GaussianMatrix(4, 16);
-  const RoutingPlan ec = RouteExpertChoice(x, gate, 2);
-  // Token-choice: every token has exactly 2 experts. Expert-choice: some
-  // tokens get more, some fewer — verify the distribution is non-degenerate.
-  int64_t with_zero = 0;
-  int64_t with_many = 0;
-  for (const auto& a : ec.token_assignments) {
-    with_zero += a.empty();
-    with_many += a.size() > 2;
-  }
-  EXPECT_GT(with_many + with_zero, 0);  // differs from token-choice routing
-  EXPECT_TRUE(IsBalancedConsistent(ec));
-}
-
-TEST(ExpertChoiceTest, ExpertsPickHighestAffinityTokens) {
-  // One token engineered to dominate expert 0's affinity.
-  MatrixF x(4, 4);
-  x(2, 0) = 100.0f;
-  MatrixF gate(2, 4);
-  gate(0, 0) = 1.0f;   // expert 0 keys on feature 0
-  gate(1, 1) = 1.0f;
-  const RoutingPlan plan = RouteExpertChoice(x, gate, 1);
-  const auto& chosen = plan.expert_tokens[0];
-  EXPECT_TRUE(std::find(chosen.begin(), chosen.end(), 2) != chosen.end());
-}
-
-TEST(ExpertChoiceTest, ForwardRunsThroughBothPaths) {
-  // The dual-side sparse path must accept expert-choice plans unmodified
-  // (SEL arrays and weighted accumulation are routing-agnostic).
-  MoeModelConfig cfg;
-  cfg.num_experts = 4;
-  cfg.hidden = 32;
-  cfg.intermediate = 64;
-  cfg.top_k = 2;
-  const SamoyedsConfig fmt{1, 2, 32};
-  Rng rng(703);
-  MoeLayerWeights w = MoeLayerWeights::Random(rng, cfg);
-  const SamoyedsMoeLayerWeights sw = SamoyedsMoeLayerWeights::Encode(w, fmt);
-  w.ApplyMask(fmt);
-  const MatrixF x = RandomBf16Matrix(rng, 32, cfg.hidden, 0.5f);
-  const RoutingPlan plan = RouteExpertChoice(x, w.router_gate, cfg.top_k);
-  ASSERT_TRUE(IsBalancedConsistent(plan));
-  const MatrixF ref = MoeForwardReference(x, w, plan, Activation::kSilu);
-  const MatrixF got = MoeForwardSamoyeds(x, sw, plan, Activation::kSilu);
-  EXPECT_LT(RelativeError(got, ref), 2e-2);
-}
 
 // --------------------------------------------------------- router edges
 

@@ -72,7 +72,7 @@ TEST(ReportJsonTest, KeyCoverageOnARealRun) {
   EXPECT_LT(json.find("\"config\""), json.find("\"requests_finished\""));
 
   for (const char* key :
-       {"schema_version", "config", "placement", "routing", "policy", "token_budget",
+       {"schema_version", "config", "placement", "policy", "token_budget",
         "requests_finished", "requests_rejected", "requests_cancelled", "steps",
         "prefill_rows", "decode_rows", "prefill_chunk_slices", "streamed_rows",
         "wall_ms", "mean_ttft_steps", "p95_ttft_steps", "mean_turnaround_steps",
@@ -82,8 +82,9 @@ TEST(ReportJsonTest, KeyCoverageOnARealRun) {
         "shard_tokens", "est_compute_ms", "est_alltoall_ms", "request_timelines"}) {
     EXPECT_TRUE(HasJsonKey(json, key)) << "missing key: " << key;
   }
-  // Schema version 2 dropped the overlapped-execution keys.
-  for (const char* key : {"overlap", "est_overlap_saved_ms"}) {
+  // Schema version 2 dropped the overlapped-execution keys; version 3 dropped
+  // the routing echo (top-k is the only router).
+  for (const char* key : {"overlap", "est_overlap_saved_ms", "routing"}) {
     EXPECT_FALSE(HasJsonKey(json, key)) << "dropped key present: " << key;
   }
 
@@ -92,9 +93,9 @@ TEST(ReportJsonTest, KeyCoverageOnARealRun) {
   // this order; timeline keys repeat once per request.
   const std::vector<std::string> header = {"schema_version", "config"};
   const std::vector<std::string> config = {
-      "model", "trace", "seed", "shards", "placement", "routing", "policy", "threads",
-      "token_budget", "chunk_tokens", "page_tokens", "max_pages", "prefix_cache", "swap",
-      "host_pages", "kernel_backend", "llc_bytes", "llc_bandwidth_gbps", "dram_bandwidth_gbps",
+      "model", "trace", "seed", "shards", "placement", "policy", "threads", "token_budget",
+      "chunk_tokens", "page_tokens", "max_pages", "prefix_cache", "swap", "host_pages",
+      "kernel_backend", "llc_bytes", "llc_bandwidth_gbps", "dram_bandwidth_gbps",
       "chunk_policy"};
   const std::vector<std::string> report = {
       "requests_finished", "requests_rejected", "requests_cancelled", "requests_timed_out",
@@ -116,7 +117,7 @@ TEST(ReportJsonTest, KeyCoverageOnARealRun) {
       "id", "prompt_len", "arrival_step", "admit_step", "first_output_step", "finish_step",
       "cancel_step", "timeout_step", "prefill_chunks", "preemptions", "cached_prompt_tokens",
       "ttft_ms", "turnaround_ms"};
-  EXPECT_EQ(config.size(), 20u);
+  EXPECT_EQ(config.size(), 19u);
   EXPECT_EQ(report.size(), 62u);  // 61 fields + "request_timelines"
   EXPECT_EQ(timeline.size(), 13u);
   std::vector<std::string> expected = header;
@@ -169,8 +170,8 @@ TEST(ReportJsonTest, NumbersRoundTrip) {
   ASSERT_TRUE(FindJsonNumber(json, "steps", &v));
   EXPECT_EQ(static_cast<int64_t>(v), rep.steps);
   ASSERT_TRUE(FindJsonNumber(json, "schema_version", &v));
-  EXPECT_EQ(static_cast<int64_t>(v), 2);
-  EXPECT_EQ(rep.provenance.schema_version, 2);
+  EXPECT_EQ(static_cast<int64_t>(v), 3);
+  EXPECT_EQ(rep.provenance.schema_version, 3);
   ASSERT_TRUE(FindJsonNumber(json, "token_budget", &v));
   EXPECT_EQ(static_cast<int64_t>(v), 16);
   // Doubles are printed with enough digits to survive a parse round-trip at

@@ -1,7 +1,6 @@
-// Edge cases for expert-choice routing (RouteExpertChoice /
-// IsBalancedConsistent), zero-token experts and tie-breaking under top-k
-// routing — the load-balance properties the serving engine's scheduling
-// story leans on.
+// Top-k routing edge cases: RoutingPlan::IsConsistent rejects tampered
+// plans, zero-token experts are legal and executable, and tie-breaking
+// matches a stable descending sort bit for bit.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +8,7 @@
 #include <cmath>
 #include <cstring>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "src/moe/moe_layer.h"
@@ -20,114 +20,43 @@
 namespace samoyeds {
 namespace {
 
-TEST(ExpertChoiceTest, PerfectBalanceOnUniformInput) {
-  Rng rng(91);
-  const MatrixF x = rng.GaussianMatrix(64, 16);
-  const MatrixF gate = rng.GaussianMatrix(8, 16);
-  const RoutingPlan plan = RouteExpertChoice(x, gate, /*top_k_equiv=*/2);
-  EXPECT_TRUE(IsBalancedConsistent(plan));
-  // capacity = 64 * 2 / 8 = 16, exactly, for every expert.
-  for (int e = 0; e < 8; ++e) {
-    EXPECT_EQ(plan.TokensForExpert(e), 16);
-    EXPECT_TRUE(plan.SelectionForExpert(e).IsValid());
-  }
-  EXPECT_EQ(plan.MaxTokensPerExpert(), 16);
-}
-
-TEST(ExpertChoiceTest, CapacityRoundingDropsRemainderTokens) {
-  Rng rng(92);
-  // 5 tokens, 4 experts, k=1: capacity = floor(5/4) = 1, so exactly 4
-  // assignment slots exist and at least one token is chosen by no expert.
-  const MatrixF x = rng.GaussianMatrix(5, 8);
-  const MatrixF gate = rng.GaussianMatrix(4, 8);
-  const RoutingPlan plan = RouteExpertChoice(x, gate, 1);
-  EXPECT_TRUE(IsBalancedConsistent(plan));
-  int64_t assigned = 0;
-  int64_t dropped = 0;
-  for (const auto& a : plan.token_assignments) {
-    assigned += static_cast<int64_t>(a.size());
-    dropped += a.empty() ? 1 : 0;
-  }
-  EXPECT_EQ(assigned, 4);
-  EXPECT_GE(dropped, 1);
-}
-
-TEST(ExpertChoiceTest, CapacityFloorsAtOneWhenExpertsOutnumberTokens) {
-  Rng rng(93);
-  // 2 tokens, 8 experts, k=1: tokens * k / experts = 0, floored to 1 — every
-  // expert still picks one token, so tokens collect many experts each.
-  const MatrixF x = rng.GaussianMatrix(2, 8);
-  const MatrixF gate = rng.GaussianMatrix(8, 8);
-  const RoutingPlan plan = RouteExpertChoice(x, gate, 1);
-  EXPECT_TRUE(IsBalancedConsistent(plan));
-  int64_t assigned = 0;
-  for (const auto& a : plan.token_assignments) {
-    assigned += static_cast<int64_t>(a.size());
-    float sum = 0.0f;
-    for (const auto& [e, w] : a) {
-      sum += w;
-    }
-    if (!a.empty()) {
-      EXPECT_NEAR(sum, 1.0f, 1e-4f);  // softmax-normalized per token
-    }
-  }
-  EXPECT_EQ(assigned, 8);
-}
-
-TEST(ExpertChoiceTest, ExpertsPickHighestAffinityTokens) {
-  // 4 one-hot tokens, 2 experts, capacity 2. Expert 0's gate row scores
-  // tokens 1 and 3 highest; expert 1 prefers tokens 0 and 2.
-  MatrixF x(4, 4);
-  for (int t = 0; t < 4; ++t) {
-    x(t, t) = 1.0f;
-  }
-  MatrixF gate(2, 4);
-  gate(0, 0) = 0.0f;
-  gate(0, 1) = 5.0f;
-  gate(0, 2) = 1.0f;
-  gate(0, 3) = 4.0f;
-  gate(1, 0) = 6.0f;
-  gate(1, 1) = 0.5f;
-  gate(1, 2) = 7.0f;
-  gate(1, 3) = 0.0f;
-
-  const RoutingPlan plan = RouteExpertChoice(x, gate, 1);
-  ASSERT_TRUE(IsBalancedConsistent(plan));
-  EXPECT_EQ(plan.expert_tokens[0], (std::vector<int32_t>{1, 3}));
-  EXPECT_EQ(plan.expert_tokens[1], (std::vector<int32_t>{0, 2}));
-}
-
-TEST(BalancedConsistencyTest, DetectsTamperedPlans) {
+TEST(RoutingPlanTest, IsConsistentRejectsTamperedPlans) {
   Rng rng(94);
   const MatrixF x = rng.GaussianMatrix(16, 8);
   const MatrixF gate = rng.GaussianMatrix(4, 8);
-  const RoutingPlan good = RouteExpertChoice(x, gate, 1);
-  ASSERT_TRUE(IsBalancedConsistent(good));
-
-  // Capacity violation: expert loses a token.
-  RoutingPlan capacity = good;
-  capacity.expert_tokens[0].pop_back();
-  EXPECT_FALSE(IsBalancedConsistent(capacity));
+  const RoutingPlan good = Route(x, gate, /*top_k=*/2);
+  ASSERT_TRUE(good.IsConsistent());
+  // The busiest expert holds at least 16 * 2 / 4 = 8 tokens.
+  const auto busiest = std::max_element(
+      good.expert_tokens.begin(), good.expert_tokens.end(),
+      [](const auto& a, const auto& b) { return a.size() < b.size(); });
+  const size_t e = static_cast<size_t>(busiest - good.expert_tokens.begin());
+  ASSERT_GE(good.expert_tokens[e].size(), 2u);
 
   // Ordering violation: descending token list.
   RoutingPlan order = good;
-  std::swap(order.expert_tokens[1][0], order.expert_tokens[1][1]);
-  EXPECT_FALSE(IsBalancedConsistent(order));
-
-  // Weight violation: un-normalized gate weight.
-  RoutingPlan weights = good;
-  for (auto& a : weights.token_assignments) {
-    if (!a.empty()) {
-      a.front().second += 0.5f;
-      break;
-    }
-  }
-  EXPECT_FALSE(IsBalancedConsistent(weights));
+  std::swap(order.expert_tokens[e][0], order.expert_tokens[e][1]);
+  EXPECT_FALSE(order.IsConsistent());
 
   // Out-of-range token index.
   RoutingPlan range = good;
-  range.expert_tokens[2].back() = static_cast<int32_t>(range.tokens);
-  EXPECT_FALSE(IsBalancedConsistent(range));
+  range.expert_tokens[e].back() = static_cast<int32_t>(range.tokens);
+  EXPECT_FALSE(range.IsConsistent());
+
+  // Weight violation: un-normalized gate weight.
+  RoutingPlan weights = good;
+  weights.token_assignments[0].front().second += 0.5f;
+  EXPECT_FALSE(weights.IsConsistent());
+
+  // Gate row no longer parallel to its token list.
+  RoutingPlan gate_row = good;
+  gate_row.expert_gate[e].push_back(0.0f);
+  EXPECT_FALSE(gate_row.IsConsistent());
+
+  // Gate vectors missing altogether: the scatter has no other weight source.
+  RoutingPlan no_gates = good;
+  no_gates.expert_gate.clear();
+  EXPECT_FALSE(no_gates.IsConsistent());
 }
 
 TEST(TopKRoutingTest, ZeroTokenExpertsAreLegalAndExecutable) {
