@@ -9,9 +9,9 @@
 //   * a global allocation counter (operator new override) reports
 //     allocations per iteration for every benchmark, and the run FAILS if
 //     the workspace-enabled MoE forward allocates in steady state;
-//   * the run FAILS if the optimized kernel is not bit-identical to the
-//     fragment-model reference, or the dispatched dense GEMM to the scalar
-//     loop;
+//   * the run FAILS if the optimized kernel, on any backend, is not
+//     bit-identical to the fragment-model reference, or the dispatched dense
+//     GEMM to the scalar loop;
 //   * --json=PATH emits machine-readable results (tokens/s, GFLOP/s, alloc
 //     counts) so the perf trajectory is tracked from PR 3 onward;
 //   * --smoke shrinks every measurement for fast CI sanity runs.
@@ -19,7 +19,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -180,39 +179,6 @@ BenchResult Measure(const std::string& name, double min_seconds, int64_t tokens,
   return r;
 }
 
-// ULP distance between an fp32 result and the fp64 oracle value, measured
-// after rounding the oracle to fp32 (ordered-integer trick: monotone map of
-// the IEEE bit patterns, so adjacent floats differ by 1).
-int64_t UlpDistance(float a, float b) {
-  if (a == b) {
-    return 0;  // covers +0 vs -0
-  }
-  auto ordered = [](float f) {
-    int32_t i;
-    std::memcpy(&i, &f, sizeof(i));
-    return i < 0 ? static_cast<int64_t>(INT32_MIN) - i : static_cast<int64_t>(i);
-  };
-  return std::llabs(ordered(a) - ordered(b));
-}
-
-int64_t MaxUlpVsFp64(const MatrixF& out, const std::vector<double>& oracle) {
-  int64_t max_ulp = 0;
-  const float* p = out.data();
-  for (size_t i = 0; i < oracle.size(); ++i) {
-    max_ulp = std::max(max_ulp, UlpDistance(p[i], static_cast<float>(oracle[i])));
-  }
-  return max_ulp;
-}
-
-// Fused accumulation keeps the scalar association, so divergence from the
-// fp64 oracle is fp32 rounding noise over ~k/2 summands — but cancellation
-// among Gaussian terms leaves some outputs near zero, where a few absolute
-// ULPs of noise is a triple-digit ULP distance (measured: ~128 at this
-// shape, identically for scalar and SIMD since bf16 products are exact in
-// fp32). The bound gives that headroom while still catching real bugs —
-// a mis-gathered column or wrong output row lands millions of ULPs out.
-constexpr int64_t kMaxUlpVsFp64 = 512;
-
 void PrintResult(const BenchResult& r) {
   std::printf("%-28s %10.4f ms/iter %12.0f tokens/s %8.3f GFLOP/s %10.1f allocs/iter\n",
               r.name.c_str(), r.ms_per_iter, r.tokens_per_s, r.gflops, r.allocs_per_iter);
@@ -371,35 +337,10 @@ int RunBench(int argc, char** argv) {
   // --- kernel backend sweep -------------------------------------------------
   // Every backend this binary compiled AND this CPU can run, including in
   // --smoke mode (dispatch bugs should fail CI, not a weekly full run).
-  // fp64 oracle: the packed-representation accumulation recomputed in
-  // double — the ULP yardstick the SIMD accumulation contract is stated
-  // against (kernel_backend.h).
-  std::vector<double> fp64_oracle;
-  {
-    SsmmPackedA packed;
-    SamoyedsKernel::PackWeights(enc, packed);
-    MatrixF panel;
-    SamoyedsKernel::PackSelectedColumns(b, sel, panel);
-    const int64_t n_out = panel.cols();
-    fp64_oracle.assign(static_cast<size_t>(enc.rows * n_out), 0.0);
-    for (size_t g = 0; g < packed.rows.size(); ++g) {
-      double* orow = fp64_oracle.data() + static_cast<int64_t>(packed.rows[g]) * n_out;
-      for (int64_t e = packed.off[g]; e < packed.off[g + 1]; ++e) {
-        const double av = packed.vals[static_cast<size_t>(e)];
-        const float* brow =
-            panel.data() + static_cast<int64_t>(packed.cols[static_cast<size_t>(e)]) * n_out;
-        for (int64_t j = 0; j < n_out; ++j) {
-          orow[j] += av * brow[j];
-        }
-      }
-    }
-  }
-
   struct BackendRow {
     KernelBackend backend;
     BenchResult bench;
     double speedup_vs_scalar = 0.0;
-    int64_t max_ulp = 0;
     bool bit_identical_to_ref = false;
   };
   std::vector<BackendRow> backend_rows;
@@ -421,7 +362,6 @@ int RunBench(int argc, char** argv) {
                         selected, kernel_flops,
                         [&] { SamoyedsKernel::Run(enc, b, sel, kernel_ws, out, backend); });
     row.bit_identical_to_ref = out == ref_out;
-    row.max_ulp = MaxUlpVsFp64(out, fp64_oracle);
     if (backend == KernelBackend::kScalar) {
       scalar_backend_tokens_per_s = row.bench.tokens_per_s;
     }
@@ -430,15 +370,15 @@ int RunBench(int argc, char** argv) {
                                 : 0.0;
     results.push_back(row.bench);
     PrintResult(row.bench);
-    std::printf("  %s: %.2fx vs scalar, max ULP vs fp64 %lld, bit-identical to ref: %s\n",
-                KernelBackendName(backend), row.speedup_vs_scalar,
-                static_cast<long long>(row.max_ulp), row.bit_identical_to_ref ? "yes" : "no");
+    std::printf("  %s: %.2fx vs scalar, bit-identical to ref: %s\n", KernelBackendName(backend),
+                row.speedup_vs_scalar, row.bit_identical_to_ref ? "yes" : "no");
 
-    // Gates. Scalar is the oracle: any numeric drift is a regression. Every
-    // backend runs out of the shared workspace, so steady state must not
-    // touch the heap. SIMD stays within the fused-accumulation ULP bound.
-    if (backend == KernelBackend::kScalar && !row.bit_identical_to_ref) {
-      std::fprintf(stderr, "FAIL: scalar backend is not bit-identical to the reference\n");
+    // Gates. Every backend is bit-exact (kernel_backend.h): any numeric
+    // drift is a regression. Every backend runs out of the shared
+    // workspace, so steady state must not touch the heap.
+    if (!row.bit_identical_to_ref) {
+      std::fprintf(stderr, "FAIL: %s backend is not bit-identical to the reference\n",
+                   KernelBackendName(backend));
       failed = true;
     }
     if (row.bench.allocs_per_iter > 0.0) {
@@ -446,20 +386,13 @@ int RunBench(int argc, char** argv) {
                    KernelBackendName(backend), row.bench.allocs_per_iter);
       failed = true;
     }
-    if (row.max_ulp > kMaxUlpVsFp64) {
-      std::fprintf(stderr, "FAIL: %s backend max ULP vs fp64 oracle is %lld (bound %lld)\n",
-                   KernelBackendName(backend), static_cast<long long>(row.max_ulp),
-                   static_cast<long long>(kMaxUlpVsFp64));
-      failed = true;
-    }
     backend_rows.push_back(std::move(row));
   }
   // Scalar-path perf regression gate: the explicit-scalar row and the
-  // default-path kernel_optimized row run the same loop (when no env force
-  // redirects the default), so a large gap means dispatch overhead crept
-  // into the hot path.
-  if (ActiveKernelBackend() == KernelBackend::kScalar && scalar_backend_tokens_per_s > 0.0 &&
-      opt_tokens_per_s > 0.0 && scalar_backend_tokens_per_s < 0.5 * opt_tokens_per_s) {
+  // default-path kernel_optimized row run the same loop, so a large gap
+  // means dispatch overhead crept into the hot path.
+  if (scalar_backend_tokens_per_s > 0.0 && opt_tokens_per_s > 0.0 &&
+      scalar_backend_tokens_per_s < 0.5 * opt_tokens_per_s) {
     std::fprintf(stderr,
                  "FAIL: scalar backend regressed to %.0f tokens/s vs %.0f on the default path\n",
                  scalar_backend_tokens_per_s, opt_tokens_per_s);
@@ -577,18 +510,18 @@ int RunBench(int argc, char** argv) {
     for (const auto& r : results) {
       AppendJson(items, r);
     }
-    // Per-backend sweep rows: throughput plus the accumulation-contract
-    // telemetry (speedup vs scalar, max ULP against the fp64 oracle).
+    // Per-backend sweep rows: throughput, speedup vs scalar and the bit
+    // check against the reference.
     std::string backend_items;
     for (const BackendRow& row : backend_rows) {
       char buf[512];
       std::snprintf(buf, sizeof(buf),
                     "    {\"backend\": \"%s\", \"tokens_per_s\": %.1f, \"gflops\": %.4f, "
-                    "\"speedup_vs_scalar\": %.3f, \"max_ulp_vs_fp64\": %lld, "
-                    "\"allocs_per_iter\": %.2f, \"bit_identical_to_ref\": %s}",
+                    "\"speedup_vs_scalar\": %.3f, \"allocs_per_iter\": %.2f, "
+                    "\"bit_identical_to_ref\": %s}",
                     KernelBackendName(row.backend), row.bench.tokens_per_s, row.bench.gflops,
-                    row.speedup_vs_scalar, static_cast<long long>(row.max_ulp),
-                    row.bench.allocs_per_iter, row.bit_identical_to_ref ? "true" : "false");
+                    row.speedup_vs_scalar, row.bench.allocs_per_iter,
+                    row.bit_identical_to_ref ? "true" : "false");
       if (!backend_items.empty()) {
         backend_items += ",\n";
       }
@@ -596,7 +529,7 @@ int RunBench(int argc, char** argv) {
     }
     char head[512];
     std::snprintf(head, sizeof(head),
-                  "{\n  \"bench\": \"micro_kernel_wallclock\",\n  \"schema_version\": 2,\n"
+                  "{\n  \"bench\": \"micro_kernel_wallclock\",\n  \"schema_version\": 3,\n"
                   "  \"mode\": \"%s\",\n"
                   "  \"config\": {\"threads\": %d, \"seconds\": %.3f},\n"
                   "  \"shape\": {\"hidden\": %lld, \"intermediate\": %lld, \"tokens\": %lld, "

@@ -1,9 +1,7 @@
 #include "src/core/kernel_backend.h"
 
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <cpuid.h>
@@ -71,34 +69,6 @@ const X86Features& X86() {
   return f;
 }
 #endif  // SAMOYEDS_X86
-
-// SAMOYEDS_FORCE_BACKEND, parsed once. kAuto doubles as "no force".
-KernelBackend ForcedBackend() {
-  static const KernelBackend forced = [] {
-    const char* env = std::getenv("SAMOYEDS_FORCE_BACKEND");
-    if (env == nullptr || *env == '\0') {
-      return KernelBackend::kAuto;
-    }
-    KernelBackend parsed = KernelBackend::kAuto;
-    if (!ParseKernelBackend(env, &parsed) || parsed == KernelBackend::kAuto) {
-      std::fprintf(stderr, "SAMOYEDS_FORCE_BACKEND: ignoring unknown backend '%s'\n", env);
-      return KernelBackend::kAuto;
-    }
-    if (!KernelBackendSupported(parsed)) {
-      std::fprintf(stderr, "SAMOYEDS_FORCE_BACKEND: %s not runnable on this CPU, ignoring\n",
-                   KernelBackendName(parsed));
-      return KernelBackend::kAuto;
-    }
-    return parsed;
-  }();
-  return forced;
-}
-
-std::atomic<KernelBackend>& ActiveSlot() {
-  static std::atomic<KernelBackend> slot{
-      ForcedBackend() != KernelBackend::kAuto ? ForcedBackend() : KernelBackend::kScalar};
-  return slot;
-}
 
 }  // namespace
 
@@ -248,22 +218,6 @@ bool ResolveKernelBackend(KernelBackend requested, KernelBackend* out) {
   }
   *out = requested;
   return true;
-}
-
-KernelBackend SetKernelBackend(KernelBackend b) {
-  KernelBackend resolved = KernelBackend::kScalar;
-  if (!ResolveKernelBackend(b, &resolved)) {
-    resolved = KernelBackend::kScalar;
-  }
-  if (ForcedBackend() != KernelBackend::kAuto) {
-    resolved = ForcedBackend();
-  }
-  ActiveSlot().store(resolved, std::memory_order_relaxed);
-  return resolved;
-}
-
-KernelBackend ActiveKernelBackend() {
-  return ActiveSlot().load(std::memory_order_relaxed);
 }
 
 }  // namespace samoyeds

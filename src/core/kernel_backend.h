@@ -1,46 +1,44 @@
-// Runtime-dispatched SIMD backends for the SSMM packed-panel inner loops.
+// Runtime-dispatched SIMD backends for the SSMM packed-panel inner loops and
+// for the dense GEMM.
 //
 // The packed execution path (SamoyedsKernel::RunPanel) spends its time in
 // branch-free contiguous axpys: for each (sub-row window, compressed row)
 // group, out_row += sum_e a_vals[e] * panel_row(a_cols[e]). That loop nest
 // vectorizes across the panel-column (token) dimension without changing the
-// per-element accumulation order, so SIMD variants differ from the scalar
-// oracle only in using fused multiply-adds.
+// per-element order of operations.
 //
-// Accumulation contract (recorded per run in ReportProvenance):
+// One contract for every kernel here: each variant keeps its scalar loop's
+// arithmetic per output element — the same operations in the same order, a
+// separate multiply then add (never a fused multiply-add) — so every
+// backend is *bit-exact* by construction:
 //
-//   scalar  — separate multiply and add per element, identical association
-//             to RunReference ⇒ *bit-exact* against the fragment-model
-//             oracle (the property every serving bit-identity gate uses).
-//   avx2 / avx512 / neon — same association (entries accumulate in packed
-//             order per output element) but each step is a fused
-//             multiply-add, so products are not rounded before adding ⇒
-//             gated by a ULP-bounded oracle against an fp64 reference, not
-//             by bit identity.
+//   panel (scalar / avx2 / avx512 / neon) — per group, a +0 partial
+//             accumulates partial += a_vals[e] * panel(a_cols[e], j) over
+//             its packed entries in order, then out(row, j) += partial.
+//             Every backend equals RunReference, the fragment-model oracle
+//             every serving bit-identity gate is stated against, so the
+//             backend choice never changes a result.
+//   dense (avx512 / avx2; GemmAccumulateRef, under GemmRef: the engine's
+//             attention projections and AttentionForward) — c(i,j) +=
+//             a(i,p) * b(p,j) for p ascending with the same a(i,p) == 0
+//             skip, so a -0 already in C keeps its sign and 0 * inf never
+//             enters.
+//
+// Fusing would not be exact: the panel operands are bf16, but a product
+// of two bf16 values below the fp32 normal range rounds, and an FMA that
+// skips that rounding can land one ULP away. The avx2 unit is compiled
+// with -mfma, so the contract relies on -ffp-contract=off (CMakeLists) to
+// keep the compiler from fusing what the source keeps separate.
 //
 // Backends are selected at runtime: cpuid (plus XGETBV for OS state-save
-// support) decides what the machine can run, `auto` resolves to the widest
-// supported variant, and SAMOYEDS_FORCE_BACKEND overrides the process-wide
-// default (explicit per-call backends, e.g. in tests, are never overridden).
-// Each SIMD variant lives in its own translation unit compiled with just
-// that ISA's flags, so the core library still runs on the baseline ISA.
-//
-// Dense GEMM contract (GemmAccumulateRef, under GemmRef: the engine's
-// attention projections and AttentionForward):
-//
-//   avx512 / avx2 — register-blocked C += A * B that keeps the scalar loop's
-//             arithmetic per element: c(i,j) += a(i,p) * b(p,j) for p
-//             ascending, a separate multiply then add (never an FMA), and
-//             the same a(i,p) == 0 skip, so a -0 already in C keeps its sign
-//             and 0 * inf never enters. Each variant is therefore *bit-exact*
-//             against the scalar loop. The avx2 unit is also compiled with
-//             -mfma, so this relies on -ffp-contract=off (CMakeLists) to keep
-//             the compiler from fusing the multiply and the add.
-//
-// Unlike the panel kernels, the dense dispatch has no knob: it is resolved
-// once from CpuHasAvx512() / CpuHasAvx2() (widest first, scalar loop as the
-// portable fallback) and ignores SetKernelBackend, EngineConfig and
-// SAMOYEDS_FORCE_BACKEND — being bit-exact, there is nothing to choose.
+// support) decides what the machine can run and `auto` resolves to the
+// widest supported variant. Panel callers pass the backend explicitly (the
+// serving engine resolves EngineConfig::kernel_backend once and threads it
+// down; every other caller defaults to kScalar). The dense dispatch has no
+// knob: GemmAccumulateRef resolves it once from CpuHasAvx512() /
+// CpuHasAvx2() (widest first, scalar loop as the portable fallback). Each
+// SIMD variant lives in its own translation unit compiled with just that
+// ISA's flags, so the core library still runs on the baseline ISA.
 
 #ifndef SAMOYEDS_SRC_CORE_KERNEL_BACKEND_H_
 #define SAMOYEDS_SRC_CORE_KERNEL_BACKEND_H_
@@ -50,10 +48,10 @@
 namespace samoyeds {
 
 enum class KernelBackend {
-  kScalar = 0,  // bit-exact oracle path (default)
-  kAvx2 = 1,    // 8-wide fp32 FMA
-  kAvx512 = 2,  // 16-wide fp32 FMA, masked ragged edges
-  kNeon = 3,    // 4-wide fp32 FMA (aarch64)
+  kScalar = 0,  // plain loop (default)
+  kAvx2 = 1,    // 8-wide fp32
+  kAvx512 = 2,  // 16-wide fp32, masked ragged edges
+  kNeon = 3,    // 4-wide fp32 (aarch64)
   kAuto = 4,    // resolve to the widest supported variant
 };
 
@@ -103,9 +101,9 @@ bool KernelBackendSupported(KernelBackend b);
 // variants (callers fall back to the built-in scalar loop).
 PanelKernelFn GetPanelKernel(KernelBackend b);
 
-// The backend's bit-exact dense GEMM (see the contract above), or nullptr
-// unless b is avx2/avx512, compiled in and runnable here. GemmAccumulateRef
-// picks its kernel from these once; tests call each variant explicitly.
+// The backend's dense GEMM, or nullptr unless b is avx2/avx512, compiled in
+// and runnable here. GemmAccumulateRef picks its kernel from these once;
+// tests call each variant explicitly.
 DenseGemmFn GetDenseGemmKernel(KernelBackend b);
 
 // fp32 lanes per vector op (1 for scalar). Feeds the autotuner's
@@ -123,15 +121,6 @@ bool ParseKernelBackend(const char* text, KernelBackend* out);
 // resolves to itself when supported. Returns false (and leaves *out at
 // kScalar) when the specific request is not runnable on this machine.
 bool ResolveKernelBackend(KernelBackend requested, KernelBackend* out);
-
-// Process-wide default backend used by RunPanel calls that do not pass one
-// explicitly (the serving engine sets this from EngineConfig). Starts at
-// kScalar. When the SAMOYEDS_FORCE_BACKEND environment variable names a
-// backend, Set requests are overridden by it (the CI sanitizer job uses
-// this to pin the whole suite's implicit path to scalar); explicit per-call
-// backends are never overridden. Returns the backend actually installed.
-KernelBackend SetKernelBackend(KernelBackend b);
-KernelBackend ActiveKernelBackend();
 
 }  // namespace samoyeds
 

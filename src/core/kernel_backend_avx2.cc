@@ -1,19 +1,14 @@
-// AVX2+FMA variants of the SSMM panel-group kernel and of the dense GEMM.
+// AVX2 variants of the SSMM panel-group kernel and of the dense GEMM.
 // Compiled with -mavx2 -mfma on x86 builds (see CMakeLists); on other
 // targets this unit compiles to a stub and the dispatcher reports the
 // backend as absent.
 //
-// Dense GEMM: bit-exact against the scalar loop (kernel_backend.h) — it
-// never fuses, and -ffp-contract=off keeps the compiler from fusing its
-// separate multiply and add despite -mfma.
-//
-// Panel kernel: vectorization is across the panel-column (token) dimension.
-// Each output element still accumulates its packed entries in exactly the
-// scalar order, but through fused multiply-adds (products are not rounded
-// before the add), so the backend is ULP-gated against an fp64 reference
-// rather than bit-gated against RunReference. The scalar tail uses
-// std::fmaf so every lane of this backend — vector or remainder — obeys the
-// same fused contract.
+// Both kernels are bit-exact against their scalar loops (kernel_backend.h):
+// each output element keeps the scalar order of operations with a separate
+// multiply then add, never an FMA, and -ffp-contract=off keeps the compiler
+// from fusing them despite -mfma. The panel kernel vectorizes across the
+// panel-column (token) dimension; its remainder columns run the scalar
+// loop's own `acc += a * b`.
 
 #include "src/core/kernel_backend.h"
 
@@ -22,7 +17,6 @@
 #include <immintrin.h>
 
 #include <algorithm>
-#include <cmath>
 
 namespace samoyeds {
 
@@ -46,8 +40,8 @@ void PanelKernelAvx2(const PanelGroupTask& t) {
       for (int64_t e = begin; e < end; ++e) {
         const __m256 av = _mm256_set1_ps(t.a_vals[e]);
         const float* brow = t.panel + static_cast<int64_t>(t.a_cols[e]) * n_out + j;
-        acc0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(brow), acc0);
-        acc1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(brow + 8), acc1);
+        acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(av, _mm256_loadu_ps(brow)));
+        acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(av, _mm256_loadu_ps(brow + 8)));
       }
       _mm256_storeu_ps(orow + j, _mm256_add_ps(_mm256_loadu_ps(orow + j), acc0));
       _mm256_storeu_ps(orow + j + 8, _mm256_add_ps(_mm256_loadu_ps(orow + j + 8), acc1));
@@ -56,15 +50,15 @@ void PanelKernelAvx2(const PanelGroupTask& t) {
       __m256 acc = _mm256_setzero_ps();
       for (int64_t e = begin; e < end; ++e) {
         const float* brow = t.panel + static_cast<int64_t>(t.a_cols[e]) * n_out + j;
-        acc = _mm256_fmadd_ps(_mm256_set1_ps(t.a_vals[e]), _mm256_loadu_ps(brow), acc);
+        acc = _mm256_add_ps(acc,
+                            _mm256_mul_ps(_mm256_set1_ps(t.a_vals[e]), _mm256_loadu_ps(brow)));
       }
       _mm256_storeu_ps(orow + j, _mm256_add_ps(_mm256_loadu_ps(orow + j), acc));
     }
     for (; j < n_out; ++j) {
       float acc = 0.0f;
       for (int64_t e = begin; e < end; ++e) {
-        acc = std::fmaf(t.a_vals[e], t.panel[static_cast<int64_t>(t.a_cols[e]) * n_out + j],
-                        acc);
+        acc += t.a_vals[e] * t.panel[static_cast<int64_t>(t.a_cols[e]) * n_out + j];
       }
       orow[j] += acc;
     }

@@ -2,12 +2,11 @@
 // Compiled with -mavx512f on x86 builds (see CMakeLists); elsewhere this
 // unit is a stub.
 //
-// Panel kernel: same accumulation contract as the AVX2 variant (fused
-// multiply-adds, scalar order per output element, ULP-gated against fp64).
-// Ragged edges are handled with opmask loads/stores, so the tail columns go
-// through the identical fused path as the full vectors.
-//
-// Dense GEMM: bit-exact against the scalar loop (kernel_backend.h).
+// Both kernels are bit-exact against their scalar loops (kernel_backend.h):
+// each output element keeps the scalar order of operations with a separate
+// multiply then add, never an FMA. The panel kernel vectorizes across the
+// panel-column (token) dimension; ragged edges use opmask loads/stores, so
+// the tail columns take the same path as the full vectors.
 
 #include "src/core/kernel_backend.h"
 
@@ -38,8 +37,8 @@ void PanelKernelAvx512(const PanelGroupTask& t) {
       __m512 acc = _mm512_setzero_ps();
       for (int64_t e = begin; e < end; ++e) {
         const float* brow = t.panel + static_cast<int64_t>(t.a_cols[e]) * n_out + j;
-        acc = _mm512_fmadd_ps(_mm512_set1_ps(t.a_vals[e]),
-                              _mm512_maskz_loadu_ps(mask, brow), acc);
+        acc = _mm512_add_ps(
+            acc, _mm512_mul_ps(_mm512_set1_ps(t.a_vals[e]), _mm512_maskz_loadu_ps(mask, brow)));
       }
       _mm512_mask_storeu_ps(orow + j, mask,
                             _mm512_add_ps(_mm512_maskz_loadu_ps(mask, orow + j), acc));

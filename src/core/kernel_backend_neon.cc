@@ -2,17 +2,16 @@
 // baseline on aarch64, so no extra flags are needed — the guard simply
 // turns the unit into a stub on non-ARM builds.
 //
-// Same accumulation contract as the other SIMD variants: fused
-// multiply-adds (vfmaq), scalar entry order per output element, scalar tail
-// through fmaf, ULP-gated against fp64.
+// Bit-exact against the scalar loop like the other variants
+// (kernel_backend.h): each output element keeps the scalar entry order with
+// a separate multiply then add (vmulq then vaddq, never a fused one), and the
+// remainder columns run the scalar loop's own `acc += a * b`.
 
 #include "src/core/kernel_backend.h"
 
 #if defined(__ARM_NEON) || defined(__aarch64__)
 
 #include <arm_neon.h>
-
-#include <cmath>
 
 namespace samoyeds {
 
@@ -32,15 +31,14 @@ void PanelKernelNeon(const PanelGroupTask& t) {
       float32x4_t acc = vdupq_n_f32(0.0f);
       for (int64_t e = begin; e < end; ++e) {
         const float* brow = t.panel + static_cast<int64_t>(t.a_cols[e]) * n_out + j;
-        acc = vfmaq_n_f32(acc, vld1q_f32(brow), t.a_vals[e]);
+        acc = vaddq_f32(acc, vmulq_n_f32(vld1q_f32(brow), t.a_vals[e]));
       }
       vst1q_f32(orow + j, vaddq_f32(vld1q_f32(orow + j), acc));
     }
     for (; j < n_out; ++j) {
       float acc = 0.0f;
       for (int64_t e = begin; e < end; ++e) {
-        acc = std::fmaf(t.a_vals[e], t.panel[static_cast<int64_t>(t.a_cols[e]) * n_out + j],
-                        acc);
+        acc += t.a_vals[e] * t.panel[static_cast<int64_t>(t.a_cols[e]) * n_out + j];
       }
       orow[j] += acc;
     }

@@ -260,9 +260,9 @@ void PackAInto(const SamoyedsMatrix& a, std::vector<float>& out_vals,
 // group accumulates its fp32 partial over ascending columns, then folds
 // into the output row named by the per-window sub-row index — the C_IR
 // shuffle of §4.3, with identical floating-point association. SIMD backends
-// run the same group order through their ISA's panel kernel (see
-// kernel_backend.h for the per-backend accumulation contract); an
-// unavailable backend falls back to the scalar oracle loop.
+// run the same group order and per-element arithmetic through their ISA's
+// panel kernel (bit-exact, see kernel_backend.h); an unavailable backend
+// falls back to this loop.
 void RunPanelImpl(const SamoyedsMatrix& a, const float* a_vals, const int32_t* a_cols,
                   const int64_t* a_off, const int32_t* a_rows, const MatrixF& panel,
                   SsmmWorkspace& ws, MatrixF& out, KernelBackend backend) {

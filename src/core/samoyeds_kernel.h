@@ -71,18 +71,17 @@ class SamoyedsKernel {
   // window).
   //
   // Every execution entry point takes a KernelBackend selecting the inner-
-  // loop implementation (default: the process-wide active backend, itself
-  // defaulting to the bit-exact scalar path — see kernel_backend.h for the
-  // per-backend accumulation contract).
+  // loop implementation (default: scalar). Every backend gives the same bits
+  // (see the contract in kernel_backend.h).
   static MatrixF Run(const SamoyedsMatrix& a, const MatrixF& b, const Selection& sel,
-                     KernelBackend backend = ActiveKernelBackend());
+                     KernelBackend backend = KernelBackend::kScalar);
 
   // Zero-allocation variant: stages operands in `ws` and writes the result
   // into `out` (reshaped in place). Steady-state calls at a fixed shape do
   // not touch the heap.
   static void Run(const SamoyedsMatrix& a, const MatrixF& b, const Selection& sel,
                   SsmmWorkspace& ws, MatrixF& out,
-                  KernelBackend backend = ActiveKernelBackend());
+                  KernelBackend backend = KernelBackend::kScalar);
 
   // The original scalar fragment-by-fragment loop, kept as the bit-exact
   // oracle for the optimized path (see SamoyedsKernelBitIdentityTest).
@@ -100,10 +99,10 @@ class SamoyedsKernel {
   // prebuilt pack (the steady-state serving path — weights are immutable,
   // so experts pack once at Encode time).
   static void RunPanel(const SamoyedsMatrix& a, const MatrixF& panel, SsmmWorkspace& ws,
-                       MatrixF& out, KernelBackend backend = ActiveKernelBackend());
+                       MatrixF& out, KernelBackend backend = KernelBackend::kScalar);
   static void RunPanel(const SamoyedsMatrix& a, const SsmmPackedA& packed,
                        const MatrixF& panel, SsmmWorkspace& ws, MatrixF& out,
-                       KernelBackend backend = ActiveKernelBackend());
+                       KernelBackend backend = KernelBackend::kScalar);
 
   // Panel staging helpers (the fused transpose + SEL gather + rounding).
   // PackSelectedColumns: panel(k, j) = bf16(b(k, sel[j])) from a (k x n) B.

@@ -152,7 +152,7 @@ MatrixF ExpertForwardDense(const MatrixF& x, const ExpertWeights& w, const Selec
 
 void ExpertForwardSamoyeds(const MatrixF& x, const SamoyedsExpertWeights& w,
                            const Selection& sel, Activation act, SsmmWorkspace& ws,
-                           MatrixF& out, int64_t out_row_begin) {
+                           MatrixF& out, int64_t out_row_begin, KernelBackend backend) {
   const int64_t n_sel = sel.selected();
   const int64_t hidden = w.down.rows;
   assert(out.cols() == hidden);
@@ -167,18 +167,19 @@ void ExpertForwardSamoyeds(const MatrixF& x, const SamoyedsExpertWeights& w,
   // for hand-assembled weights.
   SamoyedsKernel::PackSelectedTokens(x, sel, ws.panel);
   if (!w.gate_packed.empty()) {
-    SamoyedsKernel::RunPanel(w.gate, w.gate_packed, ws.panel, ws, ws.gate_t);  // inter x n_sel
-    SamoyedsKernel::RunPanel(w.up, w.up_packed, ws.panel, ws, ws.up_t);        // inter x n_sel
+    // gate and up: inter x n_sel; down: hidden x n_sel.
+    SamoyedsKernel::RunPanel(w.gate, w.gate_packed, ws.panel, ws, ws.gate_t, backend);
+    SamoyedsKernel::RunPanel(w.up, w.up_packed, ws.panel, ws, ws.up_t, backend);
     // Dead rows stay as they are: down's pack no longer reads them.
     GatedActivationRows(ws.gate_t, ws.up_t, act, w.live_rows);
-    SamoyedsKernel::RunPanel(w.down, w.down_packed, ws.gate_t, ws, ws.out_t);  // hidden x n_sel
+    SamoyedsKernel::RunPanel(w.down, w.down_packed, ws.gate_t, ws, ws.out_t, backend);
   } else {
-    SamoyedsKernel::RunPanel(w.gate, ws.panel, ws, ws.gate_t);
-    SamoyedsKernel::RunPanel(w.up, ws.panel, ws, ws.up_t);
+    SamoyedsKernel::RunPanel(w.gate, ws.panel, ws, ws.gate_t, backend);
+    SamoyedsKernel::RunPanel(w.up, ws.panel, ws, ws.up_t, backend);
     // gate_t becomes the bf16 intermediate, already feature-major — exactly
     // the panel layout the down projection consumes.
     GatedActivationInPlace(ws.gate_t, ws.up_t, act);
-    SamoyedsKernel::RunPanel(w.down, ws.gate_t, ws, ws.out_t);
+    SamoyedsKernel::RunPanel(w.down, ws.gate_t, ws, ws.out_t, backend);
   }
 
   // Single transpose back to token-major output rows.

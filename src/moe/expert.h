@@ -74,10 +74,12 @@ MatrixF ExpertForwardSamoyeds(const MatrixF& x, const SamoyedsExpertWeights& w,
 // sel.selected()) of `out` (which must already span them; columns ==
 // hidden). Per-token results are independent of how tokens are grouped into
 // calls, so callers may split one expert's token set across several calls
-// (tile-granular scheduling) and get bit-identical rows.
+// (tile-granular scheduling) and get bit-identical rows. `backend` runs all
+// three projections; every backend gives the same bits.
 void ExpertForwardSamoyeds(const MatrixF& x, const SamoyedsExpertWeights& w,
                            const Selection& sel, Activation act, SsmmWorkspace& ws,
-                           MatrixF& out, int64_t out_row_begin = 0);
+                           MatrixF& out, int64_t out_row_begin = 0,
+                           KernelBackend backend = KernelBackend::kScalar);
 
 }  // namespace samoyeds
 

@@ -128,10 +128,11 @@ ServingEngine::ServingEngine(std::vector<SamoyedsDecoderLayerWeights> layers,
   for (size_t s = 0; s < live_shards_.size(); ++s) {
     live_shards_[s] = static_cast<int>(s);
   }
-  // Install the SSMM inner-loop backend process-wide: the expert forward
-  // chain picks it up through RunPanel's default backend argument.
-  // SetKernelBackend resolves kAuto and applies SAMOYEDS_FORCE_BACKEND.
-  effective_backend_ = SetKernelBackend(config_.kernel_backend);
+  // Resolve the SSMM inner-loop backend once: kAuto picks the widest ISA, and
+  // a request this CPU cannot run leaves it at scalar. ForwardBatch passes it
+  // to every expert forward; it is this engine's own, so engines built side
+  // by side never change each other's backend.
+  ResolveKernelBackend(config_.kernel_backend, &effective_backend_);
   injector_.Configure(config_.faults, config_.fault_seed);
   // Prefix sharing replays cached rows, which is bit-lossless because top-k
   // routing makes each row's output independent of batch composition. Swap
@@ -759,7 +760,7 @@ MatrixF ServingEngine::ForwardBatch(const AssembledBatch& batch) {
     }
     AccountMoeLayer(w.moe, plan, tile_cfg);
     ParallelMoeForwardSamoyeds(pool_, normed, w.moe, plan, config_.activation, shard_plan_,
-                               acct_.pool_ws, acct_.moe_out);
+                               acct_.pool_ws, acct_.moe_out, effective_backend_);
     MatrixAxpy(1.0f, acct_.moe_out, h1);
     h = std::move(h1);
   }

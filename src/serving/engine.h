@@ -51,8 +51,8 @@
 // therefore produces outputs bit-identical to one-shot prefill, and a
 // preempted sequence recomputes from row 0, reproducing the same rows
 // bit-for-bit. Tests compare against DecoderStackForwardReference at bf16
-// tolerance, against DecoderStackForwardSamoyeds bit for bit (scalar
-// backend), and assert chunked == unchunked exactly.
+// tolerance, against DecoderStackForwardSamoyeds bit for bit (on every
+// kernel backend), and assert chunked == unchunked exactly.
 
 #ifndef SAMOYEDS_SRC_SERVING_ENGINE_H_
 #define SAMOYEDS_SRC_SERVING_ENGINE_H_
@@ -151,13 +151,12 @@ struct EngineConfig {
   // the obs flight-recorder ring.
   int64_t watchdog_steps = 0;
   std::function<void(int64_t /*session_id*/, int64_t /*step*/)> watchdog_hook;
-  // SSMM inner-loop backend for every expert projection this engine runs
-  // (see kernel_backend.h for the per-backend accumulation contract).
-  // Installed process-wide at engine construction; kAuto resolves to the
-  // widest ISA the CPU supports, and an unsupported specific request falls
-  // back to scalar (the CLI rejects it before getting here). The default,
-  // scalar, is the bit-exact oracle path every serving bit-identity
-  // invariant is stated against.
+  // SSMM inner-loop backend for every expert projection this engine runs.
+  // Every backend is bit-exact (kernel_backend.h), so this choice changes
+  // speed, never outputs. Resolved once at engine construction, for this
+  // engine only; kAuto resolves to the widest ISA the CPU supports, and an
+  // unsupported specific request falls back to scalar (the CLI rejects it
+  // before getting here).
   KernelBackend kernel_backend = KernelBackend::kScalar;
   SchedulerConfig scheduler;
 };
@@ -494,7 +493,7 @@ class ServingEngine {
   // heterogeneous layers never share entries, and the backend participates
   // because lane padding gives each backend its own tile ranking.
   std::map<std::array<int64_t, 5>, AutotuneResult> autotune_cache_;
-  // The backend actually installed (kAuto resolved, fallbacks applied).
+  // The backend this engine runs (kAuto resolved, fallbacks applied).
   KernelBackend effective_backend_ = KernelBackend::kScalar;
 
   // A swapped-out victim's host-side shadow: the rows it had produced and

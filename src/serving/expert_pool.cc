@@ -158,7 +158,7 @@ namespace {
 // allocation-identical to the pre-sharding code.
 void ForwardImpl(ExpertPool& pool, const MatrixF& x, const SamoyedsMoeLayerWeights& w,
                  const RoutingPlan& plan, Activation act, const ExpertShardPlan* placement,
-                 ParallelMoeWorkspace& ws, MatrixF& out) {
+                 KernelBackend backend, ParallelMoeWorkspace& ws, MatrixF& out) {
   assert(plan.tokens == x.rows());
   const size_t num_experts = w.experts.size();
   const size_t num_shared = w.shared_experts.size();
@@ -228,11 +228,12 @@ void ForwardImpl(ExpertPool& pool, const MatrixF& x, const SamoyedsMoeLayerWeigh
         sel.indices.assign(tokens.begin() + t0, tokens.begin() + t1);
         const SamoyedsExpertWeights& weights = w.experts[e];
         const int64_t expert_id = static_cast<int64_t>(e);
-        pool.SubmitToShard(shard, [&x, &weights, &sel, act, &ws, &expert_out, t0, expert_id] {
+        pool.SubmitToShard(shard, [&x, &weights, &sel, act, backend, &ws, &expert_out, t0,
+                                   expert_id] {
           obs::ScopedSpan span("expert", "tile", obs::TraceDetail::kFull, expert_id);
           ExpertForwardSamoyeds(x, weights, sel, act,
                                 ws.slot_ws[static_cast<size_t>(ExpertPool::CurrentSlot())],
-                                expert_out, t0);
+                                expert_out, t0, backend);
         });
       }
     }
@@ -255,11 +256,12 @@ void ForwardImpl(ExpertPool& pool, const MatrixF& x, const SamoyedsMoeLayerWeigh
           std::iota(sel.indices.begin(), sel.indices.end(), static_cast<int32_t>(t0));
           const SamoyedsExpertWeights& weights = w.shared_experts[s];
           const int64_t shared_id = static_cast<int64_t>(s);
-          pool.SubmitToShard(shard, [&x, &weights, &sel, act, &ws, &shared_out, t0, shared_id] {
+          pool.SubmitToShard(shard, [&x, &weights, &sel, act, backend, &ws, &shared_out, t0,
+                                     shared_id] {
             obs::ScopedSpan span("expert", "shared_tile", obs::TraceDetail::kFull, shared_id);
             ExpertForwardSamoyeds(x, weights, sel, act,
                                   ws.slot_ws[static_cast<size_t>(ExpertPool::CurrentSlot())],
-                                  shared_out, t0);
+                                  shared_out, t0, backend);
           });
         }
       }
@@ -291,15 +293,17 @@ void ForwardImpl(ExpertPool& pool, const MatrixF& x, const SamoyedsMoeLayerWeigh
 
 void ParallelMoeForwardSamoyeds(ExpertPool& pool, const MatrixF& x,
                                 const SamoyedsMoeLayerWeights& w, const RoutingPlan& plan,
-                                Activation act, ParallelMoeWorkspace& ws, MatrixF& out) {
-  ForwardImpl(pool, x, w, plan, act, /*placement=*/nullptr, ws, out);
+                                Activation act, ParallelMoeWorkspace& ws, MatrixF& out,
+                                KernelBackend backend) {
+  ForwardImpl(pool, x, w, plan, act, /*placement=*/nullptr, backend, ws, out);
 }
 
 void ParallelMoeForwardSamoyeds(ExpertPool& pool, const MatrixF& x,
                                 const SamoyedsMoeLayerWeights& w, const RoutingPlan& plan,
                                 Activation act, const ExpertShardPlan& placement,
-                                ParallelMoeWorkspace& ws, MatrixF& out) {
-  ForwardImpl(pool, x, w, plan, act, &placement, ws, out);
+                                ParallelMoeWorkspace& ws, MatrixF& out,
+                                KernelBackend backend) {
+  ForwardImpl(pool, x, w, plan, act, &placement, backend, ws, out);
 }
 
 MatrixF ParallelMoeForwardSamoyeds(ExpertPool& pool, const MatrixF& x,

@@ -175,9 +175,11 @@ MatrixF ParallelMoeForwardSamoyeds(ExpertPool& pool, const MatrixF& x,
                                    Activation act);
 
 // Zero-allocation variant writing into `out` (reshaped to tokens x hidden).
+// `backend` runs every expert's SSMMs; every backend gives the same bits.
 void ParallelMoeForwardSamoyeds(ExpertPool& pool, const MatrixF& x,
                                 const SamoyedsMoeLayerWeights& w, const RoutingPlan& plan,
-                                Activation act, ParallelMoeWorkspace& ws, MatrixF& out);
+                                Activation act, ParallelMoeWorkspace& ws, MatrixF& out,
+                                KernelBackend backend = KernelBackend::kScalar);
 
 // Expert-parallel sharded execution: each routed expert's tiles go to its
 // placement shard's queue (tile split against that shard's worker
@@ -188,7 +190,8 @@ void ParallelMoeForwardSamoyeds(ExpertPool& pool, const MatrixF& x,
 void ParallelMoeForwardSamoyeds(ExpertPool& pool, const MatrixF& x,
                                 const SamoyedsMoeLayerWeights& w, const RoutingPlan& plan,
                                 Activation act, const ExpertShardPlan& placement,
-                                ParallelMoeWorkspace& ws, MatrixF& out);
+                                ParallelMoeWorkspace& ws, MatrixF& out,
+                                KernelBackend backend = KernelBackend::kScalar);
 
 }  // namespace serving
 }  // namespace samoyeds

@@ -103,9 +103,8 @@ struct ReportProvenance {
   int64_t host_pages = 0;    // host swap tier budget (0 = unbounded)
   // SSMM inner-loop backend the run executed with (resolved, not as
   // requested: "scalar" | "avx2" | "avx512" | "neon") and the memory-
-  // hierarchy parameters the cache-aware autotuner modeled against. The
-  // backend names the accumulation contract the outputs obey (scalar =
-  // bit-exact oracle; SIMD = fused multiply-adds, ULP-bounded vs fp64).
+  // hierarchy parameters the cache-aware autotuner modeled against. Every
+  // backend is bit-exact, so the backend explains speed, not outputs.
   std::string kernel_backend;
   int64_t llc_bytes = 0;            // modeled last-level-cache capacity
   double llc_bandwidth_gbps = 0.0;  // modeled LLC bandwidth

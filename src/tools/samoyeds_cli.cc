@@ -451,9 +451,9 @@ const ServeFlag kServeFlags[] = {
     {"--watchdog-dump", "=FILE", "dump the flight-recorder ring here on a watchdog trip",
      [](ServeOptions& o, const FlagArg& a) { o.watchdog_dump = a.Text(); }},
     {"--kernel-backend", "=auto|scalar|avx2|avx512|neon",
-     "SSMM inner loops: scalar is the bit-exact oracle (default); avx2, avx512 and neon are FMA "
-     "loops, ULP-bounded vs an fp64 oracle; auto picks the widest ISA this CPU supports; an ISA "
-     "the CPU lacks is a runtime failure",
+     "SSMM inner loops: scalar (default), avx2, avx512 or neon, all bit-exact, so the choice "
+     "changes speed and never outputs; auto picks the widest ISA this CPU supports; an ISA the "
+     "CPU lacks is a runtime failure",
      [](ServeOptions& o, const FlagArg& a) {
        o.engine.kernel_backend = a.Parse(ParseKernelBackend);
      }},
@@ -669,10 +669,7 @@ int CmdServe(int argc, char** argv) {
                     ? std::to_string(opt.server.mailbox_capacity).c_str()
                     : "unbounded");
   }
-  std::printf("kernel backend: %s (%s)\n", KernelBackendName(engine_cfg.kernel_backend),
-              engine_cfg.kernel_backend == KernelBackend::kScalar
-                  ? "bit-exact scalar oracle"
-                  : "FMA SIMD, ULP-bounded vs fp64 oracle");
+  std::printf("kernel backend: %s (bit-exact)\n", KernelBackendName(engine_cfg.kernel_backend));
   if (engine_cfg.shards > 1) {
     const DeviceSpec& dev = engine.cluster().device(0);
     std::printf("sharding: %d shards, %s placement, link %.0f GB/s + %.1f us (%s)\n",

@@ -132,9 +132,10 @@ RoutingPlan StableSortRoute(const MatrixF& x, const MatrixF& gate_weight, int to
   return plan;
 }
 
+// An empty vector's data() may be null, which memcmp must never see.
 bool SameBits(const std::vector<float>& a, const std::vector<float>& b) {
   return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), sizeof(float) * a.size()) == 0;
+         (a.empty() || std::memcmp(a.data(), b.data(), sizeof(float) * a.size()) == 0);
 }
 
 TEST(TopKRoutingTest, TieHeavyLogitsMatchTheStableSortOracle) {

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 
 #include "src/moe/decoder_layer.h"
 #include "src/serving/batch_assembler.h"
@@ -1204,10 +1205,11 @@ TEST(SwapPreemptionEngineTest, CappedHostTierFallsBackToRecompute) {
 // ---- Engine: bit-exactness against the full-sequence Samoyeds stack --------
 
 TEST(BitExactEngineTest, RowsEqualTheFullSequenceSamoyedsStackInEveryMode) {
-  // Under the scalar backend every served row must equal the full-sequence
-  // DecoderStackForwardSamoyeds bit for bit. The tolerance checks above
-  // cannot see a reordered softmax or a one-ULP drift in the attention path;
-  // this test can, in every execution mode that changes how attention is fed.
+  // Every served row must equal the full-sequence DecoderStackForwardSamoyeds
+  // (scalar kernels) bit for bit, on the scalar backend and on the widest one
+  // this CPU runs. The tolerance checks above cannot see a reordered softmax
+  // or a one-ULP drift in the attention or expert path; this test can, in
+  // every execution mode that changes how attention is fed.
   Rng seed_rng(141);
   const MoeModelConfig cfg = TinyConfig();
   const TinyModel model = BuildTinyModel(seed_rng, /*layers=*/2, cfg);
@@ -1241,25 +1243,41 @@ TEST(BitExactEngineTest, RowsEqualTheFullSequenceSamoyedsStackInEveryMode) {
   swap.host_pages = 64;
   cases.push_back({"preempt (swap)", swap, 1, &ServingReport::swap_outs});
 
+  KernelBackend widest = KernelBackend::kScalar;
+  ASSERT_TRUE(ResolveKernelBackend(KernelBackend::kAuto, &widest));
+  std::vector<KernelBackend> backends{KernelBackend::kScalar};
+  if (widest != KernelBackend::kScalar) {
+    backends.push_back(widest);
+  }
+
   for (const Case& c : cases) {
     Rng req_rng(142);
     const std::vector<Request> requests =
         SharedPrefixWorkload(req_rng, cfg.hidden, /*tenants=*/4, /*shared_rows=*/6,
                              /*prompt=*/8, /*decode=*/8, c.arrival_gap);
-    ServingReport report;
-    const std::vector<MatrixF> outputs = RunToOutputs(model, c.config, requests, &report);
-    ASSERT_EQ(outputs.size(), requests.size()) << c.name;
-    if (c.engaged != nullptr) {
-      EXPECT_GT(report.*c.engaged, 0) << c.name << ": the mode never engaged";
+    std::vector<MatrixF> refs;
+    for (const Request& r : requests) {
+      refs.push_back(DecoderStackForwardSamoyeds(r.inputs, model.sparse, /*heads=*/4,
+                                                 /*top_k=*/2, Activation::kSilu));
     }
-    for (size_t i = 0; i < requests.size(); ++i) {
-      const MatrixF ref = DecoderStackForwardSamoyeds(requests[i].inputs, model.sparse,
-                                                      /*heads=*/4, /*top_k=*/2,
-                                                      Activation::kSilu);
-      ASSERT_EQ(outputs[i].rows(), ref.rows()) << c.name << " request " << i;
-      ASSERT_EQ(outputs[i].cols(), ref.cols()) << c.name << " request " << i;
-      EXPECT_EQ(std::memcmp(outputs[i].data(), ref.data(), sizeof(float) * ref.size()), 0)
-          << c.name << " request " << i;
+    for (KernelBackend backend : backends) {
+      const std::string mode = std::string(c.name) + " on " + KernelBackendName(backend);
+      EngineConfig config = c.config;
+      config.kernel_backend = backend;
+      ServingReport report;
+      const std::vector<MatrixF> outputs = RunToOutputs(model, config, requests, &report);
+      ASSERT_EQ(outputs.size(), requests.size()) << mode;
+      EXPECT_EQ(report.provenance.kernel_backend, KernelBackendName(backend)) << mode;
+      if (c.engaged != nullptr) {
+        EXPECT_GT(report.*c.engaged, 0) << mode << ": the mode never engaged";
+      }
+      for (size_t i = 0; i < requests.size(); ++i) {
+        const MatrixF& ref = refs[i];
+        ASSERT_EQ(outputs[i].rows(), ref.rows()) << mode << " request " << i;
+        ASSERT_EQ(outputs[i].cols(), ref.cols()) << mode << " request " << i;
+        EXPECT_EQ(std::memcmp(outputs[i].data(), ref.data(), sizeof(float) * ref.size()), 0)
+            << mode << " request " << i;
+      }
     }
   }
 }
