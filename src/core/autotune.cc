@@ -67,13 +67,13 @@ struct Scored {
   bool fits_llc = false;
 };
 
-Scored ScoreConfig(const TimingModel& model, const GemmShape& shape, int64_t sel_eff,
+Scored ScoreConfig(const TimingModel& model, const GemmShape& shape, int64_t selected,
                    const SamoyedsConfig& format, const SsmmConfig& cfg) {
   const DeviceSpec& device = model.device();
-  const KernelProfile prof = SamoyedsKernel::Analyze(shape, sel_eff, format, cfg, device);
+  const KernelProfile prof = SamoyedsKernel::Analyze(shape, selected, format, cfg, device);
   Scored s;
   s.simulated_ms = model.Estimate(prof.traffic).total_ms;
-  s.working_set_bytes = SsmmActiveWorkingSetBytes(shape, sel_eff, format, cfg, device);
+  s.working_set_bytes = SsmmActiveWorkingSetBytes(shape, selected, format, cfg, device);
   s.fits_llc = model.FitsLlc(s.working_set_bytes);
   // Repeat traffic: everything beyond the compulsory footprint — the A-panel
   // re-reads across column tiles and B-panel re-reads across row tiles.
@@ -88,28 +88,21 @@ Scored ScoreConfig(const TimingModel& model, const GemmShape& shape, int64_t sel
 }  // namespace
 
 AutotuneResult AutotuneSsmm(const GemmShape& shape, int64_t selected,
-                            const SamoyedsConfig& format, const DeviceSpec& device,
-                            KernelBackend backend) {
+                            const SamoyedsConfig& format, const DeviceSpec& device) {
   const TimingModel model(device);
-  // Lane padding: SIMD backends occupy RoundUp(selected, width) lanes per
-  // pass — tail lanes do the work but their results are dropped, so the
-  // tuner models the padded width. Scalar sees the true width.
-  const int64_t width = KernelBackendVectorWidth(backend);
-  const int64_t sel_eff = RoundUp(std::max<int64_t>(selected, 1), width);
+  const int64_t sel = std::max<int64_t>(selected, 1);
 
   AutotuneResult result;
-  result.backend = backend;
   result.default_ms =
       model
-          .Estimate(SamoyedsKernel::Analyze(shape, sel_eff, format, SsmmConfig::Default(), device)
+          .Estimate(SamoyedsKernel::Analyze(shape, sel, format, SsmmConfig::Default(), device)
                         .traffic)
           .total_ms;
-  result.simulated_ms = std::numeric_limits<double>::infinity();
 
   Scored best;
   bool first = true;
   for (const SsmmConfig& candidate : EnumerateSsmmConfigs(device, format)) {
-    const Scored s = ScoreConfig(model, shape, sel_eff, format, candidate);
+    const Scored s = ScoreConfig(model, shape, sel, format, candidate);
     // Lexicographic: an LLC-resident working set beats any spilling one; a
     // config that spills is never picked while a fitting candidate exists.
     const bool better = first || (s.fits_llc && !best.fits_llc) ||
@@ -125,11 +118,6 @@ AutotuneResult AutotuneSsmm(const GemmShape& shape, int64_t selected,
   result.fits_llc = best.fits_llc;
   result.residency_ms = best.residency_ms;
   return result;
-}
-
-AutotuneResult AutotuneSsmm(const GemmShape& shape, int64_t selected,
-                            const SamoyedsConfig& format, const DeviceSpec& device) {
-  return AutotuneSsmm(shape, selected, format, device, KernelBackend::kScalar);
 }
 
 }  // namespace samoyeds

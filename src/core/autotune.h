@@ -11,7 +11,6 @@
 
 #include <vector>
 
-#include "src/core/kernel_backend.h"
 #include "src/core/ssmm_config.h"
 #include "src/formats/samoyeds_format.h"
 #include "src/kernels/kernel_report.h"
@@ -37,9 +36,6 @@ struct AutotuneResult {
   // working set resides in (TimingModel::ResidencyMs); part of the ranking
   // objective, reported for provenance.
   double residency_ms = 0.0;
-  // Backend the search was run for (lane padding makes it shape the
-  // ranking; it is also part of the serving engine's memo key).
-  KernelBackend backend = KernelBackend::kScalar;
 
   double speedup_over_default() const {
     return simulated_ms > 0.0 ? default_ms / simulated_ms : 0.0;
@@ -62,16 +58,11 @@ double SsmmActiveWorkingSetBytes(const GemmShape& shape, int64_t selected,
                                  const DeviceSpec& device);
 
 // Exhaustive search over EnumerateSsmmConfigs under the timing model plus
-// the cache-residency term. `backend` shapes the search two ways: SEL
-// widths are padded to the backend's vector width (tail lanes are occupied
-// but wasted, so wider backends see wider effective tiles), and the result
-// is stamped with the backend so memo caches can key on it. Configs whose
-// modeled working set fits the LLC are preferred lexicographically over
-// ones that spill; ties rank by simulated time + residency cost.
-AutotuneResult AutotuneSsmm(const GemmShape& shape, int64_t selected,
-                            const SamoyedsConfig& format, const DeviceSpec& device,
-                            KernelBackend backend);
-// Back-compat overload: scalar backend.
+// the cache-residency term. The search models the GPU device alone: the
+// host's kernel backend never enters it, so every backend gets the same
+// tile. Configs whose modeled working set fits the LLC are preferred
+// lexicographically over ones that spill; ties rank by simulated time +
+// residency cost.
 AutotuneResult AutotuneSsmm(const GemmShape& shape, int64_t selected,
                             const SamoyedsConfig& format, const DeviceSpec& device);
 

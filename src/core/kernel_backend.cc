@@ -47,7 +47,6 @@ X86Features DetectX86() {
   }
   const bool osxsave = (ecx & (1u << 27)) != 0;
   const bool avx = (ecx & (1u << 28)) != 0;
-  const bool fma = (ecx & (1u << 12)) != 0;
   if (!osxsave || !avx) {
     return f;
   }
@@ -59,7 +58,7 @@ X86Features DetectX86() {
   }
   const bool avx2 = (ebx & (1u << 5)) != 0;
   const bool avx512f = (ebx & (1u << 16)) != 0;
-  f.avx2 = ymm_enabled && avx2 && fma;
+  f.avx2 = ymm_enabled && avx2;
   f.avx512 = zmm_enabled && avx512f;
   return f;
 }
@@ -155,19 +154,6 @@ DenseGemmFn GetDenseGemmKernel(KernelBackend b) {
       return &DenseGemmAvx512;
     default:
       return nullptr;  // scalar (and neon) run the loop in gemm_ref.cc
-  }
-}
-
-int KernelBackendVectorWidth(KernelBackend b) {
-  switch (b) {
-    case KernelBackend::kAvx2:
-      return 8;
-    case KernelBackend::kAvx512:
-      return 16;
-    case KernelBackend::kNeon:
-      return 4;
-    default:
-      return 1;
   }
 }
 

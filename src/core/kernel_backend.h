@@ -26,9 +26,10 @@
 //
 // Fusing would not be exact: the panel operands are bf16, but a product
 // of two bf16 values below the fp32 normal range rounds, and an FMA that
-// skips that rounding can land one ULP away. The avx2 unit is compiled
-// with -mfma, so the contract relies on -ffp-contract=off (CMakeLists) to
-// keep the compiler from fusing what the source keeps separate.
+// skips that rounding can land one ULP away. No x86 unit is compiled with
+// -mfma; -ffp-contract=off (CMakeLists) is what keeps the compiler from
+// fusing what the source keeps separate wherever the ISA has an FMA
+// (aarch64's baseline does).
 //
 // Backends are selected at runtime: cpuid (plus XGETBV for OS state-save
 // support) decides what the machine can run and `auto` resolves to the
@@ -105,11 +106,6 @@ PanelKernelFn GetPanelKernel(KernelBackend b);
 // and runnable here. GemmAccumulateRef picks its kernel from these once;
 // tests call each variant explicitly.
 DenseGemmFn GetDenseGemmKernel(KernelBackend b);
-
-// fp32 lanes per vector op (1 for scalar). Feeds the autotuner's
-// lane-padding model: a SEL width that is not a multiple of the vector
-// width wastes tail lanes.
-int KernelBackendVectorWidth(KernelBackend b);
 
 const char* KernelBackendName(KernelBackend b);
 // Parses "auto" | "scalar" | "avx2" | "avx512" | "neon". Returns false on

@@ -1,18 +1,17 @@
 // AVX2 variants of the SSMM panel-group kernel and of the dense GEMM.
-// Compiled with -mavx2 -mfma on x86 builds (see CMakeLists); on other
-// targets this unit compiles to a stub and the dispatcher reports the
-// backend as absent.
+// Compiled with -mavx2 on x86 builds (see CMakeLists); on other targets this
+// unit compiles to a stub and the dispatcher reports the backend as absent.
 //
 // Both kernels are bit-exact against their scalar loops (kernel_backend.h):
 // each output element keeps the scalar order of operations with a separate
 // multiply then add, never an FMA, and -ffp-contract=off keeps the compiler
-// from fusing them despite -mfma. The panel kernel vectorizes across the
-// panel-column (token) dimension; its remainder columns run the scalar
-// loop's own `acc += a * b`.
+// from fusing them. The panel kernel vectorizes across the panel-column
+// (token) dimension; its remainder columns run the scalar loop's own
+// `acc += a * b`.
 
 #include "src/core/kernel_backend.h"
 
-#if defined(__AVX2__) && defined(__FMA__)
+#if defined(__AVX2__)
 
 #include <immintrin.h>
 
@@ -153,7 +152,7 @@ void DenseGemmAvx2(const DenseGemmTask& t) {
 
 }  // namespace samoyeds
 
-#else  // !(__AVX2__ && __FMA__)
+#else  // !__AVX2__
 
 namespace samoyeds {
 

@@ -35,6 +35,24 @@ std::vector<AttentionWeights> TransposedAttention(
   return out;
 }
 
+// Charges one expert's gate/up/down SSMM chain to `*ms`, one kernel at a
+// time: gate and up select `selected` of the batch's `tokens` panel
+// columns; down consumes the already-compressed intermediate.
+void ChargeSsmmChain(const SamoyedsExpertWeights& w, int64_t tokens, int64_t selected,
+                     const SsmmConfig& tile_cfg, const DeviceSpec& device, double* ms) {
+  const TimingModel model(device);
+  for (const SamoyedsMatrix* proj : {&w.gate, &w.up}) {
+    const GemmShape shape{proj->rows, proj->cols, tokens};
+    *ms += model.Estimate(SamoyedsKernel::Analyze(shape, selected, proj->config, tile_cfg, device)
+                              .traffic)
+               .total_ms;
+  }
+  const GemmShape down{w.down.rows, w.down.cols, selected};
+  *ms += model.Estimate(
+                  SamoyedsKernel::Analyze(down, selected, w.down.config, tile_cfg, device).traffic)
+             .total_ms;
+}
+
 }  // namespace
 
 const char* RequestStatusName(RequestStatus s) {
@@ -111,6 +129,7 @@ ServingEngine::ServingEngine(std::vector<SamoyedsDecoderLayerWeights> layers,
   assert(hidden_ % config_.heads == 0);
   assert(config_.scheduler.page_tokens >= 1);
   assert(config_.shards >= 1);
+  layer_plans_.resize(layers_.size());
   // Simulated serving cluster: one DefaultDevice per shard, with the CLI's
   // interconnect overrides applied uniformly.
   cluster_ = SimCluster::Homogeneous(DefaultDevice(), std::max(1, config_.shards));
@@ -689,7 +708,6 @@ MatrixF ServingEngine::ForwardBatch(const AssembledBatch& batch) {
   // bit-identical across a mid-run failover (the global fold order over
   // experts never changes).
   const int num_shards = static_cast<int>(live_shards_.size());
-  acct_.Reset(num_shards);
 
   MatrixF h = batch.rows;
   for (size_t layer = 0; layer < layers_.size(); ++layer) {
@@ -752,88 +770,15 @@ MatrixF ServingEngine::ForwardBatch(const AssembledBatch& batch) {
     obs::ScopedSpan moe_span("engine", "moe", obs::TraceDetail::kFull);
     MatrixF normed = RmsNorm(h1, w.moe_norm_gamma);
     RoundMatrixToBf16(normed);
-    const RoutingPlan plan = Route(normed, w.moe.router_gate, config_.top_k);
+    RoutingPlan& plan = layer_plans_[layer];
+    plan = Route(normed, w.moe.router_gate, config_.top_k);
     metrics_.OnRoutingPlan(plan);
-    SsmmConfig tile_cfg = SsmmConfig::Default();
-    if (config_.autotune) {
-      tile_cfg = ResolveTileConfig(w.moe, plan);
-    }
-    AccountMoeLayer(w.moe, plan, tile_cfg);
     ParallelMoeForwardSamoyeds(pool_, normed, w.moe, plan, config_.activation, shard_plan_,
-                               acct_.pool_ws, acct_.moe_out, effective_backend_);
-    MatrixAxpy(1.0f, acct_.moe_out, h1);
+                               pool_ws_, moe_out_, effective_backend_);
+    MatrixAxpy(1.0f, moe_out_, h1);
     h = std::move(h1);
   }
   return h;
-}
-
-void ServingEngine::AccountMoeLayer(const SamoyedsMoeLayerWeights& moe, const RoutingPlan& plan,
-                                    const SsmmConfig& tile_cfg) {
-  const auto account_t0 = std::chrono::steady_clock::now();
-  const int num_shards = static_cast<int>(live_shards_.size());
-  // Each routed expert's gate/up/down SSMM chain is charged to its shard;
-  // the tuned tile configuration (autotuned serving) shapes every per-kernel
-  // estimate. gate/up select this expert's tokens out of the whole batch
-  // panel; down consumes the already-compressed intermediate.
-  for (int e = 0; e < static_cast<int>(moe.experts.size()); ++e) {
-    const int64_t count = plan.TokensForExpert(e);
-    if (count == 0) {
-      continue;
-    }
-    const int s = shard_plan_.shard_of(e);
-    const DeviceSpec& device = cluster_.device(live_shards_[static_cast<size_t>(s)]);
-    const TimingModel model(device);
-    const SamoyedsExpertWeights& w = moe.experts[static_cast<size_t>(e)];
-    for (const SamoyedsMatrix* proj : {&w.gate, &w.up}) {
-      const GemmShape shape{proj->rows, proj->cols, plan.tokens};
-      acct_.shard_ms[static_cast<size_t>(s)] +=
-          model.Estimate(SamoyedsKernel::Analyze(shape, count, proj->config, tile_cfg, device)
-                             .traffic)
-              .total_ms;
-    }
-    const GemmShape down{w.down.rows, w.down.cols, count};
-    acct_.shard_ms[static_cast<size_t>(s)] +=
-        model.Estimate(
-                 SamoyedsKernel::Analyze(down, count, w.down.config, tile_cfg, device).traffic)
-            .total_ms;
-  }
-  // Shared experts are replicated: each shard runs them over its home token
-  // slice (the data-parallel split the execution path uses too).
-  for (const SamoyedsExpertWeights& w : moe.shared_experts) {
-    for (int s = 0; s < num_shards; ++s) {
-      const int64_t range = ShardHomeBegin(s + 1, plan.tokens, num_shards) -
-                            ShardHomeBegin(s, plan.tokens, num_shards);
-      if (range == 0) {
-        continue;
-      }
-      const DeviceSpec& device = cluster_.device(live_shards_[static_cast<size_t>(s)]);
-      const TimingModel model(device);
-      for (const SamoyedsMatrix* proj : {&w.gate, &w.up}) {
-        const GemmShape shape{proj->rows, proj->cols, plan.tokens};
-        acct_.shard_ms[static_cast<size_t>(s)] +=
-            model.Estimate(SamoyedsKernel::Analyze(shape, range, proj->config, tile_cfg, device)
-                               .traffic)
-                .total_ms;
-      }
-      const GemmShape down{w.down.rows, w.down.cols, range};
-      acct_.shard_ms[static_cast<size_t>(s)] +=
-          model.Estimate(
-                   SamoyedsKernel::Analyze(down, range, w.down.config, tile_cfg, device).traffic)
-              .total_ms;
-    }
-  }
-  plan.AccumulateTokensPerBucket(shard_plan_.shard_of_expert(), acct_.shard_tokens);
-  // All-to-all: exact per-shard send/receive volumes feed the busiest-link
-  // interconnect roofline (both phases pay link latency + serialization).
-  const AllToAllTraffic traffic =
-      ComputeAllToAllTraffic(plan, shard_plan_, hidden_, /*bytes_per_value=*/2, acct_.a2a_scratch);
-  const TimingModel model(cluster_.device(live_shards_.front()));
-  acct_.alltoall_ms += model.InterconnectPhaseMs(traffic.max_shard_dispatch_bytes) +
-                        model.InterconnectPhaseMs(traffic.max_shard_combine_bytes);
-  traffic.AddTo(acct_.traffic);
-  acct_.account_ms += std::chrono::duration<double, std::milli>(
-                           std::chrono::steady_clock::now() - account_t0)
-                           .count();
 }
 
 SsmmConfig ServingEngine::ResolveTileConfig(const SamoyedsMoeLayerWeights& moe,
@@ -844,15 +789,13 @@ SsmmConfig ServingEngine::ResolveTileConfig(const SamoyedsMoeLayerWeights& moe,
   // tile efficiency is the hottest expert's token count.
   const SamoyedsMatrix& gate = moe.experts.front().gate;
   const int64_t selected = std::max<int64_t>(1, plan.MaxTokensPerExpert());
-  const std::array<int64_t, 5> key{gate.rows, gate.cols, plan.tokens, selected,
-                                   static_cast<int64_t>(effective_backend_)};
+  const std::array<int64_t, 4> key{gate.rows, gate.cols, plan.tokens, selected};
   auto it = autotune_cache_.find(key);
   const bool cache_hit = it != autotune_cache_.end();
   if (!cache_hit) {
     const GemmShape shape{gate.rows, gate.cols, plan.tokens};
     it = autotune_cache_
-             .emplace(key, AutotuneSsmm(shape, selected, gate.config, DefaultDevice(),
-                                        effective_backend_))
+             .emplace(key, AutotuneSsmm(shape, selected, gate.config, DefaultDevice()))
              .first;
   }
   metrics_.OnAutotune(it->second.default_ms, it->second.simulated_ms, cache_hit);
@@ -1166,18 +1109,67 @@ MatrixF ServingEngine::Forward(const AssembledBatch& batch, StepMetrics* sm) {
                                  batch.total_rows());
     out = ForwardBatch(batch);
   }
-  const double forward_ms =
+  sm->wall_ms =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
-
   sm->step = step_;
   sm->batch_rows = batch.total_rows();
   sm->running_sequences = static_cast<int64_t>(running_.size());
   sm->kv_used_pages = cache_.allocator().used_pages();
   sm->kv_frag_tokens = cache_.allocator().FragmentationWaste();
-  // Measured forward time, minus the host time the analytic accounting
-  // itself spent inside ForwardBatch — simulation bookkeeping must not
-  // contaminate the throughput metrics.
-  sm->wall_ms = std::max(0.0, forward_ms - acct_.account_ms);
+  EstimateStep(batch, sm);
+  return out;
+}
+
+void ServingEngine::EstimateStep(const AssembledBatch& batch, StepMetrics* sm) {
+  // The modeled GPU clock for the pass ForwardBatch just ran, from the
+  // routing plans it left in layer_plans_. It runs over the same logical
+  // shards, and the slowest shard gates the iteration.
+  const int num_shards = static_cast<int>(live_shards_.size());
+  std::vector<double> shard_ms(static_cast<size_t>(num_shards), 0.0);
+  std::vector<int64_t> shard_tokens(static_cast<size_t>(num_shards), 0);
+  const TimingModel front(cluster_.device(live_shards_.front()));
+  for (size_t layer = 0; layer < layers_.size(); ++layer) {
+    const SamoyedsMoeLayerWeights& moe = layers_[layer].moe;
+    const RoutingPlan& plan = layer_plans_[layer];
+    // The tuned tile configuration (autotuned serving) shapes every
+    // per-kernel estimate of the layer.
+    const SsmmConfig tile_cfg =
+        config_.autotune ? ResolveTileConfig(moe, plan) : SsmmConfig::Default();
+    // Each routed expert's SSMM chain is charged to its shard.
+    for (int e = 0; e < static_cast<int>(moe.experts.size()); ++e) {
+      const int64_t count = plan.TokensForExpert(e);
+      if (count == 0) {
+        continue;
+      }
+      const int s = shard_plan_.shard_of(e);
+      ChargeSsmmChain(moe.experts[static_cast<size_t>(e)], plan.tokens, count, tile_cfg,
+                      cluster_.device(live_shards_[static_cast<size_t>(s)]),
+                      &shard_ms[static_cast<size_t>(s)]);
+    }
+    // Shared experts are replicated: each shard runs them over its home token
+    // slice (the data-parallel split the execution path uses too).
+    for (const SamoyedsExpertWeights& w : moe.shared_experts) {
+      for (int s = 0; s < num_shards; ++s) {
+        const int64_t range = ShardHomeBegin(s + 1, plan.tokens, num_shards) -
+                              ShardHomeBegin(s, plan.tokens, num_shards);
+        if (range == 0) {
+          continue;
+        }
+        ChargeSsmmChain(w, plan.tokens, range, tile_cfg,
+                        cluster_.device(live_shards_[static_cast<size_t>(s)]),
+                        &shard_ms[static_cast<size_t>(s)]);
+      }
+    }
+    plan.AccumulateTokensPerBucket(shard_plan_.shard_of_expert(), shard_tokens);
+    // All-to-all: exact per-shard send/receive volumes feed the busiest-link
+    // interconnect roofline (both phases pay link latency + serialization).
+    const AllToAllTraffic traffic =
+        ComputeAllToAllTraffic(plan, shard_plan_, hidden_, /*bytes_per_value=*/2, a2a_scratch_);
+    sm->est_alltoall_ms += front.InterconnectPhaseMs(traffic.max_shard_dispatch_bytes) +
+                           front.InterconnectPhaseMs(traffic.max_shard_combine_bytes);
+    sm->alltoall_dispatch_bytes += traffic.dispatch_bytes;
+    sm->alltoall_combine_bytes += traffic.combine_bytes;
+  }
 
   // KV-page traffic this iteration: attention gathers every sequence's
   // cached prefix rows through its page table and appends the new normed
@@ -1189,21 +1181,16 @@ MatrixF ServingEngine::Forward(const AssembledBatch& batch, StepMetrics* sm) {
     sm->kv_write_bytes +=
         static_cast<double>(slice.row_count * hidden_) * sizeof(float) * layer_count;
   }
-  // Analytic step estimate: the per-shard MoE device times accumulated by
-  // ForwardBatch, plus the step's KV-page traffic as a bandwidth-roofline
-  // stream split data-parallel across shards, plus the interconnect
-  // all-to-all. The slowest shard gates the iteration.
-  sm->alltoall_dispatch_bytes = acct_.traffic.alltoall_dispatch_bytes;
-  sm->alltoall_combine_bytes = acct_.traffic.alltoall_combine_bytes;
-  sm->est_alltoall_ms = acct_.alltoall_ms;
   // A stalled shard (injected fault) runs this one step at half speed; the
   // slowest-shard gate below then charges the stall to the whole iteration.
-  if (stalled_shard_ >= 0 && stalled_shard_ < static_cast<int>(acct_.shard_ms.size())) {
-    acct_.shard_ms[static_cast<size_t>(stalled_shard_)] *= 2.0;
+  if (stalled_shard_ >= 0 && stalled_shard_ < num_shards) {
+    shard_ms[static_cast<size_t>(stalled_shard_)] *= 2.0;
   }
   stalled_shard_ = -1;
-  const double max_shard_ms = *std::max_element(acct_.shard_ms.begin(), acct_.shard_ms.end());
-  const double shard_count = static_cast<double>(live_shards_.size());
+  const double max_shard_ms = *std::max_element(shard_ms.begin(), shard_ms.end());
+  // The KV traffic streams as a bandwidth roofline split data-parallel
+  // across shards, on top of the slowest shard's MoE time.
+  const double shard_count = static_cast<double>(num_shards);
   TrafficReport kv;
   kv.gmem_read_bytes = sm->kv_read_bytes / shard_count;
   kv.gmem_write_bytes = sm->kv_write_bytes / shard_count;
@@ -1213,19 +1200,15 @@ MatrixF ServingEngine::Forward(const AssembledBatch& batch, StepMetrics* sm) {
   kv.thread_blocks = 1 + static_cast<int64_t>(kv.gmem_unique_bytes) / (128 << 10);
   kv.warps_per_block = 8;
   kv.efficiency = 0.8;
-  const double kv_stream_ms =
-      TimingModel(cluster_.device(live_shards_.front())).Estimate(kv).total_ms;
-  sm->est_compute_ms = max_shard_ms + kv_stream_ms;
+  sm->est_compute_ms = max_shard_ms + front.Estimate(kv).total_ms;
   // The metrics' per-shard token tracks keep physical device identity, so a
   // dead shard's track simply flatlines after its failover.
   physical_shard_tokens_.assign(static_cast<size_t>(cluster_.num_shards()), 0);
-  for (size_t s = 0; s < acct_.shard_tokens.size(); ++s) {
-    physical_shard_tokens_[static_cast<size_t>(live_shards_[s])] += acct_.shard_tokens[s];
+  for (size_t s = 0; s < shard_tokens.size(); ++s) {
+    physical_shard_tokens_[static_cast<size_t>(live_shards_[s])] += shard_tokens[s];
   }
   metrics_.OnShardTokens(physical_shard_tokens_);
-  return out;
 }
-
 void ServingEngine::Retire(const AssembledBatch& batch, const MatrixF& out, StepMetrics* sm) {
   obs::ScopedSpan retire_span("engine", "retire", obs::TraceDetail::kStep);
   for (const BatchSlice& slice : batch.slices) {

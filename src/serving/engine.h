@@ -39,7 +39,9 @@
 //      sequence's normed prefix rows (causal, so cached rows never change),
 //      gathered through its page table; the MoE sub-block routes the *whole*
 //      batch in one RoutingPlan and executes experts on the multi-threaded
-//      ExpertPool. The step's measured and modeled cost is charged here.
+//      ExpertPool. Only the forward itself is timed (the step's measured
+//      cost); one modeled pass after it (EstimateStep) then charges the
+//      step's modeled GPU cost from the routing plans the forward left.
 //   7. Retire ("retire") splits outputs back per sequence, streams newly
 //      finalized rows to OnRows callbacks and retires finished ones (freeing
 //      pages). Record then samples the counter tracks, publishes the
@@ -69,6 +71,7 @@
 #include <functional>
 
 #include "src/core/autotune.h"
+#include "src/core/kernel_backend.h"
 #include "src/moe/decoder_layer.h"
 #include "src/serving/batch_assembler.h"
 #include "src/serving/expert_pool.h"
@@ -104,7 +107,7 @@ struct EngineConfig {
   // memoized per (batch rows, max tokens per expert) — the ROADMAP's
   // "autotuned serving". Purely an analytic-model resolution: functional
   // outputs are unchanged (asserted by ServingTest.AutotuneDoesNotChangeOutputs);
-  // the resolved config also feeds the per-step analytic wall-clock estimate.
+  // the resolved config feeds the per-step modeled GPU time.
   bool autotune = false;
   // Expert-parallel sharding: experts partition across `shards` simulated
   // devices (per-shard expert-pool queues + per-shard analytic timing).
@@ -399,42 +402,22 @@ class ServingEngine {
   // row (no-op without a callback); `finished` tags the terminal delta.
   void StreamToCallback(int64_t id, bool finished);
 
-  // One forward pass's analytic-accounting state and persistent scratch.
-  struct StepAccounting {
-    std::vector<double> shard_ms;     // per logical shard, this pass
-    std::vector<int64_t> shard_tokens;
-    double alltoall_ms = 0.0;
-    double account_ms = 0.0;  // host time the accounting itself consumed
-    TrafficReport traffic;
-    AllToAllScratch a2a_scratch;
-    // Persistent forward scratch (steady-state passes stay allocation-quiet).
-    ParallelMoeWorkspace pool_ws;
-    MatrixF moe_out;
-
-    void Reset(int num_shards) {
-      shard_ms.assign(static_cast<size_t>(num_shards), 0.0);
-      shard_tokens.assign(static_cast<size_t>(num_shards), 0);
-      alltoall_ms = 0.0;
-      account_ms = 0.0;
-      traffic = TrafficReport{};
-    }
-  };
-
-  // Forwards the assembled batch through all layers; returns final hidden
-  // rows. Analytic estimates accumulate into acct_.
+  // Forwards the assembled batch through all layers and returns the final
+  // hidden rows. Computes only: each layer's routing plan is left in
+  // layer_plans_ for EstimateStep, and nothing here touches the timing model.
   MatrixF ForwardBatch(const AssembledBatch& batch);
+  // The step's one modeled pass, run after the timed forward: per layer, the
+  // tile config, each expert's SSMM chain charged to its shard, shared
+  // experts data-parallel and the cross-shard all-to-all; then the KV-page
+  // stream and the stalled-shard penalty. Fills every est_*, all-to-all and
+  // KV-traffic field of `sm` and reports the step's per-shard tokens.
+  void EstimateStep(const AssembledBatch& batch, StepMetrics* sm);
   // Resolves (and caches) the tuned SSMM tile config for one layer's expert
   // shape under this plan's batch shape; records simulated default-vs-tuned
-  // time in the metrics and returns the config the analytic estimate runs
-  // with (SsmmConfig::Default() when autotuning is off).
+  // time in the metrics and returns the config the estimate runs with.
   SsmmConfig ResolveTileConfig(const SamoyedsMoeLayerWeights& moe, const RoutingPlan& plan);
   // Expert->shard map for this engine's layers under config_.placement.
   ExpertShardPlan BuildShardPlan() const;
-  // Folds one routed layer into acct_: each expert's three SSMM projections
-  // charged to its shard, shared experts data-parallel, plus the layer's
-  // cross-shard all-to-all.
-  void AccountMoeLayer(const SamoyedsMoeLayerWeights& moe, const RoutingPlan& plan,
-                       const SsmmConfig& tile_cfg);
   // Decode-phase residents right now — the count PlanResidentRows will plan
   // one decode row for, and the ResidentSnapshot::decode_rows the scheduler's
   // decode-priority chunk sizing keys off.
@@ -483,16 +466,17 @@ class ServingEngine {
   ExpertShardPlan shard_plan_;
   ExpertPool pool_;
   EngineMetrics metrics_;
-  // The forward pass's analytic-estimate accumulators + scratch (see
-  // StepAccounting), reset at pass entry. account_ms is host time spent on
-  // the accounting itself, deducted from the measured forward wall-clock so
-  // analytic bookkeeping never contaminates the throughput metrics.
-  StepAccounting acct_;
+  // Per layer: the last forward's routing plan, read by EstimateStep.
+  std::vector<RoutingPlan> layer_plans_;
+  // Persistent scratch, so steady-state steps stay allocation-quiet.
+  ParallelMoeWorkspace pool_ws_;
+  MatrixF moe_out_;
+  AllToAllScratch a2a_scratch_;
   // Tuned SSMM config per (expert rows, expert cols, batch rows, max tokens
-  // per expert, kernel backend) — the expert shape participates so
-  // heterogeneous layers never share entries, and the backend participates
-  // because lane padding gives each backend its own tile ranking.
-  std::map<std::array<int64_t, 5>, AutotuneResult> autotune_cache_;
+  // per expert) — the expert shape participates so heterogeneous layers
+  // never share entries. The kernel backend does not: the tuner models the
+  // GPU alone.
+  std::map<std::array<int64_t, 4>, AutotuneResult> autotune_cache_;
   // The backend this engine runs (kAuto resolved, fallbacks applied).
   KernelBackend effective_backend_ = KernelBackend::kScalar;
 
@@ -521,9 +505,9 @@ class ServingEngine {
   // Logical shard whose modeled step time is doubled for the current step
   // (a shard-stall fault); -1 when none. Cleared after each forward.
   int stalled_shard_ = -1;
-  // Physical-indexed scatter buffer for OnShardTokens: step_shard_tokens_ is
-  // logical (compacted after failover), but the per-shard metrics tracks
-  // keep physical device identity.
+  // Physical-indexed scatter buffer for OnShardTokens: EstimateStep counts
+  // tokens per logical shard (compacted after failover), but the per-shard
+  // metrics tracks keep physical device identity.
   std::vector<int64_t> physical_shard_tokens_;
 
   int64_t step_ = 0;

@@ -35,7 +35,6 @@
 
 #include "src/moe/router.h"
 #include "src/simgpu/device_spec.h"
-#include "src/simgpu/traffic.h"
 #include "src/tensor/matrix.h"
 
 namespace samoyeds {
@@ -141,13 +140,6 @@ struct AllToAllTraffic {
   double combine_bytes = 0.0;
   double max_shard_dispatch_bytes = 0.0;
   double max_shard_combine_bytes = 0.0;
-
-  // Folds the volumes into a kernel-style traffic report (the per-step
-  // aggregation the serving metrics carry).
-  void AddTo(TrafficReport& report) const {
-    report.alltoall_dispatch_bytes += dispatch_bytes;
-    report.alltoall_combine_bytes += combine_bytes;
-  }
 };
 
 // Reusable buffers for ComputeAllToAllTraffic (steady-state serving calls
