@@ -13,14 +13,6 @@ Selection RoutingPlan::SelectionForExpert(int e) const {
   return sel;
 }
 
-int64_t RoutingPlan::MaxTokensPerExpert() const {
-  int64_t max_tokens = 0;
-  for (const auto& v : expert_tokens) {
-    max_tokens = std::max<int64_t>(max_tokens, static_cast<int64_t>(v.size()));
-  }
-  return max_tokens;
-}
-
 void RoutingPlan::AccumulateTokensPerBucket(const std::vector<int>& bucket_of,
                                             std::vector<int64_t>& totals) const {
   assert(static_cast<int>(bucket_of.size()) == num_experts);

@@ -39,8 +39,6 @@ struct RoutingPlan {
   // Selection array view of one expert's tokens — the input half of the
   // Samoyeds dual-side format.
   Selection SelectionForExpert(int e) const;
-  // Largest per-expert token count (drives padding overheads).
-  int64_t MaxTokensPerExpert() const;
   // Routed-token totals per bucket under an expert -> bucket map (the
   // serving engine's expert-shard accounting: bucket = simulated device).
   // `bucket_of[e]` must lie in [0, totals.size()); totals is accumulated

@@ -37,20 +37,20 @@ std::vector<AttentionWeights> TransposedAttention(
 
 // Charges one expert's gate/up/down SSMM chain to `*ms`, one kernel at a
 // time: gate and up select `selected` of the batch's `tokens` panel
-// columns; down consumes the already-compressed intermediate.
+// columns; down consumes the already-compressed intermediate. Each kernel
+// runs with `tile_cfg(proj, shape, selected)`, the config for its own shape.
+template <typename TileCfg>
 void ChargeSsmmChain(const SamoyedsExpertWeights& w, int64_t tokens, int64_t selected,
-                     const SsmmConfig& tile_cfg, const DeviceSpec& device, double* ms) {
+                     const TileCfg& tile_cfg, const DeviceSpec& device, double* ms) {
   const TimingModel model(device);
-  for (const SamoyedsMatrix* proj : {&w.gate, &w.up}) {
-    const GemmShape shape{proj->rows, proj->cols, tokens};
-    *ms += model.Estimate(SamoyedsKernel::Analyze(shape, selected, proj->config, tile_cfg, device)
+  for (const auto& [proj, panel] : {std::pair{&w.gate, tokens}, std::pair{&w.up, tokens},
+                                    std::pair{&w.down, selected}}) {
+    const GemmShape shape{proj->rows, proj->cols, panel};
+    *ms += model.Estimate(SamoyedsKernel::Analyze(shape, selected, proj->config,
+                                                  tile_cfg(*proj, shape, selected), device)
                               .traffic)
                .total_ms;
   }
-  const GemmShape down{w.down.rows, w.down.cols, selected};
-  *ms += model.Estimate(
-                  SamoyedsKernel::Analyze(down, selected, w.down.config, tile_cfg, device).traffic)
-             .total_ms;
 }
 
 }  // namespace
@@ -721,8 +721,9 @@ MatrixF ServingEngine::ForwardBatch(const AssembledBatch& batch) {
     // the new rows only. Every GEMM row is an independent dot product and
     // causal row i reads only rows j <= i, so the new rows are bit-identical
     // to AttentionForward over the full prefix. Sequences are independent —
-    // and own disjoint pages — so they fan out over the pool.
-    // Each pooled slice runs on the home shard of its batch rows — the same
+    // and own disjoint pages — so they fan out over the pool, and the engine
+    // thread runs slices too while it waits in WaitIdle.
+    // Each pooled slice goes to the home shard of its batch rows — the same
     // contiguous data-parallel split the all-to-all model and the shared
     // experts use, so the simulation has one notion of where a token lives.
     MatrixF h1 = h;  // residual base
@@ -781,21 +782,14 @@ MatrixF ServingEngine::ForwardBatch(const AssembledBatch& batch) {
   return h;
 }
 
-SsmmConfig ServingEngine::ResolveTileConfig(const SamoyedsMoeLayerWeights& moe,
-                                            const RoutingPlan& plan) {
-  assert(!moe.experts.empty());
-  // This layer's SSMM shape: every expert projection is (intermediate x
-  // hidden) against this batch's token panel; the SEL length that drives
-  // tile efficiency is the hottest expert's token count.
-  const SamoyedsMatrix& gate = moe.experts.front().gate;
-  const int64_t selected = std::max<int64_t>(1, plan.MaxTokensPerExpert());
-  const std::array<int64_t, 4> key{gate.rows, gate.cols, plan.tokens, selected};
+SsmmConfig ServingEngine::ResolveTileConfig(const SamoyedsMatrix& proj, const GemmShape& shape,
+                                            int64_t selected) {
+  const std::array<int64_t, 4> key{shape.m, shape.k, shape.n, selected};
   auto it = autotune_cache_.find(key);
   const bool cache_hit = it != autotune_cache_.end();
   if (!cache_hit) {
-    const GemmShape shape{gate.rows, gate.cols, plan.tokens};
     it = autotune_cache_
-             .emplace(key, AutotuneSsmm(shape, selected, gate.config, DefaultDevice()))
+             .emplace(key, AutotuneSsmm(shape, selected, proj.config, DefaultDevice()))
              .first;
   }
   metrics_.OnAutotune(it->second.default_ms, it->second.simulated_ms, cache_hit);
@@ -1128,13 +1122,15 @@ void ServingEngine::EstimateStep(const AssembledBatch& batch, StepMetrics* sm) {
   std::vector<double> shard_ms(static_cast<size_t>(num_shards), 0.0);
   std::vector<int64_t> shard_tokens(static_cast<size_t>(num_shards), 0);
   const TimingModel front(cluster_.device(live_shards_.front()));
+  // Autotuned serving charges every kernel with the config tuned for its
+  // own shape and SEL length; otherwise every kernel runs the default.
+  const auto tile_cfg = [this](const SamoyedsMatrix& proj, const GemmShape& shape,
+                               int64_t selected) {
+    return config_.autotune ? ResolveTileConfig(proj, shape, selected) : SsmmConfig::Default();
+  };
   for (size_t layer = 0; layer < layers_.size(); ++layer) {
     const SamoyedsMoeLayerWeights& moe = layers_[layer].moe;
     const RoutingPlan& plan = layer_plans_[layer];
-    // The tuned tile configuration (autotuned serving) shapes every
-    // per-kernel estimate of the layer.
-    const SsmmConfig tile_cfg =
-        config_.autotune ? ResolveTileConfig(moe, plan) : SsmmConfig::Default();
     // Each routed expert's SSMM chain is charged to its shard.
     for (int e = 0; e < static_cast<int>(moe.experts.size()); ++e) {
       const int64_t count = plan.TokensForExpert(e);

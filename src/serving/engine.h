@@ -102,12 +102,16 @@ struct EngineConfig {
   int heads = 4;
   int top_k = 2;
   Activation activation = Activation::kSilu;
-  int threads = 4;  // expert pool size; <= 1 runs experts inline
-  // Resolve the SSMM tile configuration per batch shape via AutotuneSsmm,
-  // memoized per (batch rows, max tokens per expert) — the ROADMAP's
-  // "autotuned serving". Purely an analytic-model resolution: functional
-  // outputs are unchanged (asserted by ServingTest.AutotuneDoesNotChangeOutputs);
-  // the resolved config feeds the per-step modeled GPU time.
+  // Expert pool workers; <= 1 runs every task inline on the engine thread.
+  // Above 1 the engine thread still runs pool tasks while it waits, so a
+  // forward computes on threads + 1 CPUs.
+  int threads = 4;
+  // Resolve each SSMM kernel's tile configuration via AutotuneSsmm,
+  // memoized per (projection rows, cols, panel columns, SEL length) — the
+  // ROADMAP's "autotuned serving". Purely an analytic-model resolution:
+  // functional outputs are unchanged (asserted by
+  // ServingEngineTest.AutotuneDoesNotChangeOutputsAndCachesShapes); the
+  // resolved configs feed the per-step modeled GPU time.
   bool autotune = false;
   // Expert-parallel sharding: experts partition across `shards` simulated
   // devices (per-shard expert-pool queues + per-shard analytic timing).
@@ -293,7 +297,7 @@ class ServingEngine {
   int64_t shard_failovers() const { return shard_failovers_; }
   int64_t watchdog_trips() const { return watchdog_trips_; }
   int64_t fault_retries() const { return fault_retries_total_; }
-  // Distinct batch shapes the autotuner has resolved (0 with autotune off).
+  // Distinct kernel shapes the autotuner has resolved (0 with autotune off).
   int64_t autotune_cache_size() const { return static_cast<int64_t>(autotune_cache_.size()); }
   // Summarized metrics with the engine-known provenance fields (shards,
   // placement, policy, threads, budgets) filled in; the CLI layers
@@ -406,16 +410,19 @@ class ServingEngine {
   // hidden rows. Computes only: each layer's routing plan is left in
   // layer_plans_ for EstimateStep, and nothing here touches the timing model.
   MatrixF ForwardBatch(const AssembledBatch& batch);
-  // The step's one modeled pass, run after the timed forward: per layer, the
-  // tile config, each expert's SSMM chain charged to its shard, shared
-  // experts data-parallel and the cross-shard all-to-all; then the KV-page
-  // stream and the stalled-shard penalty. Fills every est_*, all-to-all and
-  // KV-traffic field of `sm` and reports the step's per-shard tokens.
+  // The step's one modeled pass, run after the timed forward: per layer,
+  // each expert's SSMM chain charged to its shard (every kernel with its own
+  // tile config), shared experts data-parallel and the cross-shard
+  // all-to-all; then the KV-page stream and the stalled-shard penalty.
+  // Fills every est_*, all-to-all and KV-traffic field of `sm` and reports
+  // the step's per-shard tokens.
   void EstimateStep(const AssembledBatch& batch, StepMetrics* sm);
-  // Resolves (and caches) the tuned SSMM tile config for one layer's expert
-  // shape under this plan's batch shape; records simulated default-vs-tuned
-  // time in the metrics and returns the config the estimate runs with.
-  SsmmConfig ResolveTileConfig(const SamoyedsMoeLayerWeights& moe, const RoutingPlan& plan);
+  // Resolves (and caches) the tuned SSMM tile config of one projection
+  // kernel: `proj` over a `shape.n`-column panel of which it selects
+  // `selected`. Records simulated default-vs-tuned time in the metrics and
+  // returns the config the estimate charges that kernel with.
+  SsmmConfig ResolveTileConfig(const SamoyedsMatrix& proj, const GemmShape& shape,
+                               int64_t selected);
   // Expert->shard map for this engine's layers under config_.placement.
   ExpertShardPlan BuildShardPlan() const;
   // Decode-phase residents right now — the count PlanResidentRows will plan
@@ -472,10 +479,9 @@ class ServingEngine {
   ParallelMoeWorkspace pool_ws_;
   MatrixF moe_out_;
   AllToAllScratch a2a_scratch_;
-  // Tuned SSMM config per (expert rows, expert cols, batch rows, max tokens
-  // per expert) — the expert shape participates so heterogeneous layers
-  // never share entries. The kernel backend does not: the tuner models the
-  // GPU alone.
+  // Tuned SSMM config per projection kernel (rows, cols, panel columns, SEL
+  // length): gate/up and down, hot and cold experts each get their own. The
+  // kernel backend is not part of the key: the tuner models the GPU alone.
   std::map<std::array<int64_t, 4>, AutotuneResult> autotune_cache_;
   // The backend this engine runs (kAuto resolved, fallbacks applied).
   KernelBackend effective_backend_ = KernelBackend::kScalar;

@@ -17,7 +17,7 @@ namespace {
 thread_local int t_slot = 0;
 
 // Number of contiguous token tiles one expert's work splits into: enough to
-// spread a hot (skewed) expert across its shard's workers, but never so
+// spread a hot (skewed) expert across its shard's executors, but never so
 // many that tiny slices drown in scheduling overhead. The split never
 // changes results — per-token outputs are independent of tile grouping —
 // only load balance.
@@ -82,7 +82,27 @@ void ExpertPool::WaitIdle() {
     return;
   }
   std::unique_lock<std::mutex> lock(mu_);
+  assert(!waiting_ && "only one thread may wait on the pool at a time");
+  waiting_ = true;
+  // The caller is slot 0, one more executor of every shard: it takes queued
+  // tasks exactly as WorkerLoop does and blocks only once every queue is
+  // empty. Nothing can refill a queue meanwhile (tasks must not Submit, and
+  // the one submitting thread is this one), so the wait below is the last.
+  for (;;) {
+    const auto queue = std::find_if(queues_.begin(), queues_.end(),
+                                    [](const auto& q) { return !q.empty(); });
+    if (queue == queues_.end()) {
+      break;
+    }
+    std::function<void()> task = std::move(queue->front());
+    queue->pop_front();
+    lock.unlock();
+    task();
+    lock.lock();
+    --in_flight_;
+  }
   idle_.wait(lock, [this] { return in_flight_ == 0; });
+  waiting_ = false;
 }
 
 int ExpertPool::ShardWorkers(int shard) const {
@@ -179,8 +199,10 @@ void ForwardImpl(ExpertPool& pool, const MatrixF& x, const SamoyedsMoeLayerWeigh
   const auto shard_of = [placement](size_t e) {
     return placement != nullptr ? placement->shard_of(static_cast<int>(e)) : 0;
   };
-  const auto shard_threads = [&pool, placement](int shard) {
-    return placement != nullptr ? pool.ShardWorkers(shard) : std::max(1, pool.threads());
+  // Executors of one shard's queue: its workers plus the caller, which runs
+  // tasks while it waits in WaitIdle (inline mode: the caller alone).
+  const auto shard_threads = [&pool](int shard) {
+    return pool.threads() > 0 ? pool.ShardWorkers(shard) + 1 : 1;
   };
 
   // Size the tile array up front: tasks hold references into it, so it must

@@ -16,10 +16,11 @@
 // homes on shard w % shards; with fewer workers than shards, worker w
 // serves every shard s with s % threads == w, so every queue always has a
 // server), and a worker only ever executes tasks of the shards it serves:
-// a simulated device never runs another device's experts, so host
-// wall-clock shows shard imbalance the same way the analytic
-// max-over-shards estimate does. A shard whose experts received no tokens
-// gets no tasks at all.
+// a simulated device's workers never run another device's experts. Only the
+// waiting submitting thread (below) helps every shard, so host wall-clock
+// understates shard imbalance; the modeled clock, computed from routing
+// plans, does not depend on who ran a task. A shard whose experts received
+// no tokens gets no tasks at all.
 //
 // Per-expert outputs fold back on the submitting thread in ascending
 // *global* expert order — a fixed order independent of shard placement,
@@ -34,11 +35,20 @@
 // (threads < shards degrades gracefully: a worker serving several shards
 // reuses one workspace across them).
 //
+// The submitting thread is an executor too, in threaded mode as well as
+// inline: while it waits in WaitIdle it runs queued tasks as slot 0, taking
+// them from every shard's queue, and blocks only once every queue is empty
+// and tasks are still in flight. Tile splitting therefore counts it as one
+// more executor of every shard. Only one thread may wait at a time (a debug
+// assertion checks it), and it must be the one that submitted.
+//
 // Observability: each worker registers a named trace lane at spawn
 // ("shard2.worker3" when pinned to one shard), and — at --trace-detail=full
 // — every tile executes inside an obs::ScopedSpan tagged with its expert
-// id, so a Perfetto timeline shows per-shard worker occupancy, tile-level
-// load balance, and the dispatch/barrier/fold phases of each MoE layer.
+// id (the tiles the submitting thread runs land on its own lane, inside
+// its barrier span), so a Perfetto timeline shows per-shard worker
+// occupancy, tile-level load balance, and the dispatch/barrier/fold phases
+// of each MoE layer.
 // Tracing emits into per-thread ring buffers and never synchronizes
 // workers, so it cannot perturb completion order (outputs stay
 // bit-identical with tracing on or off).
@@ -74,10 +84,10 @@ class ExpertPool {
   ExpertPool(const ExpertPool&) = delete;
   ExpertPool& operator=(const ExpertPool&) = delete;
 
-  // Runs `task` on a worker serving `shard`, or immediately on the caller
-  // in inline mode. Templated so inline execution never pays the
-  // std::function type-erasure allocation — the single-threaded engine hot
-  // path stays allocation-free.
+  // Runs `task` on a worker serving `shard` or on the caller once it waits
+  // in WaitIdle; in inline mode, immediately on the caller. Templated so
+  // inline execution never pays the std::function type-erasure allocation —
+  // the single-threaded engine hot path stays allocation-free.
   template <typename Fn>
   void SubmitToShard(int shard, Fn&& task) {
     assert(shard >= 0 && shard < shards());
@@ -106,23 +116,27 @@ class ExpertPool {
     SubmitToShard(0, std::forward<Fn>(task));
   }
 
-  // Blocks until every submitted task has finished. Tasks must not Submit.
+  // Runs queued tasks of every shard on the calling thread (slot 0) until
+  // the queues are empty, then blocks until every submitted task has
+  // finished. Tasks must not Submit; one waiter at a time.
   void WaitIdle();
 
   int threads() const { return static_cast<int>(workers_.size()); }
   int shards() const { return static_cast<int>(queues_.size()); }
 
   // Workers dedicated to `shard` (1 in inline mode; with threads < shards a
-  // server shared between shards still counts as 1). This is the thread
-  // complement tile splitting targets per shard.
+  // server shared between shards still counts as 1). Tile splitting targets
+  // these plus the waiting caller in threaded mode.
   int ShardWorkers(int shard) const;
 
   // Distinct execution slots: one per worker plus slot 0 for the submitting
-  // thread (inline mode). Index per-slot workspaces with CurrentSlot().
+  // thread, which executes tasks in both modes. Index per-slot workspaces
+  // with CurrentSlot().
   int slots() const { return static_cast<int>(workers_.size()) + 1; }
 
   // Slot of the calling thread: this pool's workers occupy 1..threads();
-  // any other thread (inline execution, the engine thread) is slot 0.
+  // any other thread (inline execution, the engine thread inside WaitIdle)
+  // is slot 0.
   static int CurrentSlot();
 
   // Tasks ever submitted, including inline-mode ones — the regression hook
@@ -153,6 +167,7 @@ class ExpertPool {
   std::vector<int64_t> shard_submitted_;
   int64_t in_flight_ = 0;
   bool stopping_ = false;
+  bool waiting_ = false;  // a thread is inside WaitIdle
   std::atomic<int64_t> submitted_{0};
   std::vector<std::thread> workers_;
 };

@@ -404,7 +404,7 @@ const ServeFlag kServeFlags[] = {
      [](ServeOptions& o, const FlagArg& a) { o.decode_max = a.I64(0); }},
     {"--seed", "=N", "seed for weights, synthetic trace and inputs (default 1234)",
      [](ServeOptions& o, const FlagArg& a) { o.seed = static_cast<uint64_t>(a.I64()); }},
-    {"--autotune", "[=0|1]", "resolve SSMM tile configs per batch shape (cached; same outputs)",
+    {"--autotune", "[=0|1]", "tune each SSMM kernel's tile config (cached; same outputs)",
      [](ServeOptions& o, const FlagArg& a) { o.engine.autotune = a.Bool(); }},
     {"--shards", "=N", "partition experts across N simulated devices (bit-identical outputs)",
      [](ServeOptions& o, const FlagArg& a) { o.engine.shards = a.Int(1); }},

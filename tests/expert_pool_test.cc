@@ -1,12 +1,17 @@
 // Tile-granular expert scheduling: bit-determinism across thread counts,
 // tile splits, and expert-parallel shard counts (including pathologically
-// skewed routing), workspace reuse, and the task-accounting invariants (a
-// hot expert splits, a zero-token expert submits nothing, a shard whose
-// experts are all idle receives no tasks).
+// skewed routing), workspace reuse, the task-accounting invariants (a hot
+// expert splits, a zero-token expert submits nothing, a shard whose experts
+// are all idle receives no tasks), and the caller running queued tasks
+// while it waits.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <mutex>
 #include <vector>
 
 #include "src/moe/moe_layer.h"
@@ -88,9 +93,86 @@ TEST(ExpertPoolTilingTest, HotExpertSplitsIntoMultipleTiles) {
   ParallelMoeForwardSamoyeds(pool, x, sw, plan, Activation::kSilu, ws, out);
   const int64_t tasks = pool.submitted_total() - before;
   // One expert holds all 128 tokens: with 4 workers it must split into
-  // several tiles (up to `threads`), not run as a single serializing task.
+  // several tiles (up to the workers plus the waiting caller), not run as a
+  // single serializing task.
   EXPECT_GT(tasks, 1);
-  EXPECT_LE(tasks, 4);
+  EXPECT_LE(tasks, 5);
+}
+
+// A latch the blocked tasks below wait on with a bounded timeout, so a pool
+// that never runs the releasing task fails the test instead of hanging it.
+class Latch {
+ public:
+  void Arrive() {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++arrived_;
+    cv_.notify_all();
+  }
+  // Waits for `count` arrivals; false on timeout.
+  bool WaitFor(int count) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(10), [&] { return arrived_ >= count; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int arrived_ = 0;
+};
+
+// Occupies `workers` pool workers of `shard` with tasks blocked on
+// `release`, returning once all of them are running. A task that times out
+// counts itself in `timeouts`.
+void BlockWorkers(ExpertPool& pool, int shard, int workers, Latch& started, Latch& release,
+                  std::atomic<int>& timeouts) {
+  for (int i = 0; i < workers; ++i) {
+    pool.SubmitToShard(shard, [&started, &release, &timeouts] {
+      started.Arrive();
+      if (!release.WaitFor(1)) {
+        timeouts.fetch_add(1);
+      }
+    });
+  }
+  ASSERT_TRUE(started.WaitFor(workers)) << "workers never picked up the blocking tasks";
+}
+
+TEST(ExpertPoolTest, WaitIdleRunsQueuedTasksOnTheCaller) {
+  ExpertPool pool(2);
+  Latch started;
+  Latch release;
+  std::atomic<int> timeouts{0};
+  BlockWorkers(pool, /*shard=*/0, /*workers=*/2, started, release, timeouts);
+  // Both workers are blocked until this task runs, so only the caller,
+  // waiting in WaitIdle, can run it.
+  int slot = -1;
+  pool.Submit([&slot, &release] {
+    slot = ExpertPool::CurrentSlot();
+    release.Arrive();
+  });
+  pool.WaitIdle();
+  EXPECT_EQ(slot, 0);
+  EXPECT_EQ(timeouts.load(), 0);
+}
+
+TEST(ExpertPoolTest, WaitIdleDrainsAShardWhoseWorkersAreAllBlocked) {
+  // Four workers over two shards: workers 1 and 3 (0-based) serve shard 1.
+  ExpertPool pool(4, /*shards=*/2);
+  ASSERT_EQ(pool.ShardWorkers(1), 2);
+  Latch started;
+  Latch release;
+  std::atomic<int> timeouts{0};
+  BlockWorkers(pool, /*shard=*/1, pool.ShardWorkers(1), started, release, timeouts);
+  // Shard 1's queue still drains, in order, on the caller; the last task
+  // frees the blocked workers.
+  std::vector<int> slots(8, -1);
+  for (size_t i = 0; i < slots.size(); ++i) {
+    pool.SubmitToShard(1, [&slots, i] { slots[i] = ExpertPool::CurrentSlot(); });
+  }
+  pool.SubmitToShard(1, [&release] { release.Arrive(); });
+  pool.WaitIdle();
+  EXPECT_EQ(slots, std::vector<int>(8, 0));
+  EXPECT_EQ(timeouts.load(), 0);
+  EXPECT_EQ(pool.submitted_to_shard(1), 2 + 8 + 1);
 }
 
 TEST(ExpertPoolTilingTest, ZeroTokenExpertSubmitsNoTasks) {

@@ -92,7 +92,12 @@ TEST(RouterEdgeTest, SingleToken) {
   const MatrixF gate = rng.GaussianMatrix(6, 8);
   const RoutingPlan plan = Route(x, gate, 2);
   EXPECT_TRUE(plan.IsConsistent());
-  EXPECT_EQ(plan.MaxTokensPerExpert(), 1);
+  int64_t routed = 0;
+  for (int e = 0; e < 6; ++e) {
+    EXPECT_LE(plan.TokensForExpert(e), 1);
+    routed += plan.TokensForExpert(e);
+  }
+  EXPECT_EQ(routed, 2);  // the one token reaches two distinct experts
 }
 
 TEST(RouterEdgeTest, GateWeightsDescendWithLogits) {

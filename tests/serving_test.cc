@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <string>
 
+#include "src/core/samoyeds_kernel.h"
 #include "src/moe/decoder_layer.h"
 #include "src/serving/batch_assembler.h"
 #include "src/serving/engine.h"
@@ -17,6 +19,7 @@
 #include "src/serving/request_queue.h"
 #include "src/serving/scheduler.h"
 #include "src/serving/trace.h"
+#include "src/simgpu/timing_model.h"
 #include "src/tensor/gemm_ref.h"
 #include "src/tensor/rng.h"
 #include "tests/test_util.h"
@@ -585,8 +588,8 @@ TEST(ServingEngineTest, AutotuneDoesNotChangeOutputsAndCachesShapes) {
   // Autotuning resolves tile configs for the analytic model only — the
   // functional outputs are bit-identical with it on or off.
   EXPECT_TRUE(outputs_by_mode[0] == outputs_by_mode[1]);
-  // Every (rows, max-tokens) shape was resolved once and then served from
-  // the cache: one lookup per layer per step, strictly fewer misses.
+  // Every kernel shape was resolved once and then served from the cache:
+  // one lookup per charged kernel, strictly fewer misses.
   EXPECT_GT(cache_size, 0);
   EXPECT_GT(tuned_report.autotune_lookups, cache_size);
   EXPECT_EQ(tuned_report.autotune_lookups - tuned_report.autotune_cache_hits, cache_size);
@@ -968,6 +971,57 @@ TEST(ShardedEngineTest, AutotunedTileConfigFeedsTheAnalyticEstimate) {
   EXPECT_GT(est_by_mode[0], 0.0);
   EXPECT_GT(est_by_mode[1], 0.0);
   EXPECT_LE(est_by_mode[1], est_by_mode[0] * (1.0 + 1e-9));
+}
+
+TEST(ServingEngineTest, AutotuneChargesEachProjectionWithItsOwnTunedConfig) {
+  Rng seed_rng(109);
+  MoeModelConfig cfg = TinyConfig();
+  cfg.num_experts = 2;  // top-2 of 2: every expert selects every batch row
+  const TinyModel model = BuildTinyModel(seed_rng, 1, cfg);
+  const int64_t rows = 16;
+
+  // The first step prefills the one prompt; only the tile configs differ
+  // between the two runs, so the KV stream term cancels in the difference.
+  double est_by_mode[2] = {0.0, 0.0};
+  for (const bool autotune : {false, true}) {
+    EngineConfig engine_cfg = TinyEngineConfig(1);
+    engine_cfg.autotune = autotune;
+    ServingEngine engine(model.sparse, engine_cfg);
+    Rng rng(110);
+    ASSERT_TRUE(engine.Submit(MakeTestRequest(rng, 0, 0, rows, 2, cfg.hidden)));
+    engine.Step();
+    ASSERT_EQ(engine.metrics().steps().size(), 1u);
+    ASSERT_EQ(engine.metrics().steps().front().batch_rows, rows);
+    est_by_mode[autotune ? 1 : 0] = engine.metrics().steps().front().est_compute_ms;
+  }
+
+  const DeviceSpec& device = DefaultDevice();
+  const TimingModel timing(device);
+  const auto kernel_ms = [&](const SamoyedsMatrix& proj, const GemmShape& shape,
+                             const SsmmConfig& tile) {
+    return timing.Estimate(SamoyedsKernel::Analyze(shape, rows, proj.config, tile, device).traffic)
+        .total_ms;
+  };
+  double own_config_gain = 0.0;   // down tuned for down's shape
+  double gate_config_gain = 0.0;  // down charged with gate's tuned config
+  for (const SamoyedsExpertWeights& e : model.sparse.front().moe.experts) {
+    const GemmShape gate_shape{e.gate.rows, e.gate.cols, rows};
+    const GemmShape down_shape{e.down.rows, e.down.cols, rows};
+    const SsmmConfig gate_cfg = AutotuneSsmm(gate_shape, rows, e.gate.config, device).config;
+    const SsmmConfig down_cfg = AutotuneSsmm(down_shape, rows, e.down.config, device).config;
+    const SsmmConfig base = SsmmConfig::Default();
+    // up has gate's shape and format, hence gate's tuned config.
+    const double gate_up_gain = 2.0 * (kernel_ms(e.gate, gate_shape, gate_cfg) -
+                                       kernel_ms(e.gate, gate_shape, base));
+    const double down_default = kernel_ms(e.down, down_shape, base);
+    own_config_gain += gate_up_gain + kernel_ms(e.down, down_shape, down_cfg) - down_default;
+    gate_config_gain += gate_up_gain + kernel_ms(e.down, down_shape, gate_cfg) - down_default;
+  }
+  const double tolerance = 1e-9 * est_by_mode[0];
+  // The shape is one where the two tunings disagree, so the check below can
+  // tell down's own config from gate's.
+  ASSERT_GT(std::abs(own_config_gain - gate_config_gain), 1e3 * tolerance);
+  EXPECT_NEAR(est_by_mode[1] - est_by_mode[0], own_config_gain, tolerance);
 }
 
 // ---- Engine: prefix sharing + swap preemption -------------------------------
