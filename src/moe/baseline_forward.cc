@@ -31,7 +31,7 @@ MatrixF GatedActivationBf16(const MatrixF& gate_out, const MatrixF& up_out, Acti
 }
 
 float GateWeight(const RoutingPlan& plan, int64_t token, int expert) {
-  for (const auto& [e, w] : plan.token_assignments[static_cast<size_t>(token)]) {
+  for (const auto& [e, w] : plan.TokenAssignment(token)) {
     if (e == expert) {
       return w;
     }

@@ -67,24 +67,36 @@ SamoyedsExpertWeights SamoyedsExpertWeights::Encode(const ExpertWeights& dense,
     }
   }
 
-  // Compact down's groups in place to the entries that read a live row.
-  SsmmPackedA& down = w.down_packed;
-  int64_t cursor = 0;
-  for (size_t g = 0; g + 1 < down.off.size(); ++g) {
-    const int64_t begin = down.off[g];
-    const int64_t end = down.off[g + 1];
-    down.off[g] = cursor;
-    for (int64_t e = begin; e < end; ++e) {
-      if (live[static_cast<size_t>(down.cols[static_cast<size_t>(e)])]) {
-        down.vals[static_cast<size_t>(cursor)] = down.vals[static_cast<size_t>(e)];
-        down.cols[static_cast<size_t>(cursor)] = down.cols[static_cast<size_t>(e)];
-        ++cursor;
+  // Compact each pack in place to the entries `keep(group, entry)` accepts.
+  // Every group stays, emptied if need be: the kernels skip an empty group.
+  const auto compact = [](SsmmPackedA& packed, const auto& keep) {
+    int64_t cursor = 0;
+    for (size_t g = 0; g + 1 < packed.off.size(); ++g) {
+      const int64_t begin = packed.off[g];
+      const int64_t end = packed.off[g + 1];
+      packed.off[g] = cursor;
+      for (int64_t e = begin; e < end; ++e) {
+        if (keep(g, static_cast<size_t>(e))) {
+          packed.vals[static_cast<size_t>(cursor)] = packed.vals[static_cast<size_t>(e)];
+          packed.cols[static_cast<size_t>(cursor)] = packed.cols[static_cast<size_t>(e)];
+          ++cursor;
+        }
       }
     }
+    packed.off.back() = cursor;
+    packed.vals.resize(static_cast<size_t>(cursor));
+    packed.cols.resize(static_cast<size_t>(cursor));
+  };
+  // gate and up keep only the groups that write a live row; down keeps only
+  // the entries that read one.
+  for (SsmmPackedA* packed : {&w.gate_packed, &w.up_packed}) {
+    compact(*packed, [&live, packed](size_t g, size_t) {
+      return live[static_cast<size_t>(packed->rows[g])];
+    });
   }
-  down.off.back() = cursor;
-  down.vals.resize(static_cast<size_t>(cursor));
-  down.cols.resize(static_cast<size_t>(cursor));
+  compact(w.down_packed, [&live, &down = w.down_packed](size_t, size_t e) {
+    return live[static_cast<size_t>(down.cols[e])];
+  });
   return w;
 }
 
@@ -102,19 +114,7 @@ MatrixF GatedActivation(const MatrixF& gate_out, const MatrixF& up_out, Activati
   return h;
 }
 
-// gate := bf16(act(gate) ⊙ up), element-wise in place — already in the
-// layout the down projection consumes (no intermediate materialized).
-void GatedActivationInPlace(MatrixF& gate, const MatrixF& up, Activation act) {
-  assert(gate.rows() == up.rows() && gate.cols() == up.cols());
-  float* g = gate.data();
-  const float* u = up.data();
-  const int64_t n = gate.size();
-  for (int64_t i = 0; i < n; ++i) {
-    g[i] = RoundToBf16(ApplyActivation(act, g[i]) * u[i]);
-  }
-}
-
-// Same, on the listed rows only.
+// gate := bf16(act(gate) ⊙ up) in place, on the listed rows only.
 void GatedActivationRows(MatrixF& gate, const MatrixF& up, Activation act,
                          const std::vector<int32_t>& rows) {
   assert(gate.rows() == up.rows() && gate.cols() == up.cols());
@@ -162,25 +162,18 @@ void ExpertForwardSamoyeds(const MatrixF& x, const SamoyedsExpertWeights& w,
   }
 
   // One fused gather + transpose + bf16 rounding of the selected token rows
-  // feeds both projections (§4.5's staging done once per call). Encoded
-  // experts carry prebuilt weight packs; per-call packing is the fallback
-  // for hand-assembled weights.
+  // feeds both projections (§4.5's staging done once per call), through the
+  // weight packs Encode built.
+  assert(!w.gate_packed.empty() && "experts are packed by Encode");
   SamoyedsKernel::PackSelectedTokens(x, sel, ws.panel);
-  if (!w.gate_packed.empty()) {
-    // gate and up: inter x n_sel; down: hidden x n_sel.
-    SamoyedsKernel::RunPanel(w.gate, w.gate_packed, ws.panel, ws, ws.gate_t, backend);
-    SamoyedsKernel::RunPanel(w.up, w.up_packed, ws.panel, ws, ws.up_t, backend);
-    // Dead rows stay as they are: down's pack no longer reads them.
-    GatedActivationRows(ws.gate_t, ws.up_t, act, w.live_rows);
-    SamoyedsKernel::RunPanel(w.down, w.down_packed, ws.gate_t, ws, ws.out_t, backend);
-  } else {
-    SamoyedsKernel::RunPanel(w.gate, ws.panel, ws, ws.gate_t, backend);
-    SamoyedsKernel::RunPanel(w.up, ws.panel, ws, ws.up_t, backend);
-    // gate_t becomes the bf16 intermediate, already feature-major — exactly
-    // the panel layout the down projection consumes.
-    GatedActivationInPlace(ws.gate_t, ws.up_t, act);
-    SamoyedsKernel::RunPanel(w.down, ws.gate_t, ws, ws.out_t, backend);
-  }
+  // gate and up: inter x n_sel; down: hidden x n_sel.
+  SamoyedsKernel::RunPanel(w.gate, w.gate_packed, ws.panel, ws, ws.gate_t, backend);
+  SamoyedsKernel::RunPanel(w.up, w.up_packed, ws.panel, ws, ws.up_t, backend);
+  // gate_t becomes the bf16 intermediate on the live rows, already
+  // feature-major — the panel layout the down projection consumes. Dead rows
+  // stay as they are: down's pack never reads them.
+  GatedActivationRows(ws.gate_t, ws.up_t, act, w.live_rows);
+  SamoyedsKernel::RunPanel(w.down, w.down_packed, ws.gate_t, ws, ws.out_t, backend);
 
   // Single transpose back to token-major output rows.
   const float* src = ws.out_t.data();

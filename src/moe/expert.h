@@ -44,17 +44,19 @@ struct SamoyedsExpertWeights {
   SamoyedsMatrix up;
   SamoyedsMatrix down;
   // Kernel-ready packed forms (SsmmPackedA), built once by Encode — weights
-  // are immutable after encoding, so no Run ever re-derives them. Empty on
-  // hand-assembled weights; the forward falls back to per-call packing.
+  // are immutable after encoding, so no Run ever re-derives them. The
+  // forward requires them: Encode is the one way to build expert weights.
   SsmmPackedA gate_packed;
   SsmmPackedA up_packed;
   SsmmPackedA down_packed;
   // Intermediate rows that both a non-empty gate group and a non-empty up
   // group write, ascending. Every other row of act(gate) ⊙ up is ±0 for
-  // finite activations, so Encode drops down_packed's entries in those
-  // columns and the forward runs the gated activation on these rows only.
-  // Bit-exact: each fp32 partial starts at +0 and a sum that starts at +0
-  // never becomes -0, so adding a ±0 product never changes it.
+  // finite activations and nothing reads it, so Encode empties every
+  // gate_packed/up_packed group that writes such a row, drops down_packed's
+  // entries in those columns, and the forward runs the gated activation on
+  // these rows only. Bit-exact: each fp32 partial starts at +0 and a sum
+  // that starts at +0 never becomes -0, so adding a ±0 product never
+  // changes it.
   std::vector<int32_t> live_rows;
 
   static SamoyedsExpertWeights Encode(const ExpertWeights& dense, const SamoyedsConfig& cfg);

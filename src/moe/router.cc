@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "src/tensor/gemm_ref.h"
+
 namespace samoyeds {
 
 Selection RoutingPlan::SelectionForExpert(int e) const {
@@ -31,8 +33,8 @@ std::vector<int64_t> RoutingPlan::TokensPerBucket(const std::vector<int>& bucket
 }
 
 bool RoutingPlan::IsConsistent() const {
-  if (static_cast<int>(expert_tokens.size()) != num_experts ||
-      static_cast<int64_t>(token_assignments.size()) != tokens) {
+  if (static_cast<int>(expert_tokens.size()) != num_experts || top_k < 1 ||
+      static_cast<int64_t>(token_assignments.size()) != tokens * top_k) {
     return false;
   }
   int64_t total = 0;
@@ -58,12 +60,9 @@ bool RoutingPlan::IsConsistent() const {
       return false;
     }
   }
-  for (const auto& assignment : token_assignments) {
-    if (static_cast<int>(assignment.size()) != top_k) {
-      return false;
-    }
+  for (int64_t t = 0; t < tokens; ++t) {
     float weight_sum = 0.0f;
-    for (const auto& [e, w] : assignment) {
+    for (const auto& [e, w] : TokenAssignment(t)) {
       if (e < 0 || e >= num_experts || w < 0.0f) {
         return false;
       }
@@ -76,73 +75,83 @@ bool RoutingPlan::IsConsistent() const {
   return true;
 }
 
-RoutingPlan Route(const MatrixF& x, const MatrixF& gate_weight, int top_k) {
-  assert(x.cols() == gate_weight.cols());
-  assert(top_k >= 1 && top_k <= gate_weight.rows());
-  const int64_t tokens = x.rows();
-  const int num_experts = static_cast<int>(gate_weight.rows());
+namespace {
 
-  RoutingPlan plan;
+// Empties `plan` for `tokens` tokens of `num_experts` experts, keeping the
+// capacity of every vector it holds.
+void ResetPlan(RoutingPlan& plan, int64_t tokens, int num_experts, int top_k) {
   plan.num_experts = num_experts;
   plan.top_k = top_k;
   plan.tokens = tokens;
   plan.expert_tokens.resize(static_cast<size_t>(num_experts));
-  plan.token_assignments.resize(static_cast<size_t>(tokens));
   plan.expert_gate.resize(static_cast<size_t>(num_experts));
+  for (int e = 0; e < num_experts; ++e) {
+    plan.expert_tokens[static_cast<size_t>(e)].clear();
+    plan.expert_gate[static_cast<size_t>(e)].clear();
+  }
+  plan.token_assignments.clear();
+}
 
-  // One token's logits and its running top-k, reused for every token.
-  std::vector<float> logits(static_cast<size_t>(num_experts));
-  std::vector<int> top(static_cast<size_t>(top_k));
+}  // namespace
+
+void RouteInto(const MatrixF& x, const MatrixF& gate_weight_t, int top_k, MatrixF& logits,
+               RoutingPlan& plan) {
+  assert(x.cols() == gate_weight_t.rows());
+  assert(top_k >= 1 && top_k <= gate_weight_t.cols());
+  const int64_t tokens = x.rows();
+  const int num_experts = static_cast<int>(gate_weight_t.cols());
+  ResetPlan(plan, tokens, num_experts, top_k);
+
+  // logit(t, e) = x(t, :) . gate_weight(e, :) over ascending p with the
+  // GEMM's zero skip, for every token at once.
+  logits.Reshape(tokens, num_experts);
+  logits.Fill(0.0f);
+  GemmAccumulateRef(x, gate_weight_t, logits);
+
+  // Each token's running top-k lives in its own slots of the plan.
+  plan.token_assignments.resize(static_cast<size_t>(tokens * top_k));
   for (int64_t t = 0; t < tokens; ++t) {
-    // logit(e) = x(t, :) . gate_weight(e, :) over ascending p with the
-    // GEMM's zero skip: the bits GemmRef(x, gate_weight^T) gives. The experts'
-    // dots advance together, so their add chains overlap.
-    const float* xrow = x.row(t).data();
-    std::fill(logits.begin(), logits.end(), 0.0f);
-    for (int64_t p = 0; p < x.cols(); ++p) {
-      const float xv = xrow[p];
-      if (xv == 0.0f) {
-        continue;
-      }
-      const float* gcol = gate_weight.data() + p;
-      for (int e = 0; e < num_experts; ++e) {
-        logits[static_cast<size_t>(e)] += xv * gcol[e * x.cols()];
-      }
-    }
+    const float* const row = logits.data() + t * num_experts;
+    std::pair<int, float>* const top = plan.token_assignments.data() + t * top_k;
     // Stable top-k by insertion: a strictly greater logit displaces, so on a
     // tie the lower expert index stays ahead — the first k of a stable
     // descending sort.
     int kept = 0;
     for (int e = 0; e < num_experts; ++e) {
-      const float l = logits[static_cast<size_t>(e)];
+      const float l = row[e];
       int pos = kept;
-      while (pos > 0 && l > logits[static_cast<size_t>(top[static_cast<size_t>(pos - 1)])]) {
+      while (pos > 0 && l > row[top[pos - 1].first]) {
         --pos;
       }
       if (pos == top_k) {
         continue;
       }
       for (int i = std::min(kept, top_k - 1); i > pos; --i) {
-        top[static_cast<size_t>(i)] = top[static_cast<size_t>(i - 1)];
+        top[i].first = top[i - 1].first;
       }
-      top[static_cast<size_t>(pos)] = e;
+      top[pos].first = e;
       kept = std::min(kept + 1, top_k);
     }
     // Softmax over the selected top-k logits.
-    const float max_logit = logits[static_cast<size_t>(top[0])];
+    const float max_logit = row[top[0].first];
     float denom = 0.0f;
     for (int i = 0; i < top_k; ++i) {
-      denom += std::exp(logits[static_cast<size_t>(top[static_cast<size_t>(i)])] - max_logit);
+      denom += std::exp(row[top[i].first] - max_logit);
     }
-    auto& assignment = plan.token_assignments[static_cast<size_t>(t)];
     for (int i = 0; i < top_k; ++i) {
-      const int e = top[static_cast<size_t>(i)];
-      const float w = std::exp(logits[static_cast<size_t>(e)] - max_logit) / denom;
-      assignment.emplace_back(e, w);
+      const int e = top[i].first;
+      const float w = std::exp(row[e] - max_logit) / denom;
+      top[i].second = w;
       plan.expert_tokens[static_cast<size_t>(e)].push_back(static_cast<int32_t>(t));
       plan.expert_gate[static_cast<size_t>(e)].push_back(w);
     }
   }
+}
+
+RoutingPlan Route(const MatrixF& x, const MatrixF& gate_weight, int top_k) {
+  RoutingPlan plan;
+  MatrixF logits;
+  RouteInto(x, gate_weight.Transposed(), top_k, logits, plan);
   return plan;
 }
 
@@ -150,12 +159,7 @@ RoutingPlan MakeSyntheticPlan(Rng& rng, int64_t tokens, int num_experts, int top
                               double skew) {
   assert(top_k >= 1 && top_k <= num_experts);
   RoutingPlan plan;
-  plan.num_experts = num_experts;
-  plan.top_k = top_k;
-  plan.tokens = tokens;
-  plan.expert_tokens.resize(static_cast<size_t>(num_experts));
-  plan.token_assignments.resize(static_cast<size_t>(tokens));
-  plan.expert_gate.resize(static_cast<size_t>(num_experts));
+  ResetPlan(plan, tokens, num_experts, top_k);
 
   // Zipf-like popularity weights.
   std::vector<double> popularity(static_cast<size_t>(num_experts));
@@ -187,9 +191,8 @@ RoutingPlan MakeSyntheticPlan(Rng& rng, int64_t tokens, int num_experts, int top
         picked.push_back(e);
       }
     }
-    auto& assignment = plan.token_assignments[static_cast<size_t>(t)];
     for (int e : picked) {
-      assignment.emplace_back(e, 1.0f / static_cast<float>(top_k));
+      plan.token_assignments.emplace_back(e, 1.0f / static_cast<float>(top_k));
       plan.expert_tokens[static_cast<size_t>(e)].push_back(static_cast<int32_t>(t));
       plan.expert_gate[static_cast<size_t>(e)].push_back(1.0f / static_cast<float>(top_k));
     }

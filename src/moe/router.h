@@ -1,8 +1,12 @@
 // Token routing for the MoE layer (§2.1).
 //
-// Two entry points:
-//   * Route(): the numeric top-k softmax gate used by the functional layer
-//     implementations and their tests.
+// Entry points:
+//   * RouteInto(): the numeric top-k softmax gate. All tokens' logits come
+//     from one dense GEMM against the router gate transposed once by the
+//     caller, and the plan is refilled in place, so a caller that keeps one
+//     plan per layer (the serving engine) reuses its storage every step.
+//   * Route(): the same gate returning a fresh plan, for the functional
+//     layer implementations and their tests.
 //   * MakeSyntheticPlan(): a shape-only routing plan generator (with an
 //     optional popularity skew) used by the analytic benchmarks, where only
 //     the per-expert token counts matter.
@@ -11,6 +15,8 @@
 #define SAMOYEDS_SRC_MOE_ROUTER_H_
 
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "src/formats/sel.h"
@@ -25,14 +31,18 @@ struct RoutingPlan {
   int64_t tokens = 0;
   // For each expert: the (ascending) token indices routed to it.
   std::vector<std::vector<int32_t>> expert_tokens;
-  // For each token: its top_k (expert, gate weight) pairs.
-  std::vector<std::vector<std::pair<int, float>>> token_assignments;
+  // Token t's top_k (expert, gate weight) pairs, at [t * top_k, (t + 1) *
+  // top_k); see TokenAssignment.
+  std::vector<std::pair<int, float>> token_assignments;
   // For each expert: the gate weight of each routed token, parallel to
   // expert_tokens — filled by both plan constructors (and required by
   // IsConsistent) so the weighted scatter-accumulate (MoeScatterAdd) is a
   // straight per-row axpy. The one gate-weight source for execution.
   std::vector<std::vector<float>> expert_gate;
 
+  std::span<const std::pair<int, float>> TokenAssignment(int64_t t) const {
+    return {token_assignments.data() + t * top_k, static_cast<size_t>(top_k)};
+  }
   int64_t TokensForExpert(int e) const {
     return static_cast<int64_t>(expert_tokens[static_cast<size_t>(e)].size());
   }
@@ -52,8 +62,14 @@ struct RoutingPlan {
 
 // Numeric top-k routing: logits = x * gate_weight^T, softmax over the top-k
 // logits per token (the normalization used by Mixtral-style routers).
-// gate_weight is (num_experts x hidden). Each token's experts are listed by
-// descending logit, ties broken toward the lower expert index.
+// gate_weight_t is the (hidden x num_experts) transposed gate; the logits
+// are one GemmAccumulateRef into `logits` (scratch, reshaped to tokens x
+// num_experts). `plan` is overwritten, keeping its vectors' capacity. Each
+// token's experts are listed by descending logit, ties broken toward the
+// lower expert index.
+void RouteInto(const MatrixF& x, const MatrixF& gate_weight_t, int top_k, MatrixF& logits,
+               RoutingPlan& plan);
+// The same plan, fresh; gate_weight is (num_experts x hidden).
 RoutingPlan Route(const MatrixF& x, const MatrixF& gate_weight, int top_k);
 
 // Synthetic plan with Zipf-like expert popularity controlled by `skew`

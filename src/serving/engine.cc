@@ -35,6 +35,16 @@ std::vector<AttentionWeights> TransposedAttention(
   return out;
 }
 
+std::vector<MatrixF> TransposedRouterGates(
+    const std::vector<SamoyedsDecoderLayerWeights>& layers) {
+  std::vector<MatrixF> out;
+  out.reserve(layers.size());
+  for (const SamoyedsDecoderLayerWeights& layer : layers) {
+    out.push_back(layer.moe.router_gate.Transposed());
+  }
+  return out;
+}
+
 // Charges one expert's gate/up/down SSMM chain to `*ms`, one kernel at a
 // time: gate and up select `selected` of the batch's `tokens` panel
 // columns; down consumes the already-compressed intermediate. Each kernel
@@ -117,6 +127,7 @@ ServingEngine::ServingEngine(std::vector<SamoyedsDecoderLayerWeights> layers,
                              const EngineConfig& config)
     : layers_(std::move(layers)),
       attention_t_(TransposedAttention(layers_)),
+      router_gate_t_(TransposedRouterGates(layers_)),
       config_(config),
       hidden_(static_cast<int64_t>(layers_.empty() ? 0 : layers_.front().attn_norm_gamma.size())),
       scheduler_(config.scheduler),
@@ -772,7 +783,7 @@ MatrixF ServingEngine::ForwardBatch(const AssembledBatch& batch) {
     MatrixF normed = RmsNorm(h1, w.moe_norm_gamma);
     RoundMatrixToBf16(normed);
     RoutingPlan& plan = layer_plans_[layer];
-    plan = Route(normed, w.moe.router_gate, config_.top_k);
+    RouteInto(normed, router_gate_t_[layer], config_.top_k, router_logits_, plan);
     metrics_.OnRoutingPlan(plan);
     ParallelMoeForwardSamoyeds(pool_, normed, w.moe, plan, config_.activation, shard_plan_,
                                pool_ws_, moe_out_, effective_backend_);
@@ -784,7 +795,10 @@ MatrixF ServingEngine::ForwardBatch(const AssembledBatch& batch) {
 
 SsmmConfig ServingEngine::ResolveTileConfig(const SamoyedsMatrix& proj, const GemmShape& shape,
                                             int64_t selected) {
-  const std::array<int64_t, 4> key{shape.m, shape.k, shape.n, selected};
+  // Analyze, and so AutotuneSsmm, never reads shape.n while input selection,
+  // compressed output and the fused transpose are on (every tuner candidate
+  // keeps them on), so the panel width is not part of the key.
+  const std::array<int64_t, 3> key{shape.m, shape.k, selected};
   auto it = autotune_cache_.find(key);
   const bool cache_hit = it != autotune_cache_.end();
   if (!cache_hit) {

@@ -458,8 +458,10 @@ class ServingEngine {
   bool SwapTransferSucceeds(FaultPoint point);
 
   const std::vector<SamoyedsDecoderLayerWeights> layers_;
-  // Per layer: wq/wk/wv/wo transposed once at construction.
+  // Per layer: wq/wk/wv/wo and the router gate transposed once at
+  // construction.
   const std::vector<AttentionWeights> attention_t_;
+  const std::vector<MatrixF> router_gate_t_;
   const EngineConfig config_;
   const int64_t hidden_;
 
@@ -473,16 +475,19 @@ class ServingEngine {
   ExpertShardPlan shard_plan_;
   ExpertPool pool_;
   EngineMetrics metrics_;
-  // Per layer: the last forward's routing plan, read by EstimateStep.
+  // Per layer: the last forward's routing plan, read by EstimateStep and
+  // refilled in place by the next forward.
   std::vector<RoutingPlan> layer_plans_;
+  MatrixF router_logits_;  // RouteInto's scratch
   // Persistent scratch, so steady-state steps stay allocation-quiet.
   ParallelMoeWorkspace pool_ws_;
   MatrixF moe_out_;
   AllToAllScratch a2a_scratch_;
-  // Tuned SSMM config per projection kernel (rows, cols, panel columns, SEL
-  // length): gate/up and down, hot and cold experts each get their own. The
-  // kernel backend is not part of the key: the tuner models the GPU alone.
-  std::map<std::array<int64_t, 4>, AutotuneResult> autotune_cache_;
+  // Tuned SSMM config per projection kernel (rows, cols, SEL length):
+  // gate/up and down, hot and cold experts each get their own. Neither the
+  // panel width nor the kernel backend is part of the key: the tuner's
+  // model reads neither.
+  std::map<std::array<int64_t, 3>, AutotuneResult> autotune_cache_;
   // The backend this engine runs (kAuto resolved, fallbacks applied).
   KernelBackend effective_backend_ = KernelBackend::kScalar;
 

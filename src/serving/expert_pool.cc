@@ -16,13 +16,14 @@ namespace {
 
 thread_local int t_slot = 0;
 
-// Number of contiguous token tiles one expert's work splits into: enough to
-// spread a hot (skewed) expert across its shard's executors, but never so
-// many that tiny slices drown in scheduling overhead. The split never
+// No tile is cut smaller than this: tiny slices drown in per-call overhead.
+constexpr int64_t kMinTileTokens = 16;
+
+// Contiguous token tiles of one shared expert's home token range: one per
+// executor of the shard, at least kMinTileTokens each. The split never
 // changes results — per-token outputs are independent of tile grouping —
 // only load balance.
 int64_t NumTiles(int64_t tokens, int threads) {
-  constexpr int64_t kMinTileTokens = 16;
   if (tokens <= 0) {
     return 0;
   }
@@ -30,6 +31,19 @@ int64_t NumTiles(int64_t tokens, int threads) {
     return 1;
   }
   return std::min<int64_t>(threads, (tokens + kMinTileTokens - 1) / kMinTileTokens);
+}
+
+// Tiles of one routed expert holding `tokens` of its shard's `shard_load`
+// routed tokens: one, unless the expert exceeds an executor's fair share of
+// that load (at least kMinTileTokens), then one per share, at most one per
+// executor. Experts that already keep the executors busy run whole, so
+// every tile keeps a wide SEL panel; only a hot expert is cut.
+int64_t ExpertTiles(int64_t tokens, int64_t shard_load, int executors) {
+  if (tokens <= 0) {
+    return 0;
+  }
+  const int64_t share = std::max(kMinTileTokens, (shard_load + executors - 1) / executors);
+  return std::min<int64_t>(executors, (tokens + share - 1) / share);
 }
 
 }  // namespace
@@ -205,12 +219,22 @@ void ForwardImpl(ExpertPool& pool, const MatrixF& x, const SamoyedsMoeLayerWeigh
     return pool.threads() > 0 ? pool.ShardWorkers(shard) + 1 : 1;
   };
 
+  // Each shard's routed load sets the fair share its experts split against.
+  ws.shard_load.assign(static_cast<size_t>(num_shards), 0);
+  for (size_t e = 0; e < num_experts; ++e) {
+    ws.shard_load[static_cast<size_t>(shard_of(e))] += plan.TokensForExpert(static_cast<int>(e));
+  }
+  const auto expert_tiles = [&](size_t e) {
+    const int shard = shard_of(e);
+    return ExpertTiles(plan.TokensForExpert(static_cast<int>(e)),
+                       ws.shard_load[static_cast<size_t>(shard)], shard_threads(shard));
+  };
+
   // Size the tile array up front: tasks hold references into it, so it must
   // not reallocate while any task is in flight.
   size_t total_tiles = 0;
   for (size_t e = 0; e < num_experts; ++e) {
-    total_tiles += static_cast<size_t>(NumTiles(plan.TokensForExpert(static_cast<int>(e)),
-                                                shard_threads(shard_of(e))));
+    total_tiles += static_cast<size_t>(expert_tiles(e));
   }
   size_t shared_tiles = 0;
   for (int s = 0; s < num_shards; ++s) {
@@ -241,7 +265,7 @@ void ForwardImpl(ExpertPool& pool, const MatrixF& x, const SamoyedsMoeLayerWeigh
       const int shard = shard_of(e);
       MatrixF& expert_out = ws.expert_out[e];
       expert_out.Reshape(count, hidden);
-      const int64_t tiles = NumTiles(count, shard_threads(shard));
+      const int64_t tiles = expert_tiles(e);
       for (int64_t t = 0; t < tiles; ++t) {
         const int64_t t0 = t * count / tiles;
         const int64_t t1 = (t + 1) * count / tiles;

@@ -11,6 +11,14 @@
 // per-expert output. One skewed expert therefore no longer serializes the
 // step behind a single worker.
 //
+// The split follows each shard's routed load. An executor's fair share is
+// the shard's routed tokens over its executors (at least 16 tokens); an
+// expert within its share runs as one tile, and one above it splits into
+// one tile per share, at most one per executor. When several experts
+// already keep a shard's executors busy, none is cut, so every tile keeps
+// the widest SEL panel it can. Shared experts split their home token range
+// into one tile per executor (at least 16 tokens each).
+//
 // Expert-parallel sharding partitions the pool into per-shard work queues
 // — one simulated device per shard. Workers are pinned to shards (worker w
 // homes on shard w % shards; with fewer workers than shards, worker w
@@ -38,7 +46,7 @@
 // The submitting thread is an executor too, in threaded mode as well as
 // inline: while it waits in WaitIdle it runs queued tasks as slot 0, taking
 // them from every shard's queue, and blocks only once every queue is empty
-// and tasks are still in flight. Tile splitting therefore counts it as one
+// and tasks are still in flight. The fair share therefore counts it as one
 // more executor of every shard. Only one thread may wait at a time (a debug
 // assertion checks it), and it must be the one that submitted.
 //
@@ -125,7 +133,7 @@ class ExpertPool {
   int shards() const { return static_cast<int>(queues_.size()); }
 
   // Workers dedicated to `shard` (1 in inline mode; with threads < shards a
-  // server shared between shards still counts as 1). Tile splitting targets
+  // server shared between shards still counts as 1). The tile split counts
   // these plus the waiting caller in threaded mode.
   int ShardWorkers(int shard) const;
 
@@ -180,6 +188,7 @@ struct ParallelMoeWorkspace {
   std::vector<MatrixF> expert_out;     // routed experts, tokens_e x hidden
   std::vector<MatrixF> shared_out;     // shared experts, tokens x hidden
   std::vector<Selection> tile_sel;     // one per in-flight tile
+  std::vector<int64_t> shard_load;     // routed tokens per shard
   std::vector<SsmmWorkspace> slot_ws;  // one per pool slot
 };
 
@@ -197,8 +206,8 @@ void ParallelMoeForwardSamoyeds(ExpertPool& pool, const MatrixF& x,
                                 KernelBackend backend = KernelBackend::kScalar);
 
 // Expert-parallel sharded execution: each routed expert's tiles go to its
-// placement shard's queue (tile split against that shard's worker
-// complement); shared experts run data-parallel, each shard processing its
+// placement shard's queue (tile split against that shard's routed load and
+// executors); shared experts run data-parallel, each shard processing its
 // home token range. The fold still walks experts in ascending global id —
 // a fixed order independent of placement — so outputs are bit-identical to
 // the unsharded overloads at any shard/thread count.

@@ -1,9 +1,10 @@
 // Tile-granular expert scheduling: bit-determinism across thread counts,
 // tile splits, and expert-parallel shard counts (including pathologically
 // skewed routing), workspace reuse, the task-accounting invariants (a hot
-// expert splits, a zero-token expert submits nothing, a shard whose experts
-// are all idle receives no tasks), and the caller running queued tasks
-// while it waits.
+// expert splits, experts within the fair share of their shard's load run
+// whole, a zero-token expert submits nothing, a shard whose experts are all
+// idle receives no tasks), and the caller running queued tasks while it
+// waits.
 
 #include <gtest/gtest.h>
 
@@ -36,23 +37,29 @@ MoeModelConfig SmallConfig(int experts, int shared) {
   return cfg;
 }
 
-// All tokens routed to expert `hot` with unit weight; every other expert
-// idle.
-RoutingPlan SkewedPlan(int64_t tokens, int num_experts, int hot) {
+// Top-1 plan routing token t to expert_of(t) with unit weight.
+template <typename ExpertOf>
+RoutingPlan Top1Plan(int64_t tokens, int num_experts, const ExpertOf& expert_of) {
   RoutingPlan plan;
   plan.num_experts = num_experts;
   plan.top_k = 1;
   plan.tokens = tokens;
   plan.expert_tokens.resize(static_cast<size_t>(num_experts));
-  plan.token_assignments.resize(static_cast<size_t>(tokens));
   plan.expert_gate.resize(static_cast<size_t>(num_experts));
   for (int64_t t = 0; t < tokens; ++t) {
-    plan.expert_tokens[static_cast<size_t>(hot)].push_back(static_cast<int32_t>(t));
-    plan.token_assignments[static_cast<size_t>(t)].emplace_back(hot, 1.0f);
-    plan.expert_gate[static_cast<size_t>(hot)].push_back(1.0f);
+    const int e = expert_of(t);
+    plan.expert_tokens[static_cast<size_t>(e)].push_back(static_cast<int32_t>(t));
+    plan.token_assignments.emplace_back(e, 1.0f);
+    plan.expert_gate[static_cast<size_t>(e)].push_back(1.0f);
   }
   EXPECT_TRUE(plan.IsConsistent());
   return plan;
+}
+
+// All tokens routed to expert `hot` with unit weight; every other expert
+// idle.
+RoutingPlan SkewedPlan(int64_t tokens, int num_experts, int hot) {
+  return Top1Plan(tokens, num_experts, [hot](int64_t) { return hot; });
 }
 
 TEST(ExpertPoolTilingTest, PathologicalSkewIsBitDeterministicAcrossThreadCounts) {
@@ -97,6 +104,76 @@ TEST(ExpertPoolTilingTest, HotExpertSplitsIntoMultipleTiles) {
   // single serializing task.
   EXPECT_GT(tasks, 1);
   EXPECT_LE(tasks, 5);
+}
+
+// Uniform routing over 8 experts: 24 tokens each.
+RoutingPlan UniformPlan() {
+  return Top1Plan(192, 8, [](int64_t t) { return static_cast<int>(t % 8); });
+}
+
+// Expert 0 holds 128 of 192 tokens, twice the fair share of 3 executors
+// (64); the other 64 tokens spread over experts 1..7.
+RoutingPlan HotPlan() {
+  return Top1Plan(192, 8, [](int64_t t) { return t % 3 != 2 ? 0 : 1 + static_cast<int>(t % 7); });
+}
+
+TEST(ExpertPoolTilingTest, UniformRoutingRunsEachExpertAsOneTile) {
+  Rng rng(909);
+  const MoeModelConfig cfg = SmallConfig(8, 0);
+  const SamoyedsMoeLayerWeights sw = SamoyedsMoeLayerWeights::Encode(
+      MoeLayerWeights::Random(rng, cfg), SamoyedsConfig{1, 2, 32});
+  const MatrixF x = RandomBf16Matrix(rng, 192, cfg.hidden);
+  // Two workers and the waiting caller: 3 executors, fair share 64 tokens.
+  // Eight 24-token experts already keep them busy, so none is cut.
+  ExpertPool pool(2);
+  ParallelMoeWorkspace ws;
+  MatrixF out;
+  ParallelMoeForwardSamoyeds(pool, x, sw, UniformPlan(), Activation::kSilu, ws, out);
+  EXPECT_EQ(pool.submitted_total(), 8);
+}
+
+TEST(ExpertPoolTilingTest, ExpertAboveTwiceTheFairShareSplits) {
+  Rng rng(910);
+  const MoeModelConfig cfg = SmallConfig(8, 0);
+  const SamoyedsMoeLayerWeights sw = SamoyedsMoeLayerWeights::Encode(
+      MoeLayerWeights::Random(rng, cfg), SamoyedsConfig{1, 2, 32});
+  const MatrixF x = RandomBf16Matrix(rng, 192, cfg.hidden);
+  const RoutingPlan plan = HotPlan();
+  ASSERT_GE(plan.TokensForExpert(0), 2 * 64);
+  int64_t cold_experts = 0;
+  for (int e = 1; e < 8; ++e) {
+    ASSERT_LE(plan.TokensForExpert(e), 64);
+    cold_experts += plan.TokensForExpert(e) > 0 ? 1 : 0;
+  }
+  ExpertPool pool(2);  // 3 executors
+  ParallelMoeWorkspace ws;
+  MatrixF out;
+  ParallelMoeForwardSamoyeds(pool, x, sw, plan, Activation::kSilu, ws, out);
+  // Each cold expert runs whole; the hot one splits into 2 to 3 tiles.
+  const int64_t hot_tiles = pool.submitted_total() - cold_experts;
+  EXPECT_GE(hot_tiles, 2);
+  EXPECT_LE(hot_tiles, 3);
+}
+
+TEST(ExpertPoolTilingTest, LoadSplitIsBitIdenticalAtEveryThreadAndShardCount) {
+  Rng rng(911);
+  const MoeModelConfig cfg = SmallConfig(8, 1);
+  const SamoyedsMoeLayerWeights sw = SamoyedsMoeLayerWeights::Encode(
+      MoeLayerWeights::Random(rng, cfg), SamoyedsConfig{1, 2, 32});
+  const MatrixF x = RandomBf16Matrix(rng, 192, cfg.hidden);
+  for (const RoutingPlan& plan : {UniformPlan(), HotPlan()}) {
+    const MatrixF sequential = MoeForwardSamoyeds(x, sw, plan, Activation::kSilu);
+    for (int threads = 1; threads <= 4; ++threads) {
+      for (int shards : {1, 2}) {
+        ExpertPool pool(threads, shards);
+        const ExpertShardPlan placement = ExpertShardPlan::RoundRobin(cfg.num_experts, shards);
+        ParallelMoeWorkspace ws;
+        MatrixF out;
+        ParallelMoeForwardSamoyeds(pool, x, sw, plan, Activation::kSilu, placement, ws, out);
+        EXPECT_TRUE(out == sequential) << "threads=" << threads << " shards=" << shards;
+      }
+    }
+  }
 }
 
 // A latch the blocked tasks below wait on with a bounded timeout, so a pool

@@ -142,6 +142,27 @@ TEST(AutotuneTest, SmallProblemsPreferSmallTiles) {
   EXPECT_LT(small.config.mb * small.config.nb, 128 * 64);
 }
 
+TEST(AutotuneTest, PanelWidthDoesNotChangeTheResultAtEqualSel) {
+  // The serving engine keys its tuning memo by (rows, cols, SEL) alone; that
+  // holds only while the panel width never reaches the result.
+  const SamoyedsConfig fmt{1, 2, 32};
+  for (const int64_t sel : {1, 17, 256}) {
+    const AutotuneResult narrow = AutotuneSsmm({1024, 512, 256}, sel, fmt, DefaultDevice());
+    const AutotuneResult wide = AutotuneSsmm({1024, 512, 4096}, sel, fmt, DefaultDevice());
+    EXPECT_EQ(narrow.config.mb, wide.config.mb) << "SEL " << sel;
+    EXPECT_EQ(narrow.config.nb, wide.config.nb) << "SEL " << sel;
+    EXPECT_EQ(narrow.config.kb, wide.config.kb) << "SEL " << sel;
+    EXPECT_EQ(narrow.config.mw, wide.config.mw) << "SEL " << sel;
+    EXPECT_EQ(narrow.config.nw, wide.config.nw) << "SEL " << sel;
+    EXPECT_EQ(narrow.config.stages, wide.config.stages) << "SEL " << sel;
+    EXPECT_EQ(narrow.simulated_ms, wide.simulated_ms) << "SEL " << sel;
+    EXPECT_EQ(narrow.default_ms, wide.default_ms) << "SEL " << sel;
+    EXPECT_EQ(narrow.working_set_bytes, wide.working_set_bytes) << "SEL " << sel;
+    EXPECT_EQ(narrow.residency_ms, wide.residency_ms) << "SEL " << sel;
+    EXPECT_EQ(narrow.fits_llc, wide.fits_llc) << "SEL " << sel;
+  }
+}
+
 TEST(AutotuneTest, DeviceChangesChoice) {
   const SamoyedsConfig fmt{1, 2, 32};
   const GemmShape shape{4096, 4096, 4096};

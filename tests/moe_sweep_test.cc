@@ -105,7 +105,8 @@ TEST(RouterEdgeTest, GateWeightsDescendWithLogits) {
   const MatrixF x = rng.GaussianMatrix(20, 8);
   const MatrixF gate = rng.GaussianMatrix(8, 8);
   const RoutingPlan plan = Route(x, gate, 3);
-  for (const auto& assignment : plan.token_assignments) {
+  for (int64_t t = 0; t < plan.tokens; ++t) {
+    const auto assignment = plan.TokenAssignment(t);
     for (size_t i = 1; i < assignment.size(); ++i) {
       EXPECT_GE(assignment[i - 1].second, assignment[i].second);
     }

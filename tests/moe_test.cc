@@ -4,12 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <utility>
+#include <vector>
 
 #include "src/moe/attention.h"
 #include "src/moe/expert.h"
 #include "src/moe/model_configs.h"
 #include "src/moe/moe_layer.h"
 #include "src/moe/router.h"
+#include "src/tensor/bf16.h"
 #include "src/tensor/gemm_ref.h"
 #include "src/tensor/rng.h"
 #include "tests/test_util.h"
@@ -58,7 +61,7 @@ TEST(RouterTest, TopKPicksHighestLogits) {
   gate(2, 0) = -1.0f;
   gate(3, 0) = 5.0f;
   const RoutingPlan plan = Route(x, gate, 2);
-  const auto& a = plan.token_assignments[0];
+  const auto a = plan.TokenAssignment(0);
   EXPECT_EQ(a[0].first, 3);
   EXPECT_EQ(a[1].first, 1);
   EXPECT_GT(a[0].second, a[1].second);  // softmax weight ordering
@@ -131,10 +134,27 @@ TEST(ExpertTest, GeluVariantAlsoMatches) {
   EXPECT_LT(RelativeError(sparse_out, dense_out), 2e-2);
 }
 
+// The expert chain over every intermediate row, packing each projection per
+// call through the unpacked RunPanel overload: the oracle for the dead-row
+// skip, which never computes the rows nothing reads.
+MatrixF AllRowsExpertForward(const MatrixF& x, const SamoyedsExpertWeights& w,
+                             const Selection& sel, Activation act) {
+  SsmmWorkspace ws;
+  SamoyedsKernel::PackSelectedTokens(x, sel, ws.panel);
+  SamoyedsKernel::RunPanel(w.gate, ws.panel, ws, ws.gate_t);
+  SamoyedsKernel::RunPanel(w.up, ws.panel, ws, ws.up_t);
+  for (int64_t i = 0; i < ws.gate_t.size(); ++i) {
+    ws.gate_t.data()[i] =
+        RoundToBf16(ApplyActivation(act, ws.gate_t.data()[i]) * ws.up_t.data()[i]);
+  }
+  SamoyedsKernel::RunPanel(w.down, ws.gate_t, ws, ws.out_t);
+  return ws.out_t.Transposed();
+}
+
 TEST(ExpertTest, DeadRowSkipIsBitExactAgainstPerCallPacking) {
-  // Encode drops the intermediate rows no gate or no up group writes; the
-  // same weights with their packs cleared take the per-call path, which
-  // packs and runs every row. Both must give the same bits.
+  // Encode drops the gate/up groups that write an intermediate row no gate
+  // or no up group writes, and down's entries that read one; the all-rows
+  // oracle packs and runs every row. Both must give the same bits.
   const SamoyedsConfig cfgs[] = {{1, 2, 32}, {2, 4, 32}, {1, 4, 32}, {1, 2, 64}};
   Rng rng(77);
   for (const SamoyedsConfig& cfg : cfgs) {
@@ -142,23 +162,46 @@ TEST(ExpertTest, DeadRowSkipIsBitExactAgainstPerCallPacking) {
     const int inter = 192;
     const ExpertWeights w = ExpertWeights::Random(rng, hidden, inter);
     const SamoyedsExpertWeights encoded = SamoyedsExpertWeights::Encode(w, cfg);
-    SamoyedsExpertWeights per_call = encoded;
-    per_call.gate_packed = {};
-    per_call.up_packed = {};
-    per_call.down_packed = {};
-    per_call.live_rows.clear();
     // The skip must have something to skip.
     EXPECT_GT(encoded.live_rows.size(), 0u);
     EXPECT_LT(encoded.live_rows.size(), static_cast<size_t>(inter));
 
-    const MatrixF x = RandomBf16Matrix(rng, 24, hidden);
-    const Selection sel = RandomSelection(rng, 24, 17);
-    for (const Activation act : {Activation::kSilu, Activation::kGeluTanh}) {
-      const MatrixF got = ExpertForwardSamoyeds(x, encoded, sel, act);
-      const MatrixF want = ExpertForwardSamoyeds(x, per_call, sel, act);
-      ASSERT_EQ(got.rows(), want.rows());
-      EXPECT_EQ(std::memcmp(got.data(), want.data(), sizeof(float) * got.size()), 0)
-          << "format {" << cfg.n << ", " << cfg.m << ", " << cfg.v << "}";
+    // No kept gate/up group writes a dead row, and every pack shrank.
+    std::vector<bool> live(static_cast<size_t>(inter), false);
+    for (const int32_t r : encoded.live_rows) {
+      live[static_cast<size_t>(r)] = true;
+    }
+    for (const auto& [matrix, packed] :
+         {std::pair{&encoded.gate, &encoded.gate_packed},
+          std::pair{&encoded.up, &encoded.up_packed},
+          std::pair{&encoded.down, &encoded.down_packed}}) {
+      SsmmPackedA full;
+      SamoyedsKernel::PackWeights(*matrix, full);
+      EXPECT_EQ(packed->rows, full.rows);
+      // PackWeights sizes vals/cols to an upper bound; off.back() counts.
+      EXPECT_LT(packed->off.back(), full.off.back());
+      ASSERT_EQ(packed->vals.size(), static_cast<size_t>(packed->off.back()));
+      ASSERT_EQ(packed->cols.size(), packed->vals.size());
+    }
+    for (const SsmmPackedA* packed : {&encoded.gate_packed, &encoded.up_packed}) {
+      for (size_t g = 0; g < packed->rows.size(); ++g) {
+        if (packed->off[g] != packed->off[g + 1]) {
+          EXPECT_TRUE(live[static_cast<size_t>(packed->rows[g])]) << "group " << g;
+        }
+      }
+    }
+
+    const MatrixF x = RandomBf16Matrix(rng, 80, hidden);
+    for (const int64_t selected : {1, 2, 17, 64}) {
+      const Selection sel = RandomSelection(rng, x.rows(), selected);
+      for (const Activation act : {Activation::kSilu, Activation::kGeluTanh}) {
+        const MatrixF got = ExpertForwardSamoyeds(x, encoded, sel, act);
+        const MatrixF want = AllRowsExpertForward(x, encoded, sel, act);
+        ASSERT_EQ(got.rows(), want.rows());
+        ASSERT_EQ(got.cols(), want.cols());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(), sizeof(float) * got.size()), 0)
+            << "format {" << cfg.n << ", " << cfg.m << ", " << cfg.v << "} SEL " << selected;
+      }
     }
   }
 }

@@ -1,6 +1,8 @@
 // Top-k routing edge cases: RoutingPlan::IsConsistent rejects tampered
-// plans, zero-token experts are legal and executable, and tie-breaking
-// matches a stable descending sort bit for bit.
+// plans, zero-token experts are legal and executable, tie-breaking matches
+// a stable descending sort bit for bit, the one-GEMM logits route exactly
+// as per-token dot products, and a plan reused across calls equals a fresh
+// one.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +10,7 @@
 #include <cmath>
 #include <cstring>
 #include <numeric>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -45,7 +48,7 @@ TEST(RoutingPlanTest, IsConsistentRejectsTamperedPlans) {
 
   // Weight violation: un-normalized gate weight.
   RoutingPlan weights = good;
-  weights.token_assignments[0].front().second += 0.5f;
+  weights.token_assignments.front().second += 0.5f;
   EXPECT_FALSE(weights.IsConsistent());
 
   // Gate row no longer parallel to its token list.
@@ -97,20 +100,18 @@ TEST(TopKRoutingTest, ZeroTokenExpertsAreLegalAndExecutable) {
   EXPECT_LT(RelativeError(got, ref), 2e-2);
 }
 
-// Route's selection as it was written before the stable top-k insertion:
-// logits from the dense GEMM against the transposed gate, then a stable
-// descending sort of every expert per token. Kept here as the oracle.
-RoutingPlan StableSortRoute(const MatrixF& x, const MatrixF& gate_weight, int top_k) {
-  const int64_t tokens = x.rows();
-  const int num_experts = static_cast<int>(gate_weight.rows());
+// Route's selection as it was written before the stable top-k insertion: a
+// stable descending sort of every expert per token over the given logits.
+// Kept here as the oracle.
+RoutingPlan StableSortPlan(const MatrixF& logits, int top_k) {
+  const int64_t tokens = logits.rows();
+  const int num_experts = static_cast<int>(logits.cols());
   RoutingPlan plan;
   plan.num_experts = num_experts;
   plan.top_k = top_k;
   plan.tokens = tokens;
   plan.expert_tokens.resize(static_cast<size_t>(num_experts));
-  plan.token_assignments.resize(static_cast<size_t>(tokens));
   plan.expert_gate.resize(static_cast<size_t>(num_experts));
-  const MatrixF logits = GemmRef(x, gate_weight.Transposed());
   std::vector<int> order(static_cast<size_t>(num_experts));
   for (int64_t t = 0; t < tokens; ++t) {
     std::iota(order.begin(), order.end(), 0);
@@ -124,12 +125,30 @@ RoutingPlan StableSortRoute(const MatrixF& x, const MatrixF& gate_weight, int to
     for (int i = 0; i < top_k; ++i) {
       const int e = order[static_cast<size_t>(i)];
       const float w = std::exp(logits(t, e) - max_logit) / denom;
-      plan.token_assignments[static_cast<size_t>(t)].emplace_back(e, w);
+      plan.token_assignments.emplace_back(e, w);
       plan.expert_tokens[static_cast<size_t>(e)].push_back(static_cast<int32_t>(t));
       plan.expert_gate[static_cast<size_t>(e)].push_back(w);
     }
   }
   return plan;
+}
+
+// Logits as Route computed them before it used one GEMM: per token, every
+// expert's dot product over ascending p, skipping zero activations.
+MatrixF RowDotLogits(const MatrixF& x, const MatrixF& gate_weight) {
+  MatrixF logits(x.rows(), gate_weight.rows());
+  for (int64_t t = 0; t < x.rows(); ++t) {
+    for (int64_t p = 0; p < x.cols(); ++p) {
+      const float xv = x(t, p);
+      if (xv == 0.0f) {
+        continue;
+      }
+      for (int64_t e = 0; e < gate_weight.rows(); ++e) {
+        logits(t, e) += xv * gate_weight(e, p);
+      }
+    }
+  }
+  return logits;
 }
 
 // An empty vector's data() may be null, which memcmp must never see.
@@ -138,53 +157,115 @@ bool SameBits(const std::vector<float>& a, const std::vector<float>& b) {
          (a.empty() || std::memcmp(a.data(), b.data(), sizeof(float) * a.size()) == 0);
 }
 
-TEST(TopKRoutingTest, TieHeavyLogitsMatchTheStableSortOracle) {
-  Rng rng(2024);
-  // Values on a coarse grid make most logits exact small multiples of 0.5,
-  // so ties are real: duplicated and all-zero gate rows tie every token,
-  // and all-zero tokens tie every expert.
+// Field-by-field equality, gate weights compared bit for bit.
+void ExpectSamePlan(const RoutingPlan& got, const RoutingPlan& want, const std::string& label) {
+  EXPECT_EQ(got.num_experts, want.num_experts) << label;
+  EXPECT_EQ(got.top_k, want.top_k) << label;
+  EXPECT_EQ(got.tokens, want.tokens) << label;
+  ASSERT_EQ(got.token_assignments.size(), want.token_assignments.size()) << label;
+  for (size_t i = 0; i < want.token_assignments.size(); ++i) {
+    const auto& g = got.token_assignments[i];
+    const auto& w = want.token_assignments[i];
+    EXPECT_EQ(g.first, w.first) << label << " slot " << i;
+    EXPECT_EQ(std::memcmp(&g.second, &w.second, sizeof(float)), 0) << label << " slot " << i;
+  }
+  EXPECT_EQ(got.expert_tokens, want.expert_tokens) << label;
+  ASSERT_EQ(got.expert_gate.size(), want.expert_gate.size()) << label;
+  for (size_t e = 0; e < want.expert_gate.size(); ++e) {
+    EXPECT_TRUE(SameBits(got.expert_gate[e], want.expert_gate[e])) << label << " expert " << e;
+  }
+}
+
+// Gate and tokens on a coarse grid make most logits exact small multiples
+// of 0.5, so ties are real: duplicated and all-zero gate rows tie every
+// token, and every fifth token is all zero, tying every expert.
+struct TieHeavyCase {
+  MatrixF gate;
+  MatrixF x;
+};
+
+TieHeavyCase MakeTieHeavyCase(Rng& rng, int experts, int64_t hidden, int64_t tokens) {
   const float grid[] = {-1.0f, -0.5f, 0.0f, -0.0f, 0.5f, 1.0f};
   const auto pick = [&rng, &grid] { return grid[rng.NextU64() % 6]; };
+  TieHeavyCase c{MatrixF(experts, hidden), MatrixF(tokens, hidden)};
+  for (int e = 0; e < experts; ++e) {
+    const int kind = static_cast<int>(rng.NextU64() % 4);
+    for (int64_t p = 0; p < hidden; ++p) {
+      // kind 0: copy of row 0 (or fresh for row 0); 1: all zero; else fresh.
+      c.gate(e, p) = kind == 0 && e > 0 ? c.gate(0, p) : kind == 1 ? 0.0f : pick();
+    }
+  }
+  for (int64_t t = 0; t < tokens; ++t) {
+    const bool zero_token = t % 5 == 0;
+    for (int64_t p = 0; p < hidden; ++p) {
+      c.x(t, p) = zero_token ? 0.0f : pick();
+    }
+  }
+  return c;
+}
+
+TEST(TopKRoutingTest, TieHeavyLogitsMatchTheStableSortOracle) {
+  Rng rng(2024);
   constexpr int kExperts = 8;
-  constexpr int64_t kHidden = 16;
   for (int trial = 0; trial < 40; ++trial) {
-    MatrixF gate(kExperts, kHidden);
-    for (int e = 0; e < kExperts; ++e) {
-      const int kind = static_cast<int>(rng.NextU64() % 4);
-      for (int64_t c = 0; c < kHidden; ++c) {
-        // kind 0: copy of row 0 (or fresh for row 0); 1: all zero; else fresh.
-        gate(e, c) = kind == 0 && e > 0 ? gate(0, c) : kind == 1 ? 0.0f : pick();
-      }
-    }
-    MatrixF x(24, kHidden);
-    for (int64_t t = 0; t < x.rows(); ++t) {
-      const bool zero_token = t % 5 == 0;
-      for (int64_t c = 0; c < kHidden; ++c) {
-        x(t, c) = zero_token ? 0.0f : pick();
-      }
-    }
+    const TieHeavyCase c = MakeTieHeavyCase(rng, kExperts, 16, 24);
     for (int top_k : {1, 2, 3, kExperts}) {
-      const RoutingPlan got = Route(x, gate, top_k);
-      const RoutingPlan want = StableSortRoute(x, gate, top_k);
+      const RoutingPlan got = Route(c.x, c.gate, top_k);
       ASSERT_TRUE(got.IsConsistent());
-      ASSERT_EQ(got.token_assignments.size(), want.token_assignments.size());
-      for (size_t t = 0; t < want.token_assignments.size(); ++t) {
-        const auto& g = got.token_assignments[t];
-        const auto& w = want.token_assignments[t];
-        ASSERT_EQ(g.size(), w.size());
-        for (size_t i = 0; i < w.size(); ++i) {
-          EXPECT_EQ(g[i].first, w[i].first) << "trial " << trial << " token " << t;
-          EXPECT_EQ(std::memcmp(&g[i].second, &w[i].second, sizeof(float)), 0)
-              << "trial " << trial << " token " << t;
-        }
-      }
-      EXPECT_EQ(got.expert_tokens, want.expert_tokens) << "trial " << trial;
-      for (int e = 0; e < kExperts; ++e) {
-        EXPECT_TRUE(SameBits(got.expert_gate[static_cast<size_t>(e)],
-                             want.expert_gate[static_cast<size_t>(e)]))
-            << "trial " << trial << " expert " << e;
-      }
+      ExpectSamePlan(got, StableSortPlan(GemmRef(c.x, c.gate.Transposed()), top_k),
+                     "trial " + std::to_string(trial) + " top_k " + std::to_string(top_k));
     }
+  }
+}
+
+TEST(TopKRoutingTest, GemmLogitsReproduceTheRowDotRouter) {
+  // The RouterEdgeTest inputs (top-k equal to the expert count, one token,
+  // descending weights), then tie-heavy and all-zero ones: the one-GEMM
+  // logits must route exactly as the per-token dot products did.
+  struct Case {
+    MatrixF x;
+    MatrixF gate;
+    int top_k;
+  };
+  std::vector<Case> cases;
+  Rng edge704(704);
+  MatrixF x = edge704.GaussianMatrix(10, 8);
+  cases.push_back({x, edge704.GaussianMatrix(4, 8), 4});
+  Rng edge705(705);
+  x = edge705.GaussianMatrix(1, 8);
+  cases.push_back({x, edge705.GaussianMatrix(6, 8), 2});
+  Rng edge706(706);
+  x = edge706.GaussianMatrix(20, 8);
+  cases.push_back({x, edge706.GaussianMatrix(8, 8), 3});
+  Rng rng(2025);
+  for (int trial = 0; trial < 10; ++trial) {
+    TieHeavyCase c = MakeTieHeavyCase(rng, 8, 16, 24);
+    cases.push_back({c.x, c.gate, 1 + trial % 3});
+  }
+  cases.push_back({MatrixF(5, 16), rng.GaussianMatrix(8, 16), 2});  // all-zero tokens
+  cases.push_back({rng.GaussianMatrix(5, 16), MatrixF(8, 16), 3});  // all-zero gate
+  for (size_t i = 0; i < cases.size(); ++i) {
+    const Case& c = cases[i];
+    const RoutingPlan got = Route(c.x, c.gate, c.top_k);
+    ASSERT_TRUE(got.IsConsistent()) << "case " << i;
+    ExpectSamePlan(got, StableSortPlan(RowDotLogits(c.x, c.gate), c.top_k),
+                   "case " + std::to_string(i));
+  }
+}
+
+TEST(TopKRoutingTest, ReusedPlanEqualsAFreshRouteAtEveryTokenCount) {
+  Rng rng(2026);
+  const MatrixF gate = rng.GaussianMatrix(8, 32);
+  const MatrixF gate_t = gate.Transposed();
+  RoutingPlan plan;
+  MatrixF logits;
+  // Grow, shrink to one token, grow past the first size, shrink again.
+  for (const int64_t tokens : {40, 7, 1, 96, 33}) {
+    MatrixF x = rng.GaussianMatrix(tokens, 32);
+    x(0, 3) = 0.0f;  // a zero activation the GEMM must skip
+    RouteInto(x, gate_t, /*top_k=*/2, logits, plan);
+    EXPECT_TRUE(plan.IsConsistent()) << "tokens " << tokens;
+    ExpectSamePlan(plan, Route(x, gate, 2), "tokens " + std::to_string(tokens));
   }
 }
 

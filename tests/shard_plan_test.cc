@@ -25,10 +25,9 @@ RoutingPlan SingleExpertPlan(int64_t tokens, int num_experts, int hot) {
   plan.top_k = 1;
   plan.tokens = tokens;
   plan.expert_tokens.resize(static_cast<size_t>(num_experts));
-  plan.token_assignments.resize(static_cast<size_t>(tokens));
   for (int64_t t = 0; t < tokens; ++t) {
     plan.expert_tokens[static_cast<size_t>(hot)].push_back(static_cast<int32_t>(t));
-    plan.token_assignments[static_cast<size_t>(t)].emplace_back(hot, 1.0f);
+    plan.token_assignments.emplace_back(hot, 1.0f);
   }
   return plan;
 }
@@ -167,10 +166,7 @@ TEST(AllToAllTrafficTest, BalancedRoutingStillPaysForRemoteExperts) {
   plan.top_k = 1;
   plan.tokens = 4;
   plan.expert_tokens = {{0}, {1}, {2}, {3}};
-  plan.token_assignments.resize(4);
-  for (int t = 0; t < 4; ++t) {
-    plan.token_assignments[static_cast<size_t>(t)].emplace_back(t, 1.0f);
-  }
+  plan.token_assignments = {{0, 1.0f}, {1, 1.0f}, {2, 1.0f}, {3, 1.0f}};
   const ExpertShardPlan placement = ExpertShardPlan::RoundRobin(4, 2);
   const AllToAllTraffic t = ComputeAllToAllTraffic(plan, placement, /*hidden=*/32);
   const double row_bytes = 32.0 * 2.0;
