@@ -107,7 +107,7 @@ struct EngineConfig {
   // forward computes on threads + 1 CPUs.
   int threads = 4;
   // Resolve each SSMM kernel's tile configuration via AutotuneSsmm,
-  // memoized per (projection rows, cols, panel columns, SEL length) — the
+  // memoized per (projection rows, cols, SEL length) — the
   // ROADMAP's "autotuned serving". Purely an analytic-model resolution:
   // functional outputs are unchanged (asserted by
   // ServingEngineTest.AutotuneDoesNotChangeOutputsAndCachesShapes); the

@@ -1,14 +1,11 @@
 // Tests for the extension features: generic N:M format, nmSPARSE-like
-// baseline kernel, the SsmmConfig autotuner, and binary serialization.
-
-#include <sstream>
+// baseline kernel, and the SsmmConfig autotuner.
 
 #include <gtest/gtest.h>
 
 #include "src/core/autotune.h"
 #include "src/formats/nm24.h"
 #include "src/formats/nm_generic.h"
-#include "src/formats/serialization.h"
 #include "src/kernels/nmsparse_spmm.h"
 #include "src/tensor/gemm_ref.h"
 #include "src/tensor/rng.h"
@@ -172,54 +169,6 @@ TEST(AutotuneTest, DeviceChangesChoice) {
   // both and the tuner explores real alternatives.
   EXPECT_GT(a100.speedup_over_default(), 0.999);
   EXPECT_GT(native.speedup_over_default(), 0.999);
-}
-
-// ------------------------------------------------------------ serialization
-
-TEST(SerializationTest, RoundTrip) {
-  Rng rng(105);
-  const MatrixF dense = rng.GaussianMatrix(64, 128);
-  const SamoyedsMatrix original = SamoyedsMatrix::Encode(dense, SamoyedsConfig{2, 4, 32});
-  std::stringstream stream;
-  ASSERT_TRUE(SaveSamoyedsMatrix(original, stream));
-  const auto loaded = LoadSamoyedsMatrix(stream);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_TRUE(loaded->data == original.data);
-  EXPECT_TRUE(loaded->indices == original.indices);
-  EXPECT_TRUE(loaded->meta == original.meta);
-  EXPECT_TRUE(loaded->ToDense() == original.ToDense());
-}
-
-TEST(SerializationTest, RejectsBadMagic) {
-  std::stringstream stream;
-  stream << "not a samoyeds file";
-  EXPECT_FALSE(LoadSamoyedsMatrix(stream).has_value());
-}
-
-TEST(SerializationTest, RejectsTruncated) {
-  Rng rng(106);
-  const MatrixF dense = rng.GaussianMatrix(32, 64);
-  const SamoyedsMatrix original = SamoyedsMatrix::Encode(dense, SamoyedsConfig{1, 2, 32});
-  std::stringstream full;
-  ASSERT_TRUE(SaveSamoyedsMatrix(original, full));
-  const std::string payload = full.str();
-  std::stringstream truncated(payload.substr(0, payload.size() / 2));
-  EXPECT_FALSE(LoadSamoyedsMatrix(truncated).has_value());
-}
-
-TEST(SerializationTest, RejectsCorruptedIndices) {
-  Rng rng(107);
-  const MatrixF dense = rng.GaussianMatrix(32, 64);
-  SamoyedsMatrix original = SamoyedsMatrix::Encode(dense, SamoyedsConfig{1, 2, 32});
-  original.indices(0, 0) = 99;  // out of range for M = 2
-  std::stringstream stream;
-  ASSERT_TRUE(SaveSamoyedsMatrix(original, stream));
-  EXPECT_FALSE(LoadSamoyedsMatrix(stream).has_value());
-}
-
-TEST(SerializationTest, EmptyStreamFails) {
-  std::stringstream stream;
-  EXPECT_FALSE(LoadSamoyedsMatrix(stream).has_value());
 }
 
 }  // namespace

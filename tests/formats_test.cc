@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/formats/block_sparse.h"
-#include "src/formats/coo.h"
 #include "src/formats/csr.h"
 #include "src/formats/metadata_layout.h"
 #include "src/formats/nm24.h"
@@ -25,20 +23,7 @@ int64_t CountNonZeros(const MatrixF& m) {
   return nnz;
 }
 
-// ---------------------------------------------------------------- COO / CSR
-
-TEST(CooTest, RoundTrip) {
-  Rng rng(21);
-  MatrixF dense = rng.GaussianMatrix(13, 17);
-  for (auto& v : dense.flat()) {
-    if (rng.NextFloat() < 0.7f) {
-      v = 0.0f;
-    }
-  }
-  const CooMatrix coo = CooMatrix::FromDense(dense);
-  EXPECT_EQ(coo.nnz(), CountNonZeros(dense));
-  EXPECT_TRUE(coo.ToDense() == dense);
-}
+// -------------------------------------------------------------------- CSR
 
 TEST(CsrTest, RoundTrip) {
   Rng rng(22);
@@ -270,43 +255,6 @@ TEST(VenomTest, MaskMatchesEncodeDecode) {
   MatrixF masked = dense;
   ApplyVenomMask(masked, cfg);
   EXPECT_TRUE(VenomMatrix::Encode(dense, cfg).ToDense() == masked);
-}
-
-// ----------------------------------------------------------- block sparse
-
-TEST(BlockSparseTest, RoundTrip) {
-  Rng rng(34);
-  MatrixF dense(64, 96);
-  // Populate only two blocks.
-  for (int r = 0; r < 32; ++r) {
-    for (int c = 0; c < 32; ++c) {
-      dense(r, c) = rng.NextGaussian();
-      dense(32 + r, 64 + c) = rng.NextGaussian();
-    }
-  }
-  const BlockSparseMatrix bs = BlockSparseMatrix::FromDense(dense, 32);
-  EXPECT_EQ(bs.present_blocks(), 2);
-  EXPECT_TRUE(bs.ToDense() == dense);
-}
-
-TEST(BlockSparseTest, MultiplyMatchesReference) {
-  Rng rng(35);
-  MatrixF dense(64, 64);
-  for (int r = 0; r < 64; ++r) {
-    for (int c = 0; c < 32; ++c) {
-      dense(r, c) = rng.NextGaussian();
-    }
-  }
-  const MatrixF b = rng.GaussianMatrix(64, 16);
-  const BlockSparseMatrix bs = BlockSparseMatrix::FromDense(dense, 32);
-  EXPECT_LE(MaxAbsDiff(bs.Multiply(b), GemmRef(dense, b)), 1e-4f);
-}
-
-TEST(BlockSparseTest, NonMultipleDimensions) {
-  Rng rng(36);
-  const MatrixF dense = rng.GaussianMatrix(50, 70);
-  const BlockSparseMatrix bs = BlockSparseMatrix::FromDense(dense, 32);
-  EXPECT_TRUE(bs.ToDense() == dense);
 }
 
 // ------------------------------------------------------- metadata layout
