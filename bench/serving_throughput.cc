@@ -76,106 +76,72 @@ std::vector<SamoyedsDecoderLayerWeights> BuildModel(Rng& rng, double skew) {
   return {SamoyedsDecoderLayerWeights::Encode(dense, fmt)};
 }
 
-serving::ServingReport RunCell(uint64_t seed, double rate, double skew,
-                               serving::SchedulerPolicy policy) {
-  Rng rng(seed);
-  serving::EngineConfig cfg;
-  cfg.heads = kHeads;
-  cfg.top_k = kTopK;
-  cfg.threads = 2;
-  cfg.scheduler.policy = policy;
-  cfg.scheduler.token_budget = 48;
-  serving::ServingEngine engine(BuildModel(rng, skew), cfg);
-
-  const auto entries = serving::SyntheticTrace(rng, kRequests, rate, /*prompt_lo=*/4,
-                                               /*prompt_hi=*/16, /*decode_lo=*/2,
-                                               /*decode_hi=*/8);
-  for (size_t i = 0; i < entries.size(); ++i) {
-    engine.Submit(serving::MakeRequest(rng, static_cast<int64_t>(i), entries[i], kHidden));
-  }
-  engine.RunUntilDrained(/*max_steps=*/100000);
-  return engine.Report();
-}
-
-// Heavy-tailed workload for the KV-cache sweep: mostly short requests with
-// every fifth one long, so resident footprints are skewed and a bounded page
-// pool comes under real pressure.
-std::vector<serving::TraceEntry> SkewedTrace(Rng& rng, int count, double rate) {
-  auto entries = serving::SyntheticTrace(rng, count, rate, /*prompt_lo=*/3, /*prompt_hi=*/8,
-                                         /*decode_lo=*/2, /*decode_hi=*/6);
-  for (size_t i = 0; i < entries.size(); i += 5) {
-    entries[i].prompt_len = 24 + rng.NextIndex(9);        // 24..32
-    entries[i].max_new_tokens = 24 + rng.NextIndex(17);   // 24..40
-  }
-  return entries;
-}
-
-// One cell of the preemption comparison: both modes see the same 128-token
-// memory budget as 16 pages of 8 tokens.
-serving::ServingReport RunKvCell(uint64_t seed, bool preempt) {
-  constexpr int64_t kPageTokens = 8;
-  constexpr int64_t kMaxPages = 16;
-  Rng rng(seed);
-  serving::EngineConfig cfg;
-  cfg.heads = kHeads;
-  cfg.top_k = kTopK;
-  cfg.threads = 2;
-  cfg.scheduler.policy = serving::SchedulerPolicy::kTokenBudget;
-  cfg.scheduler.token_budget = 48;
-  cfg.scheduler.page_tokens = kPageTokens;
-  cfg.scheduler.max_pages = kMaxPages;
-  cfg.scheduler.preempt = preempt;
-  serving::ServingEngine engine(BuildModel(rng, /*skew=*/2.0), cfg);
-
-  const auto entries = SkewedTrace(rng, kRequests, /*rate=*/4.0);
-  for (size_t i = 0; i < entries.size(); ++i) {
-    engine.Submit(serving::MakeRequest(rng, static_cast<int64_t>(i), entries[i], kHidden));
-  }
-  engine.RunUntilDrained(/*max_steps=*/100000);
-  return engine.Report();
-}
-
-// One cell of the expert-parallel shard sweep: same model, trace and
-// thread count at every shard count, so outputs must be bit-identical and
-// only the analytic cluster estimate (max-over-shards compute + all-to-all)
-// and the shard-load histogram may move.
-struct ShardRun {
-  serving::ServingReport report;
-  std::vector<MatrixF> outputs;  // per request, submission order
+// A served workload: SyntheticTrace's request count, arrival rate and
+// prompt/decode ranges on a model with routing skew `skew`.
+struct Workload {
+  int requests = kRequests;
+  double rate = 4.0;
+  double skew = 2.0;
+  int64_t prompt_lo = 4, prompt_hi = 16;
+  int64_t decode_lo = 2, decode_hi = 8;
+  // Every fifth request long (24..32 prompt rows, 24..40 decode rows): a
+  // heavy tail whose resident footprints put a bounded page pool under real
+  // pressure.
+  bool long_tail = false;
+  // Leading prompt rows of every request copied from the first request's:
+  // a shared "system prompt" a prefix cache can serve from shared pages.
+  int64_t shared_rows = 0;
 };
 
-// One cell of the chunked-prefill sweep: a long-prompt trace (every prompt
-// far above the serving budget) served with chunk size `chunk_tokens` under
-// `budget`. Outputs are recorded so every chunked cell can be gated
-// bit-identical against the one-shot baseline (served under a budget large
-// enough to prefill in one iteration).
-struct ChunkRun {
+// The bench engine: token-budget admission over a 48-row budget; callers
+// set the knobs their family sweeps.
+serving::EngineConfig CellConfig(int threads) {
+  serving::EngineConfig cfg;
+  cfg.heads = kHeads;
+  cfg.top_k = kTopK;
+  cfg.threads = threads;
+  cfg.scheduler.policy = serving::SchedulerPolicy::kTokenBudget;
+  cfg.scheduler.token_budget = 48;
+  return cfg;
+}
+
+// What one cell served: the report, each request's outputs in submission
+// order (empty unless it finished) and how many requests finished.
+struct CellRun {
   serving::ServingReport report;
-  std::vector<MatrixF> outputs;  // per request, submission order
+  std::vector<MatrixF> outputs;
   int64_t finished = 0;
 };
 
-ChunkRun RunChunkCell(uint64_t seed, int64_t budget, int64_t chunk_tokens, int requests,
-                      int shards = 1) {
+// Serves `w` to a fresh engine seeded with `seed`, preloaded and drained.
+CellRun RunCell(uint64_t seed, const serving::EngineConfig& cfg, const Workload& w) {
   Rng rng(seed);
-  serving::EngineConfig cfg;
-  cfg.heads = kHeads;
-  cfg.top_k = kTopK;
-  cfg.threads = 2;
-  cfg.shards = shards;
-  cfg.scheduler.policy = serving::SchedulerPolicy::kTokenBudget;
-  cfg.scheduler.token_budget = budget;
-  cfg.scheduler.chunk_tokens = chunk_tokens;
-  serving::ServingEngine engine(BuildModel(rng, /*skew=*/2.0), cfg);
-
-  auto entries = serving::SyntheticTrace(rng, requests, /*rate=*/1.0, /*prompt_lo=*/48,
-                                         /*prompt_hi=*/96, /*decode_lo=*/4, /*decode_hi=*/12);
+  serving::ServingEngine engine(BuildModel(rng, w.skew), cfg);
+  auto entries = serving::SyntheticTrace(rng, w.requests, w.rate, w.prompt_lo, w.prompt_hi,
+                                         w.decode_lo, w.decode_hi);
+  if (w.long_tail) {
+    for (size_t i = 0; i < entries.size(); i += 5) {
+      entries[i].prompt_len = 24 + rng.NextIndex(9);
+      entries[i].max_new_tokens = 24 + rng.NextIndex(17);
+    }
+  }
+  std::vector<serving::Request> reqs;
   for (size_t i = 0; i < entries.size(); ++i) {
-    engine.Submit(serving::MakeRequest(rng, static_cast<int64_t>(i), entries[i], kHidden));
+    reqs.push_back(serving::MakeRequest(rng, static_cast<int64_t>(i), entries[i], kHidden));
+  }
+  for (size_t i = 1; i < reqs.size(); ++i) {
+    for (int64_t r = 0; r < w.shared_rows; ++r) {
+      for (int64_t c = 0; c < kHidden; ++c) {
+        reqs[i].inputs(r, c) = reqs[0].inputs(r, c);
+      }
+    }
+  }
+  for (auto& r : reqs) {
+    engine.Submit(std::move(r));
   }
   engine.RunUntilDrained(/*max_steps=*/100000);
 
-  ChunkRun run;
+  CellRun run;
   run.report = engine.Report();
   for (size_t i = 0; i < entries.size(); ++i) {
     const serving::RequestResult* result = engine.Result(static_cast<int64_t>(i));
@@ -185,6 +151,12 @@ ChunkRun RunChunkCell(uint64_t seed, int64_t budget, int64_t chunk_tokens, int r
     run.outputs.push_back(done ? result->outputs : MatrixF(0, 0));
   }
   return run;
+}
+
+// The bit-identity gate: both runs finished all `requests` and every
+// request's outputs match bit for bit.
+bool SameOutputs(const CellRun& run, const CellRun& base, int requests) {
+  return run.finished == requests && base.finished == requests && run.outputs == base.outputs;
 }
 
 // One cell of the open-loop async-serving family: requests arrive on the wall
@@ -203,17 +175,12 @@ struct OpenLoopRun {
 OpenLoopRun RunOpenLoopCell(uint64_t seed, bool async, serving::ChunkPolicy chunk_policy,
                             int requests, double mean_gap_ms) {
   Rng rng(seed);
-  serving::EngineConfig cfg;
-  cfg.heads = kHeads;
-  cfg.top_k = kTopK;
-  cfg.threads = 2;
+  serving::EngineConfig cfg = CellConfig(/*threads=*/2);
   cfg.shards = 2;
-  cfg.scheduler.policy = serving::SchedulerPolicy::kTokenBudget;
   cfg.scheduler.token_budget = 32;
   cfg.scheduler.chunk_tokens = 8;
   cfg.scheduler.chunk_policy = chunk_policy;
   serving::ServingEngine engine(BuildModel(rng, /*skew=*/2.0), cfg);
-
   auto entries = serving::SyntheticTrace(rng, requests, /*rate=*/1.0, /*prompt_lo=*/24,
                                          /*prompt_hi=*/48, /*decode_lo=*/4, /*decode_hi=*/12);
   std::vector<serving::Request> reqs;
@@ -280,125 +247,47 @@ OpenLoopRun RunOpenLoopCell(uint64_t seed, bool async, serving::ChunkPolicy chun
   return run;
 }
 
-// One cell of the prefix-sharing comparison: a multi-tenant trace where every
-// request opens with the same 16-row "system prompt" block (stamped from the
-// first request's inputs), so a radix prefix cache can serve that block from
-// shared pages for every tenant after the first. The same trace is run with
-// sharing off and on (and, under a tight page pool, with swap preemption),
-// gated on bit-identity plus an actual hit rate and TTFT win.
-struct PrefixRun {
-  serving::ServingReport report;
-  std::vector<MatrixF> outputs;  // per request, submission order
-  int64_t finished = 0;
-  // TTFT split by whether the admission reused cached prompt tokens.
-  double hit_ttft_steps = 0.0;
-  double miss_ttft_steps = 0.0;
-  int64_t hit_sessions = 0;
-};
-
-PrefixRun RunPrefixCell(uint64_t seed, bool prefix_cache, bool preempt, bool swap,
-                        int64_t max_pages, int requests) {
-  constexpr int64_t kSystemRows = 16;
-  Rng rng(seed);
-  serving::EngineConfig cfg;
-  cfg.heads = kHeads;
-  cfg.top_k = kTopK;
-  cfg.threads = 2;
-  cfg.scheduler.policy = serving::SchedulerPolicy::kTokenBudget;
-  cfg.scheduler.token_budget = 48;
-  cfg.scheduler.chunk_tokens = 16;
-  cfg.scheduler.page_tokens = 8;
-  cfg.scheduler.max_pages = max_pages;
-  cfg.scheduler.preempt = preempt;
-  cfg.prefix_cache = prefix_cache;
-  cfg.swap = swap;
-  cfg.host_pages = 64;
-  serving::ServingEngine engine(BuildModel(rng, /*skew=*/2.0), cfg);
-
-  // Arrivals are spread out (mean gap 10 steps) so early tenants retire — and
-  // donate their prefix — before later ones are admitted; a back-to-back
-  // burst would admit everyone cold before the first donation exists.
-  const auto entries = serving::SyntheticTrace(rng, requests, /*rate=*/0.1,
-                                               /*prompt_lo=*/20, /*prompt_hi=*/32,
-                                               /*decode_lo=*/4, /*decode_hi=*/8);
-  std::vector<serving::Request> reqs;
-  for (size_t i = 0; i < entries.size(); ++i) {
-    reqs.push_back(serving::MakeRequest(rng, static_cast<int64_t>(i), entries[i], kHidden));
-  }
-  for (size_t i = 1; i < reqs.size(); ++i) {
-    for (int64_t r = 0; r < kSystemRows; ++r) {
-      for (int64_t c = 0; c < kHidden; ++c) {
-        reqs[i].inputs(r, c) = reqs[0].inputs(r, c);
-      }
+// Mean TTFT in steps (first output - arrival) over the sessions whose
+// admission did (`hit`) or did not reuse cached prompt tokens; 0 with none.
+double MeanTtftSteps(const serving::ServingReport& rep, bool hit, int64_t* sessions) {
+  double sum = 0.0;
+  *sessions = 0;
+  for (const serving::RequestTimeline& tl : rep.request_timelines) {
+    if (tl.first_output_step >= 0 && (tl.cached_prompt_tokens > 0) == hit) {
+      sum += static_cast<double>(tl.first_output_step - tl.arrival_step);
+      ++*sessions;
     }
   }
-  for (auto& r : reqs) {
-    engine.Submit(std::move(r));
-  }
-  engine.RunUntilDrained(/*max_steps=*/100000);
-
-  PrefixRun run;
-  run.report = engine.Report();
-  int64_t misses = 0;
-  for (size_t i = 0; i < entries.size(); ++i) {
-    const serving::RequestResult* result = engine.Result(static_cast<int64_t>(i));
-    const bool done = result != nullptr &&
-                      result->status == serving::RequestStatus::kFinished;
-    run.finished += done ? 1 : 0;
-    run.outputs.push_back(done ? result->outputs : MatrixF(0, 0));
-  }
-  for (const auto& [id, m] : engine.metrics().requests()) {
-    if (m.first_output_step < 0) {
-      continue;
-    }
-    const double ttft = static_cast<double>(m.first_output_step - m.arrival_step);
-    if (m.cached_prompt_tokens > 0) {
-      run.hit_ttft_steps += ttft;
-      ++run.hit_sessions;
-    } else {
-      run.miss_ttft_steps += ttft;
-      ++misses;
-    }
-  }
-  if (run.hit_sessions > 0) {
-    run.hit_ttft_steps /= static_cast<double>(run.hit_sessions);
-  }
-  if (misses > 0) {
-    run.miss_ttft_steps /= static_cast<double>(misses);
-  }
-  return run;
+  return *sessions > 0 ? sum / static_cast<double>(*sessions) : 0.0;
 }
 
-// Accumulates sweep cells as JSON objects (one per line) for --json=PATH.
+// Accumulates sweep cells for --json=PATH: each cell is its section, the
+// family's parameters and gate verdict, then the cell's whole ServingReport
+// as ToJson writes it (request_timelines dropped), so a cell carries every
+// report key under the report's own names.
 class JsonCells {
  public:
   // `identical`: 1/0 for cells a bit-identity gate actually compared, -1 for
   // ungated cells (the field is omitted — absence means "not checked", so a
   // JSON consumer can tell verified cells from merely-emitted ones).
-  void Add(const char* section, const std::string& params,
-           const serving::ServingReport& rep, int identical = -1) {
-    char gate[40] = "";
-    if (identical >= 0) {
-      std::snprintf(gate, sizeof(gate), ", \"bit_identical\": %s",
-                    identical > 0 ? "true" : "false");
-    }
-    char buf[512];
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"section\": \"%s\", %s, \"ttft_steps\": %.2f, "
-                  "\"p95_ttft_steps\": %.2f, \"p95_turnaround_steps\": %.2f, "
-                  "\"tokens_per_second\": %.1f, \"occupancy\": %.3f, \"steps\": %lld, "
-                  "\"preemptions\": %lld, \"prefill_chunk_slices\": %lld, "
-                  "\"est_compute_ms\": %.3f, \"est_alltoall_ms\": %.3f, "
-                  "\"shard_imbalance\": %.3f%s}",
-                  section, params.c_str(), rep.mean_ttft_steps, rep.p95_ttft_steps,
-                  rep.p95_turnaround_steps, rep.tokens_per_second, rep.mean_occupancy,
-                  static_cast<long long>(rep.steps), static_cast<long long>(rep.preemptions),
-                  static_cast<long long>(rep.prefill_chunk_slices), rep.est_compute_ms,
-                  rep.est_alltoall_ms, rep.shard_imbalance, gate);
+  void Add(const char* section, const std::string& params, serving::ServingReport rep,
+           int identical = -1) {
+    rep.request_timelines.clear();
+    std::string report = rep.ToJson();
+    report.pop_back();  // ToJson's trailing newline
     if (!cells_.empty()) {
       cells_ += ",\n";
     }
-    cells_ += buf;
+    cells_ += std::string("    {\"section\": \"") + section + "\", " + params;
+    if (identical >= 0) {
+      cells_ += identical > 0 ? ", \"bit_identical\": true" : ", \"bit_identical\": false";
+    }
+    cells_ += ",\n     \"report\": ";
+    for (const char c : report) {  // nest the report one level deeper
+      cells_ += c;
+      cells_ += c == '\n' ? "     " : "";
+    }
+    cells_ += '}';
   }
 
   // Wraps the cells in the bench-level envelope and writes them. The
@@ -411,7 +300,7 @@ class JsonCells {
       return false;
     }
     std::fprintf(f,
-                 "{\n  \"bench\": \"serving_throughput\",\n  \"schema_version\": 1,\n"
+                 "{\n  \"bench\": \"serving_throughput\",\n  \"schema_version\": 2,\n"
                  "  \"mode\": \"%s\",\n  \"seed\": 7,\n"
                  "  \"config\": {\"hidden\": %d, \"intermediate\": %d, \"experts\": %d, "
                  "\"top_k\": %d, \"heads\": %d, \"requests\": %d},\n"
@@ -434,87 +323,6 @@ std::string Params(const char* fmt, ...) {
   std::vsnprintf(buf, sizeof(buf), fmt, args);
   va_end(args);
   return buf;
-}
-
-// One cell of the degraded-mode family: the shard-sweep workload served
-// either healthy or under a fault schedule (e.g. one shard dying mid-run).
-// Outputs are recorded so the degraded run can be gated bit-identical
-// against the healthy one — failover re-places the dead shard's experts but
-// must never change what any request computes.
-struct DegradedRun {
-  serving::ServingReport report;
-  std::vector<MatrixF> outputs;  // per request, submission order
-  int64_t finished = 0;
-};
-
-DegradedRun RunDegradedCell(uint64_t seed, int shards, const std::string& fault_spec,
-                            int requests) {
-  Rng rng(seed);
-  serving::EngineConfig cfg;
-  cfg.heads = kHeads;
-  cfg.top_k = kTopK;
-  cfg.threads = 4;
-  cfg.shards = shards;
-  cfg.scheduler.policy = serving::SchedulerPolicy::kTokenBudget;
-  cfg.scheduler.token_budget = 48;
-  if (!fault_spec.empty()) {
-    std::string err;
-    if (!serving::ParseFaultSchedule(fault_spec, &cfg.faults, &err)) {
-      std::fprintf(stderr, "bad fault schedule '%s': %s\n", fault_spec.c_str(), err.c_str());
-      std::exit(2);
-    }
-    cfg.fault_seed = 7;
-  }
-  serving::ServingEngine engine(BuildModel(rng, /*skew=*/2.0), cfg);
-
-  const auto entries = serving::SyntheticTrace(rng, requests, /*rate=*/4.0, /*prompt_lo=*/4,
-                                               /*prompt_hi=*/16, /*decode_lo=*/2,
-                                               /*decode_hi=*/8);
-  for (size_t i = 0; i < entries.size(); ++i) {
-    engine.Submit(serving::MakeRequest(rng, static_cast<int64_t>(i), entries[i], kHidden));
-  }
-  engine.RunUntilDrained(/*max_steps=*/100000);
-
-  DegradedRun run;
-  run.report = engine.Report();
-  for (size_t i = 0; i < entries.size(); ++i) {
-    const serving::RequestResult* result = engine.Result(static_cast<int64_t>(i));
-    const bool done = result != nullptr &&
-                      result->status == serving::RequestStatus::kFinished;
-    run.finished += done ? 1 : 0;
-    run.outputs.push_back(done ? result->outputs : MatrixF(0, 0));
-  }
-  return run;
-}
-
-ShardRun RunShardCell(uint64_t seed, double skew, int shards,
-                      serving::ShardPlacement placement, int requests) {
-  Rng rng(seed);
-  serving::EngineConfig cfg;
-  cfg.heads = kHeads;
-  cfg.top_k = kTopK;
-  cfg.threads = 4;
-  cfg.shards = shards;
-  cfg.placement = placement;
-  cfg.scheduler.policy = serving::SchedulerPolicy::kTokenBudget;
-  cfg.scheduler.token_budget = 48;
-  serving::ServingEngine engine(BuildModel(rng, skew), cfg);
-
-  const auto entries = serving::SyntheticTrace(rng, requests, /*rate=*/4.0, /*prompt_lo=*/4,
-                                               /*prompt_hi=*/16, /*decode_lo=*/2,
-                                               /*decode_hi=*/8);
-  for (size_t i = 0; i < entries.size(); ++i) {
-    engine.Submit(serving::MakeRequest(rng, static_cast<int64_t>(i), entries[i], kHidden));
-  }
-  engine.RunUntilDrained(/*max_steps=*/100000);
-
-  ShardRun run;
-  run.report = engine.Report();
-  for (size_t i = 0; i < entries.size(); ++i) {
-    const serving::RequestResult* result = engine.Result(static_cast<int64_t>(i));
-    run.outputs.push_back(result != nullptr ? result->outputs : MatrixF(0, 0));
-  }
-  return run;
 }
 
 }  // namespace
@@ -540,10 +348,13 @@ int main(int argc, char** argv) {
   PrintHeader("Serving throughput sweep: arrival rate x routing skew "
               "(token-budget policy, 24 requests, 1 decoder layer)");
   std::printf("%8s %6s %12s %12s %11s %11s %10s\n", "rate", "skew", "TTFT steps", "tokens/s",
-              "occupancy", "imbalance", "steps");
+              "batch occ", "imbalance", "steps");
   for (double rate : {0.25, 1.0, 4.0}) {
     for (double skew : {0.0, 2.0, 8.0}) {
-      const auto rep = RunCell(/*seed=*/7, rate, skew, serving::SchedulerPolicy::kTokenBudget);
+      Workload w;
+      w.rate = rate;
+      w.skew = skew;
+      const auto rep = RunCell(/*seed=*/7, CellConfig(/*threads=*/2), w).report;
       cells.Add("throughput_sweep", Params("\"rate\": %.2f, \"skew\": %.1f", rate, skew), rep);
       std::printf("%8.2f %6.1f %12.1f %12.1f %10.0f%% %10.2fx %10lld\n", rate, skew,
                   rep.mean_ttft_steps, rep.tokens_per_second, 100.0 * rep.mean_occupancy,
@@ -552,12 +363,14 @@ int main(int argc, char** argv) {
   }
 
   PrintHeader("Scheduler policy comparison (rate 4.0, skew 2.0)");
-  std::printf("%16s %12s %12s %11s %12s\n", "policy", "TTFT steps", "tokens/s", "occupancy",
+  std::printf("%16s %12s %12s %11s %12s\n", "policy", "TTFT steps", "tokens/s", "batch occ",
               "peak concur");
   for (serving::SchedulerPolicy policy :
        {serving::SchedulerPolicy::kFcfs, serving::SchedulerPolicy::kSmallestFirst,
         serving::SchedulerPolicy::kTokenBudget}) {
-    const auto rep = RunCell(7, 4.0, 2.0, policy);
+    serving::EngineConfig cfg = CellConfig(/*threads=*/2);
+    cfg.scheduler.policy = policy;
+    const auto rep = RunCell(7, cfg, Workload()).report;
     cells.Add("policy_comparison",
               Params("\"policy\": \"%s\"", serving::SchedulerPolicyName(policy)), rep);
     std::printf("%16s %12.1f %12.1f %10.0f%% %12lld\n", serving::SchedulerPolicyName(policy),
@@ -569,9 +382,19 @@ int main(int argc, char** argv) {
               "(16 pages of 8 tokens, rate 4.0)");
   std::printf("%20s %10s %10s %10s %10s %9s %9s %9s\n", "mode", "TTFT mean", "TTFT p95",
               "turn p95", "tokens/s", "preempts", "util", "frag");
+  Workload skewed;
+  skewed.prompt_lo = 3;
+  skewed.prompt_hi = 8;
+  skewed.decode_hi = 6;
+  skewed.long_tail = true;
   for (const bool preempt : {false, true}) {
+    // Both modes see the same 128-token memory budget as 16 pages of 8 tokens.
     const char* mode = preempt ? "paged+preempt" : "paged";
-    const auto rep = RunKvCell(/*seed=*/7, preempt);
+    serving::EngineConfig cfg = CellConfig(/*threads=*/2);
+    cfg.scheduler.page_tokens = 8;
+    cfg.scheduler.max_pages = 16;
+    cfg.scheduler.preempt = preempt;
+    const auto rep = RunCell(/*seed=*/7, cfg, skewed).report;
     cells.Add("kv_modes", Params("\"mode\": \"%s\"", mode), rep);
     std::printf("%20s %10.1f %10.1f %10.1f %10.1f %9lld %8.0f%% %9.1f\n", mode,
                 rep.mean_ttft_steps, rep.p95_ttft_steps, rep.p95_turnaround_steps,
@@ -591,8 +414,20 @@ int main(int argc, char** argv) {
               "(one-shot baseline at budget 128; outputs must be bit-identical)");
   std::printf("%12s %9s %12s %12s %12s %12s %10s\n", "chunk", "finished", "TTFT steps",
               "turn p95", "tokens/s", "chunk slices", "identical");
-  const ChunkRun baseline = RunChunkCell(/*seed=*/7, /*budget=*/128, /*chunk_tokens=*/0,
-                                         chunk_requests);
+  Workload long_prompts;
+  long_prompts.requests = chunk_requests;
+  long_prompts.rate = 1.0;
+  long_prompts.prompt_lo = 48;
+  long_prompts.prompt_hi = 96;
+  long_prompts.decode_lo = 4;
+  long_prompts.decode_hi = 12;
+  const auto chunk_config = [](int64_t budget, int64_t chunk_tokens) {
+    serving::EngineConfig cfg = CellConfig(/*threads=*/2);
+    cfg.scheduler.token_budget = budget;
+    cfg.scheduler.chunk_tokens = chunk_tokens;
+    return cfg;
+  };
+  const CellRun baseline = RunCell(/*seed=*/7, chunk_config(128, 0), long_prompts);
   cells.Add("chunked_prefill", Params("\"budget\": 128, \"chunk_tokens\": 0"),
             baseline.report);
   std::printf("%12s %9lld %12.1f %12.1f %12.1f %12lld %10s\n", "one-shot",
@@ -600,13 +435,8 @@ int main(int argc, char** argv) {
               baseline.report.p95_turnaround_steps, baseline.report.tokens_per_second,
               static_cast<long long>(baseline.report.prefill_chunk_slices), "base");
   for (int64_t chunk : {int64_t{4}, int64_t{8}, int64_t{16}, int64_t{32}}) {
-    const ChunkRun run = RunChunkCell(7, /*budget=*/32, chunk, chunk_requests);
-    bool identical = run.finished == chunk_requests &&
-                     baseline.finished == chunk_requests &&
-                     run.outputs.size() == baseline.outputs.size();
-    for (size_t i = 0; identical && i < run.outputs.size(); ++i) {
-      identical = run.outputs[i] == baseline.outputs[i];
-    }
+    const CellRun run = RunCell(7, chunk_config(32, chunk), long_prompts);
+    const bool identical = SameOutputs(run, baseline, chunk_requests);
     chunk_divergences += identical ? 0 : 1;
     cells.Add("chunked_prefill",
               Params("\"budget\": 32, \"chunk_tokens\": %lld", static_cast<long long>(chunk)),
@@ -645,20 +475,37 @@ int main(int argc, char** argv) {
       {"off+preempt", false, false /*recompute*/, 8, -1},
       {"on+swap", true, true, 8, 2},
   };
-  std::vector<PrefixRun> prefix_runs;
+  // Arrivals are spread out (mean gap 10 steps) so early tenants retire — and
+  // donate their prefix — before later ones are admitted; a back-to-back
+  // burst would admit everyone cold before the first donation exists.
+  Workload tenants;
+  tenants.requests = prefix_requests;
+  tenants.rate = 0.1;
+  tenants.prompt_lo = 20;
+  tenants.prompt_hi = 32;
+  tenants.decode_lo = 4;
+  tenants.shared_rows = 16;
+  std::vector<CellRun> prefix_runs;
   for (const PrefixMode& mode : prefix_modes) {
     // The tight-pool pair runs with preemption on either way; only the
     // readmission strategy differs (recompute vs swap restore).
-    PrefixRun run = RunPrefixCell(/*seed=*/7, mode.prefix, /*preempt=*/mode.max_pages == 8,
-                                  mode.swap, mode.max_pages, prefix_requests);
+    serving::EngineConfig cfg = CellConfig(/*threads=*/2);
+    cfg.scheduler.chunk_tokens = 16;
+    cfg.scheduler.page_tokens = 8;
+    cfg.scheduler.max_pages = mode.max_pages;
+    cfg.scheduler.preempt = mode.max_pages == 8;
+    cfg.prefix_cache = mode.prefix;
+    cfg.swap = mode.swap;
+    cfg.host_pages = 64;
+    CellRun run = RunCell(/*seed=*/7, cfg, tenants);
+    int64_t hits = 0;
+    int64_t misses = 0;
+    const double hit_ttft = MeanTtftSteps(run.report, /*hit=*/true, &hits);
+    const double miss_ttft = MeanTtftSteps(run.report, /*hit=*/false, &misses);
     int identical = -1;
     if (mode.baseline >= 0) {
-      const PrefixRun& base = prefix_runs[static_cast<size_t>(mode.baseline)];
-      bool same = run.finished == prefix_requests && base.finished == prefix_requests &&
-                  run.outputs.size() == base.outputs.size();
-      for (size_t i = 0; same && i < run.outputs.size(); ++i) {
-        same = run.outputs[i] == base.outputs[i];
-      }
+      const bool same =
+          SameOutputs(run, prefix_runs[static_cast<size_t>(mode.baseline)], prefix_requests);
       identical = same ? 1 : 0;
       prefix_failures += same ? 0 : 1;
       if (!same) {
@@ -666,26 +513,21 @@ int main(int argc, char** argv) {
                      mode.name, prefix_modes[mode.baseline].name);
       }
     }
-    cells.Add("prefix_sharing",
-              Params("\"mode\": \"%s\", \"hit_rate\": %.3f, \"hit_tokens\": %lld, "
-                     "\"cow_splits\": %lld, \"swap_outs\": %lld",
-                     mode.name, run.report.prefix_hit_rate,
-                     static_cast<long long>(run.report.prefix_hit_tokens),
-                     static_cast<long long>(run.report.cow_splits),
-                     static_cast<long long>(run.report.swap_outs)),
-              run.report, identical);
+    cells.Add("prefix_sharing", Params("\"mode\": \"%s\"", mode.name), run.report, identical);
     std::printf("%16s %9lld %10.1f %9.1f %9.1f %8.0f%% %6lld %7lld %10s\n", mode.name,
-                static_cast<long long>(run.finished), run.report.mean_ttft_steps,
-                run.hit_ttft_steps, run.miss_ttft_steps, 100.0 * run.report.prefix_hit_rate,
+                static_cast<long long>(run.finished), run.report.mean_ttft_steps, hit_ttft,
+                miss_ttft, 100.0 * run.report.prefix_hit_rate,
                 static_cast<long long>(run.report.cow_splits),
                 static_cast<long long>(run.report.swap_outs),
                 identical < 0 ? "base" : identical > 0 ? "yes" : "NO");
     prefix_runs.push_back(std::move(run));
   }
   {
-    const PrefixRun& off = prefix_runs[0];
-    const PrefixRun& on = prefix_runs[1];
-    if (on.report.prefix_hit_tokens <= 0 || on.hit_sessions <= 0) {
+    const CellRun& off = prefix_runs[0];
+    const CellRun& on = prefix_runs[1];
+    int64_t hit_sessions = 0;
+    MeanTtftSteps(on.report, /*hit=*/true, &hit_sessions);
+    if (on.report.prefix_hit_tokens <= 0 || hit_sessions <= 0) {
       std::fprintf(stderr, "FAIL: sharing-on run produced no prefix hits\n");
       ++prefix_failures;
     }
@@ -709,10 +551,22 @@ int main(int argc, char** argv) {
   std::printf("%7s %6s %12s %11s %11s %10s %11s %10s\n", "shards", "skew", "placement",
               "est cmp ms", "est a2a ms", "a2a share", "shard imbal", "identical");
   int divergences = 0;
+  // Same model, trace and thread count at every shard count, so outputs
+  // must be bit-identical and only the analytic cluster estimate
+  // (max-over-shards compute + all-to-all) and the shard-load histogram may
+  // move.
+  const auto shard_config = [](int shards, serving::ShardPlacement placement) {
+    serving::EngineConfig cfg = CellConfig(/*threads=*/4);
+    cfg.shards = shards;
+    cfg.placement = placement;
+    return cfg;
+  };
   for (double skew : shard_skews) {
-    const ShardRun baseline = RunShardCell(/*seed=*/7, skew, /*shards=*/1,
-                                           serving::ShardPlacement::kRoundRobin,
-                                           shard_requests);
+    Workload w;
+    w.requests = shard_requests;
+    w.skew = skew;
+    const CellRun baseline =
+        RunCell(/*seed=*/7, shard_config(1, serving::ShardPlacement::kRoundRobin), w);
     cells.Add("shard_sweep",
               Params("\"shards\": 1, \"skew\": %.1f, \"placement\": \"-\"", skew),
               baseline.report);
@@ -723,11 +577,8 @@ int main(int argc, char** argv) {
     for (int shards : {2, 4}) {
       for (serving::ShardPlacement placement :
            {serving::ShardPlacement::kRoundRobin, serving::ShardPlacement::kGateStats}) {
-        const ShardRun run = RunShardCell(7, skew, shards, placement, shard_requests);
-        bool identical = run.outputs.size() == baseline.outputs.size();
-        for (size_t i = 0; identical && i < run.outputs.size(); ++i) {
-          identical = run.outputs[i] == baseline.outputs[i];
-        }
+        const CellRun run = RunCell(7, shard_config(shards, placement), w);
+        const bool identical = SameOutputs(run, baseline, shard_requests);
         divergences += identical ? 0 : 1;
         cells.Add("shard_sweep",
                   Params("\"shards\": %d, \"skew\": %.1f, \"placement\": \"%s\"", shards, skew,
@@ -755,28 +606,27 @@ int main(int argc, char** argv) {
               "(all requests must finish; outputs must be bit-identical to healthy)");
   std::printf("%12s %9s %11s %11s %10s %8s %10s\n", "mode", "finished", "est cmp ms",
               "est a2a ms", "failovers", "steps", "identical");
-  const DegradedRun healthy =
-      RunDegradedCell(/*seed=*/7, /*shards=*/4, /*fault_spec=*/"", degraded_requests);
-  cells.Add("degraded_mode",
-            Params("\"mode\": \"healthy\", \"shards\": 4, \"failovers\": 0"),
-            healthy.report);
+  Workload degraded_trace;
+  degraded_trace.requests = degraded_requests;
+  serving::EngineConfig degraded_cfg = CellConfig(/*threads=*/4);
+  degraded_cfg.shards = 4;
+  const CellRun healthy = RunCell(/*seed=*/7, degraded_cfg, degraded_trace);
+  cells.Add("degraded_mode", Params("\"mode\": \"healthy\""), healthy.report);
   std::printf("%12s %9lld %11.3f %11.3f %10lld %8lld %10s\n", "healthy",
               static_cast<long long>(healthy.finished), healthy.report.est_compute_ms,
               healthy.report.est_alltoall_ms,
               static_cast<long long>(healthy.report.shard_failovers),
               static_cast<long long>(healthy.report.steps), "base");
-  const DegradedRun degraded =
-      RunDegradedCell(/*seed=*/7, /*shards=*/4, "shard-die@6:1", degraded_requests);
-  bool degraded_identical = degraded.finished == degraded_requests &&
-                            healthy.finished == degraded_requests &&
-                            degraded.outputs.size() == healthy.outputs.size();
-  for (size_t i = 0; degraded_identical && i < degraded.outputs.size(); ++i) {
-    degraded_identical = degraded.outputs[i] == healthy.outputs[i];
+  std::string fault_error;
+  if (!serving::ParseFaultSchedule("shard-die@6:1", &degraded_cfg.faults, &fault_error)) {
+    std::fprintf(stderr, "bad fault schedule: %s\n", fault_error.c_str());
+    return 2;
   }
-  cells.Add("degraded_mode",
-            Params("\"mode\": \"one-dead-shard\", \"shards\": 4, \"failovers\": %lld",
-                   static_cast<long long>(degraded.report.shard_failovers)),
-            degraded.report, degraded_identical ? 1 : 0);
+  degraded_cfg.fault_seed = 7;
+  const CellRun degraded = RunCell(/*seed=*/7, degraded_cfg, degraded_trace);
+  const bool degraded_identical = SameOutputs(degraded, healthy, degraded_requests);
+  cells.Add("degraded_mode", Params("\"mode\": \"one-dead-shard\""), degraded.report,
+            degraded_identical ? 1 : 0);
   std::printf("%12s %9lld %11.3f %11.3f %10lld %8lld %10s\n", "shard-die@6",
               static_cast<long long>(degraded.finished), degraded.report.est_compute_ms,
               degraded.report.est_alltoall_ms,
@@ -822,15 +672,16 @@ int main(int argc, char** argv) {
               "traced at full detail (best of 3; outputs must be bit-identical)");
   std::printf("%10s %12s %12s %12s %10s\n", "tracing", "tokens/s", "TTFT steps",
               "events", "identical");
-  ChunkRun untraced;
+  Workload trace_prompts = long_prompts;
+  trace_prompts.requests = trace_requests;
+  CellRun untraced;
   for (int rep = 0; rep < 3; ++rep) {
-    ChunkRun run = RunChunkCell(/*seed=*/7, /*budget=*/32, /*chunk_tokens=*/8,
-                                trace_requests);
+    CellRun run = RunCell(/*seed=*/7, chunk_config(32, 8), trace_prompts);
     if (rep == 0 || run.report.tokens_per_second > untraced.report.tokens_per_second) {
       untraced = std::move(run);
     }
   }
-  ChunkRun traced;
+  CellRun traced;
   int64_t trace_events = 0;
   int64_t trace_dropped = 0;
   for (int rep = 0; rep < 3; ++rep) {
@@ -839,8 +690,7 @@ int main(int argc, char** argv) {
     // are one-time warmup allocation, which on a millisecond-scale cell
     // would swamp the per-event cost being gated here.
     obs::Tracer::Get().Start(obs::TraceDetail::kFull, /*ring_capacity=*/1 << 12);
-    ChunkRun run = RunChunkCell(/*seed=*/7, /*budget=*/32, /*chunk_tokens=*/8,
-                                trace_requests);
+    CellRun run = RunCell(/*seed=*/7, chunk_config(32, 8), trace_prompts);
     obs::Tracer::Get().Stop();
     if (rep == 0 || run.report.tokens_per_second > traced.report.tokens_per_second) {
       traced = std::move(run);
@@ -848,10 +698,7 @@ int main(int argc, char** argv) {
     }
     trace_dropped += obs::Tracer::Get().dropped_events();
   }
-  bool trace_identical = untraced.outputs.size() == traced.outputs.size();
-  for (size_t i = 0; trace_identical && i < traced.outputs.size(); ++i) {
-    trace_identical = traced.outputs[i] == untraced.outputs[i];
-  }
+  const bool trace_identical = SameOutputs(traced, untraced, trace_requests);
   const double overhead_ratio =
       untraced.report.tokens_per_second > 0.0
           ? traced.report.tokens_per_second / untraced.report.tokens_per_second
@@ -899,7 +746,7 @@ int main(int argc, char** argv) {
   PrintHeader("Async serving: open-loop Poisson arrivals (wall clock, mean gap 2 ms) — "
               "sync serve loop vs async server vs async + decode-priority");
   std::printf("%12s %9s %10s %13s %13s %15s %7s %9s %13s\n", "mode", "finished", "wall ms",
-              "p95 TTFT ms", "p95 turn ms", "goodput tok/s", "steps", "occupancy",
+              "p95 TTFT ms", "p95 turn ms", "goodput tok/s", "steps", "batch occ",
               "est compute");
   struct AsyncMode {
     const char* name;
@@ -913,10 +760,9 @@ int main(int argc, char** argv) {
     const OpenLoopRun run = RunOpenLoopCell(/*seed=*/7, mode.async, mode.policy,
                                             openloop_requests, mean_gap_ms);
     cells.Add("async_open_loop",
-              Params("\"mode\": \"%s\", \"wall_ms\": %.1f, \"goodput_tokens_per_second\": "
-                     "%.1f, \"p95_ttft_ms\": %.3f",
-                     mode.name, run.wall_ms, run.goodput_tokens_per_s,
-                     run.report.p95_ttft_ms),
+              Params("\"mode\": \"%s\", \"open_loop_wall_ms\": %.1f, "
+                     "\"goodput_tokens_per_second\": %.1f",
+                     mode.name, run.wall_ms, run.goodput_tokens_per_s),
               run.report);
     std::printf("%12s %9lld %10.1f %13.3f %13.3f %15.1f %7lld %9.3f %13.3f\n", mode.name,
                 static_cast<long long>(run.finished), run.wall_ms, run.report.p95_ttft_ms,

@@ -1299,28 +1299,32 @@ int64_t ServingEngine::RunUntilDrained(int64_t max_steps) {
   return iterations;
 }
 
+ReportProvenance ServingEngine::Provenance() const {
+  ReportProvenance p;
+  p.shards = config_.shards;
+  p.placement = ShardPlacementName(config_.placement);
+  p.policy = SchedulerPolicyName(config_.scheduler.policy);
+  p.threads = config_.threads;
+  p.token_budget = config_.scheduler.token_budget;
+  p.chunk_tokens = config_.scheduler.chunk_tokens;
+  p.page_tokens = config_.scheduler.page_tokens;
+  p.max_pages = config_.scheduler.max_pages;
+  p.prefix_cache = prefix_cache_ != nullptr ? 1 : 0;
+  p.swap = swap_enabled_ ? 1 : 0;
+  p.host_pages = config_.host_pages;
+  p.kernel_backend = KernelBackendName(effective_backend_);
+  p.chunk_policy = ChunkPolicyName(config_.scheduler.chunk_policy);
+  const DeviceSpec& dev = DefaultDevice();  // the autotuner's model target
+  p.llc_bytes = dev.l2_bytes;
+  p.llc_bandwidth_gbps = TimingModel(dev).LlcBandwidthBytesPerS() / 1e9;
+  p.dram_bandwidth_gbps = dev.dram_bandwidth_gbps;
+  return p;
+}
+
 ServingReport ServingEngine::Report() const {
   ServingReport rep =
       metrics_.Summarize(config_.scheduler.token_budget, config_.scheduler.max_pages);
-  rep.provenance.shards = config_.shards;
-  rep.provenance.placement = ShardPlacementName(config_.placement);
-  rep.provenance.policy = SchedulerPolicyName(config_.scheduler.policy);
-  rep.provenance.threads = config_.threads;
-  rep.provenance.token_budget = config_.scheduler.token_budget;
-  rep.provenance.chunk_tokens = config_.scheduler.chunk_tokens;
-  rep.provenance.page_tokens = config_.scheduler.page_tokens;
-  rep.provenance.max_pages = config_.scheduler.max_pages;
-  rep.provenance.prefix_cache = prefix_cache_ != nullptr ? 1 : 0;
-  rep.provenance.swap = swap_enabled_ ? 1 : 0;
-  rep.provenance.host_pages = config_.host_pages;
-  rep.provenance.kernel_backend = KernelBackendName(effective_backend_);
-  rep.provenance.chunk_policy = ChunkPolicyName(config_.scheduler.chunk_policy);
-  {
-    const DeviceSpec& dev = DefaultDevice();  // the autotuner's model target
-    rep.provenance.llc_bytes = dev.l2_bytes;
-    rep.provenance.llc_bandwidth_gbps = TimingModel(dev).LlcBandwidthBytesPerS() / 1e9;
-    rep.provenance.dram_bandwidth_gbps = dev.dram_bandwidth_gbps;
-  }
+  rep.provenance = Provenance();
   rep.injected_faults = injector_.total_fires();
   rep.fault_retries = fault_retries_total_;
   rep.fault_backoff_ms = fault_backoff_ms_total_;

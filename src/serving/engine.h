@@ -274,14 +274,11 @@ class ServingEngine {
   int64_t queued() const { return queue_.size() + scheduler_.pending(); }
 
   const PagedKvCache& kv_cache() const { return cache_; }
-  // nullptr when prefix sharing is off.
-  const PrefixCache* prefix_cache() const { return prefix_cache_.get(); }
   const HostSwapTier& swap_tier() const { return swap_tier_; }
   // Swap preemption actually in effect (config.swap gated on preempt, a
   // bounded page pool, and a modeled host link).
   bool swap_enabled() const { return swap_enabled_; }
   const ExpertShardPlan& shard_plan() const { return shard_plan_; }
-  const SimCluster& cluster() const { return cluster_; }
   const EngineMetrics& metrics() const { return metrics_; }
   const FaultInjector& fault_injector() const { return injector_; }
   // Physical shard ids still alive, ascending. shard_plan() is a plan over
@@ -299,9 +296,11 @@ class ServingEngine {
   int64_t fault_retries() const { return fault_retries_total_; }
   // Distinct kernel shapes the autotuner has resolved (0 with autotune off).
   int64_t autotune_cache_size() const { return static_cast<int64_t>(autotune_cache_.size()); }
-  // Summarized metrics with the engine-known provenance fields (shards,
-  // placement, policy, threads, budgets) filled in; the CLI layers
-  // the workload-level fields (model, trace, seed) on top before export.
+  // The engine-known provenance fields (shards, placement, policy, threads,
+  // budgets, resolved backend), fixed at construction; the CLI layers the
+  // workload-level fields (command, model, trace, seed) on top.
+  ReportProvenance Provenance() const;
+  // Summarized metrics with Provenance() filled in.
   ServingReport Report() const;
 
  private:

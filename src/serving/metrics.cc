@@ -318,6 +318,7 @@ struct Field {
 // The report schema: one table per struct, in emission order. ToJson emits
 // "schema_version", then this table as the "config" object.
 const Field<ReportProvenance> kProvenanceFields[] = {
+    {"command", &ReportProvenance::command},
     {"model", &ReportProvenance::model},
     {"trace", &ReportProvenance::trace},
     {"seed", &ReportProvenance::seed},
@@ -457,17 +458,32 @@ void EmitValue(std::string& out, const std::string& s, const char* /*double_fmt*
   out += '"';
 }
 
-// Appends `"key": value` for every field of `s`, joined by `separator`.
+// Appends `<quote>key<quote>: value` for every field of `s`, joined by
+// `separator`: quoted keys for ToJson, bare ones for the printed summary.
 template <typename S, size_t N>
 void EmitFields(std::string& out, const S& s, const Field<S> (&fields)[N], const char* separator,
-                const char* double_fmt) {
+                const char* double_fmt, const char* quote = "\"") {
   for (size_t i = 0; i < N; ++i) {
     out += i == 0 ? "" : separator;
-    out += '"';
+    out += quote;
     out += fields[i].key;
-    out += "\": ";
+    out += quote;
+    out += ": ";
     std::visit([&](auto member) { EmitValue(out, s.*member, double_fmt); }, fields[i].member);
   }
+}
+
+// Double formats per object, shared by ToJson and the printed summary.
+constexpr const char* kConfigDoubleFmt = "%.6g";
+constexpr const char* kReportDoubleFmt = "%.6f";
+
+// One "key: value" line per field of `s`.
+template <typename S, size_t N>
+void PrintFields(std::FILE* out, const S& s, const Field<S> (&fields)[N], const char* double_fmt) {
+  std::string text;
+  EmitFields(text, s, fields, "\n", double_fmt, /*quote=*/"");
+  text += '\n';
+  std::fputs(text.c_str(), out);
 }
 
 template <typename S, size_t N>
@@ -484,13 +500,13 @@ void ZeroMeasured(S& s, const Field<S> (&fields)[N]) {
 std::string ServingReport::ToJson() const {
   std::string out = "{\n  \"schema_version\": " + std::to_string(provenance.schema_version) +
                     ",\n  \"config\": {\n    ";
-  EmitFields(out, provenance, kProvenanceFields, ",\n    ", "%.6g");
+  EmitFields(out, provenance, kProvenanceFields, ",\n    ", kConfigDoubleFmt);
   out += "\n  },\n  ";
-  EmitFields(out, *this, kReportFields, ",\n  ", "%.6f");
+  EmitFields(out, *this, kReportFields, ",\n  ", kReportDoubleFmt);
   out += ",\n  \"request_timelines\": [";
   for (size_t i = 0; i < request_timelines.size(); ++i) {
     out += i == 0 ? "\n    {" : ",\n    {";
-    EmitFields(out, request_timelines[i], kTimelineFields, ", ", "%.6f");
+    EmitFields(out, request_timelines[i], kTimelineFields, ", ", kReportDoubleFmt);
     out += '}';
   }
   out += request_timelines.empty() ? "]\n}\n" : "\n  ]\n}\n";
@@ -504,102 +520,17 @@ void ServingReport::StripWallClock() {
   }
 }
 
-void EngineMetrics::Print(const ServingReport& rep, std::FILE* out) {
-  std::fprintf(out, "requests: %lld finished, %lld rejected, %lld cancelled\n",
-               static_cast<long long>(rep.requests_finished),
-               static_cast<long long>(rep.requests_rejected),
-               static_cast<long long>(rep.requests_cancelled));
-  if (rep.requests_timed_out > 0 || rep.requests_shed > 0) {
-    std::fprintf(out, "degraded: %lld timed out (deadline), %lld shed (overload)\n",
-                 static_cast<long long>(rep.requests_timed_out),
-                 static_cast<long long>(rep.requests_shed));
-  }
-  if (rep.injected_faults > 0 || rep.watchdog_trips > 0) {
-    std::fprintf(out,
-                 "faults: %lld injected, %lld retried (%.3f ms backoff), %lld corrupt "
-                 "swap pages caught, %lld shard failovers, %lld watchdog trips\n",
-                 static_cast<long long>(rep.injected_faults),
-                 static_cast<long long>(rep.fault_retries), rep.fault_backoff_ms,
-                 static_cast<long long>(rep.swap_corruptions),
-                 static_cast<long long>(rep.shard_failovers),
-                 static_cast<long long>(rep.watchdog_trips));
-  }
-  std::fprintf(out, "steps: %lld (%lld prefill rows, %lld decode rows)\n",
-               static_cast<long long>(rep.steps), static_cast<long long>(rep.prefill_rows),
-               static_cast<long long>(rep.decode_rows));
-  if (rep.prefill_chunk_slices > 0 || rep.streamed_rows > 0) {
-    std::fprintf(out,
-                 "streaming: %lld rows delivered incrementally; chunked prefill: %lld partial "
-                 "slices across %lld requests\n",
-                 static_cast<long long>(rep.streamed_rows),
-                 static_cast<long long>(rep.prefill_chunk_slices),
-                 static_cast<long long>(rep.chunked_prefill_requests));
-  }
-  std::fprintf(out,
-               "latency: TTFT %.1f steps (p95 %.1f) / %.2f ms (p95 %.2f), turnaround %.1f "
-               "steps (p95 %.1f) / %.2f ms (p95 %.2f), %.3f ms per step\n",
-               rep.mean_ttft_steps, rep.p95_ttft_steps, rep.mean_ttft_ms, rep.p95_ttft_ms,
-               rep.mean_turnaround_steps, rep.p95_turnaround_steps, rep.mean_turnaround_ms,
-               rep.p95_turnaround_ms, rep.mean_step_ms);
-  std::fprintf(out, "throughput: %.1f tokens/s over %.2f ms of forward time\n",
-               rep.tokens_per_second, rep.wall_ms);
-  std::fprintf(out, "batch: mean %.1f rows (%.0f%% of budget), peak %lld rows, "
-               "peak concurrency %lld sequences\n",
-               rep.mean_batch_rows, 100.0 * rep.mean_occupancy,
-               static_cast<long long>(rep.peak_batch_rows),
-               static_cast<long long>(rep.peak_sequences));
-  std::fprintf(out,
-               "kv-cache: %lld preemptions, peak %lld pages, mean utilization %.0f%%, "
-               "mean fragmentation waste %.1f token slots\n",
-               static_cast<long long>(rep.preemptions),
-               static_cast<long long>(rep.peak_used_pages), 100.0 * rep.mean_page_utilization,
-               rep.mean_frag_tokens);
-  if (rep.prefix_hit_requests > 0 || rep.cow_splits > 0) {
-    std::fprintf(out,
-                 "prefix-cache: %lld hit admissions, %lld cached prompt tokens "
-                 "(hit rate %.0f%%), %lld cow splits, peak %lld shared pages\n",
-                 static_cast<long long>(rep.prefix_hit_requests),
-                 static_cast<long long>(rep.prefix_hit_tokens), 100.0 * rep.prefix_hit_rate,
-                 static_cast<long long>(rep.cow_splits),
-                 static_cast<long long>(rep.peak_shared_pages));
-  }
-  if (rep.swap_outs > 0) {
-    std::fprintf(out,
-                 "swap: %lld out / %lld in, %.2f MiB out / %.2f MiB in, est %.3f ms on the "
-                 "host link, peak %lld host pages\n",
-                 static_cast<long long>(rep.swap_outs), static_cast<long long>(rep.swap_ins),
-                 rep.swap_out_bytes / (1024.0 * 1024.0), rep.swap_in_bytes / (1024.0 * 1024.0),
-                 rep.est_swap_ms, static_cast<long long>(rep.peak_host_pages));
-  }
-  if (rep.autotune_lookups > 0) {
-    std::fprintf(out,
-                 "autotune: %lld lookups (%lld cache hits), simulated SSMM %.3f ms tuned vs "
-                 "%.3f ms default (%.2fx)\n",
-                 static_cast<long long>(rep.autotune_lookups),
-                 static_cast<long long>(rep.autotune_cache_hits), rep.autotune_tuned_ms,
-                 rep.autotune_default_ms, rep.autotune_speedup);
-  }
-  if (rep.est_compute_ms + rep.est_alltoall_ms > 0.0) {
-    std::fprintf(out,
-                 "analytic: est forward %.3f ms (compute %.3f + all-to-all %.3f, %.0f%% "
-                 "all-to-all), kv-page traffic %.2f MiB, all-to-all volume %.2f MiB\n",
-                 rep.est_compute_ms + rep.est_alltoall_ms, rep.est_compute_ms,
-                 rep.est_alltoall_ms, 100.0 * rep.est_alltoall_share,
-                 rep.kv_traffic_bytes / (1024.0 * 1024.0),
-                 rep.alltoall_bytes / (1024.0 * 1024.0));
-  }
-  if (rep.shard_tokens.size() > 1) {
-    std::fprintf(out, "shard load (tokens/shard, imbalance %.2fx):", rep.shard_imbalance);
-    for (int64_t t : rep.shard_tokens) {
-      std::fprintf(out, " %lld", static_cast<long long>(t));
-    }
-    std::fprintf(out, "\n");
-  }
-  std::fprintf(out, "expert load (tokens/expert, imbalance %.2fx):", rep.expert_imbalance);
-  for (int64_t t : rep.expert_tokens) {
-    std::fprintf(out, " %lld", static_cast<long long>(t));
-  }
-  std::fprintf(out, "\n");
+void EngineMetrics::PrintConfig(const ReportProvenance& provenance, std::FILE* out) {
+  PrintFields(out, provenance, kProvenanceFields, kConfigDoubleFmt);
+}
+
+void EngineMetrics::PrintResults(const ServingReport& report, std::FILE* out) {
+  PrintFields(out, report, kReportFields, kReportDoubleFmt);
+}
+
+void EngineMetrics::Print(const ServingReport& report, std::FILE* out) {
+  PrintConfig(report.provenance, out);
+  PrintResults(report, out);
 }
 
 }  // namespace serving

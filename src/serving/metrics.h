@@ -8,8 +8,9 @@
 // The serialized schema lives in metrics.cc: one field table per struct
 // (ReportProvenance, ServingReport, RequestTimeline) names each JSON key
 // once, in emission order, with the member it reads and whether that value
-// is measured (wall clock) or deterministic. ToJson and StripWallClock both
-// walk those tables, so a new field is one struct member plus one table row.
+// is measured (wall clock) or deterministic. ToJson, StripWallClock and the
+// printed summary (EngineMetrics::Print / PrintConfig) all walk those tables,
+// so a new field is one struct member plus one table row.
 
 #ifndef SAMOYEDS_SRC_SERVING_METRICS_H_
 #define SAMOYEDS_SRC_SERVING_METRICS_H_
@@ -86,7 +87,11 @@ struct StepMetrics {
 // the flags that produced it are forgotten. Emitted as the leading
 // "schema_version" / "config" keys of `ServingReport::ToJson`.
 struct ReportProvenance {
-  int64_t schema_version = 3;
+  int64_t schema_version = 4;
+  // The command line that produced the run (`samoyeds_cli serve` arguments
+  // joined with spaces), so every flag is on record, including those no
+  // other field echoes. Empty for reports built outside the CLI.
+  std::string command;
   std::string model;  // model-shape echo ("layers=2 experts=8 hidden=32 ...")
   std::string trace;  // workload description ("poisson n=24" / trace file)
   int64_t seed = 0;
@@ -302,7 +307,12 @@ class EngineMetrics {
 
   // `max_pages` == 0 (an unbounded page pool) leaves page utilization at 0.
   ServingReport Summarize(int64_t token_budget, int64_t max_pages = 0) const;
+  // The human-readable report: one "key: value" line per config field
+  // (PrintConfig), then one per report field (PrintResults), with ToJson's
+  // keys, order and value formatting; request_timelines stay JSON-only.
   static void Print(const ServingReport& report, std::FILE* out);
+  static void PrintConfig(const ReportProvenance& provenance, std::FILE* out);
+  static void PrintResults(const ServingReport& report, std::FILE* out);
 
  private:
   using Clock = std::chrono::steady_clock;

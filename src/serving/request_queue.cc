@@ -49,16 +49,9 @@ int64_t RequestQueue::NextArrivalStep() const {
 
 int64_t RequestQueue::ShedVictim(int incoming_priority) const {
   std::lock_guard<std::mutex> lock(mu_);
-  int64_t victim = -1;
-  int victim_priority = incoming_priority;
-  for (const Request& r : queue_) {
-    if (r.priority < victim_priority ||
-        (victim >= 0 && r.priority == victim_priority && r.id > victim)) {
-      victim = r.id;
-      victim_priority = r.priority;
-    }
-  }
-  return victim;
+  const int64_t victim =
+      ShedVictimIndex(queue_, incoming_priority, [](const Request& r) { return &r; });
+  return victim < 0 ? -1 : queue_[static_cast<size_t>(victim)].id;
 }
 
 }  // namespace serving

@@ -22,6 +22,32 @@
 namespace samoyeds {
 namespace serving {
 
+// The overload-shedding rule of both ingress layers, the engine's bounded
+// RequestQueue and the AsyncServer's bounded mailbox: to make room for a
+// priority-`incoming_priority` arrival, shed the lowest-priority pending
+// request strictly below that class, ties going to the largest id (the
+// newest submission). `request_of(entry)` returns the entry's Request, or
+// nullptr for an entry that is never shed. Returns the victim's index in
+// `pending`, or -1 when nothing ranks below the arrival (the arrival itself
+// must then be shed).
+template <typename Container, typename RequestOf>
+int64_t ShedVictimIndex(const Container& pending, int incoming_priority, RequestOf request_of) {
+  int64_t victim = -1;
+  const Request* worst = nullptr;
+  int64_t index = 0;
+  for (const auto& entry : pending) {
+    const Request* r = request_of(entry);
+    const int bar = worst == nullptr ? incoming_priority : worst->priority;
+    if (r != nullptr && (r->priority < bar ||
+                         (worst != nullptr && r->priority == bar && r->id > worst->id))) {
+      victim = index;
+      worst = r;
+    }
+    ++index;
+  }
+  return victim;
+}
+
 class RequestQueue {
  public:
   void Push(Request request);
@@ -41,11 +67,9 @@ class RequestQueue {
   // fast-forward idle steps during trace replay.
   int64_t NextArrivalStep() const;
 
-  // Overload control: id of the queued request to shed so a priority-
-  // `incoming_priority` arrival can take its slot — the lowest-priority
-  // entry strictly below the incoming class (ties: largest id, i.e. the
-  // newest submission). -1 when nothing queued is lower priority (the
-  // arrival itself must then be shed).
+  // Overload control: id of the queued request ShedVictimIndex picks so a
+  // priority-`incoming_priority` arrival can take its slot, or -1 when the
+  // arrival itself must be shed.
   int64_t ShedVictim(int incoming_priority) const;
 
  private:

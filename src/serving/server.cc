@@ -12,16 +12,6 @@
 namespace samoyeds {
 namespace serving {
 
-const char* ServerClockName(ServerClock c) {
-  switch (c) {
-    case ServerClock::kVirtual:
-      return "virtual";
-    case ServerClock::kWall:
-      return "wall";
-  }
-  return "?";
-}
-
 bool ParseServerClock(const char* text, ServerClock* out) {
   if (std::strcmp(text, "virtual") == 0) {
     *out = ServerClock::kVirtual;
@@ -86,21 +76,14 @@ bool AsyncServer::Submit(Request request) {
   }
   if (config_.mailbox_capacity > 0 &&
       static_cast<int64_t>(mailbox_.size()) >= config_.mailbox_capacity) {
-    // Mailbox full: shed the lowest-priority pending submission strictly
-    // below this arrival's class; if none, shed the arrival itself. Cancels
-    // are never shed — a blocked Cancel() caller must always get a verdict.
-    int victim = -1;
-    for (size_t i = 0; i < mailbox_.size(); ++i) {
-      if (mailbox_[i].is_cancel) {
-        continue;
-      }
-      if (victim < 0 ||
-          mailbox_[i].request.priority < mailbox_[victim].request.priority) {
-        victim = static_cast<int>(i);
-      }
-    }
+    // Mailbox full: shed a pending submission by the ingress rule, or the
+    // arrival itself when none ranks below it. Cancels are never shed — a
+    // blocked Cancel() caller must always get a verdict.
+    const int64_t victim = ShedVictimIndex(mailbox_, request.priority, [](const Op& op) {
+      return op.is_cancel ? nullptr : &op.request;
+    });
     ++shed_submits_;
-    if (victim >= 0 && mailbox_[victim].request.priority < request.priority) {
+    if (victim >= 0) {
       const int64_t victim_id = mailbox_[victim].request.id;
       mailbox_.erase(mailbox_.begin() + victim);
       --pending_submits_;

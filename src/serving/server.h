@@ -25,10 +25,11 @@
 // Backpressure. A bounded mailbox (ServerConfig::mailbox_capacity > 0)
 // composes with the engine's priority shedding: when a submit arrives at a
 // full mailbox, the lowest-priority *pending* submission strictly below the
-// arrival's class is shed (its session records kShedded without ever
-// reaching the engine); if no such victim exists the arrival itself is shed
-// and Submit() returns false. This mirrors RequestQueue's ingress policy one
-// layer earlier, so overload never grows the mailbox without bound.
+// arrival's class is shed, ties going to the newest (largest id); its
+// session records kShedded without ever reaching the engine. If no such
+// victim exists the arrival itself is shed and Submit() returns false. Both
+// layers pick the victim with the same function, ShedVictimIndex
+// (request_queue.h), so overload never grows the mailbox without bound.
 #ifndef SAMOYEDS_SRC_SERVING_SERVER_H_
 #define SAMOYEDS_SRC_SERVING_SERVER_H_
 
@@ -58,7 +59,6 @@ enum class ServerClock {
   kWall,
 };
 
-const char* ServerClockName(ServerClock c);
 // Parses "virtual" / "wall". Returns false (out untouched) otherwise.
 bool ParseServerClock(const char* text, ServerClock* out);
 

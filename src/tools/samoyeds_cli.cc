@@ -542,9 +542,6 @@ int CmdServe(int argc, char** argv) {
     opt.model.top_k = paper->top_k;
     opt.model.shared_experts = paper->shared_experts;
     opt.model.activation = paper->activation;
-    std::printf("%s structure (%d experts, top-%d, %d shared), miniature dims by default\n",
-                paper->name.c_str(), opt.model.num_experts, opt.model.top_k,
-                opt.model.shared_experts);
   }
 
   for (int i = 4; i < argc; ++i) {
@@ -601,9 +598,6 @@ int CmdServe(int argc, char** argv) {
       std::fprintf(stderr, "memory model leaves no KV page capacity for %s\n", cfg.name.c_str());
       return 2;
     }
-    std::printf("page budget from memory model: %lld pages of %lld tokens\n",
-                static_cast<long long>(sched.max_pages),
-                static_cast<long long>(sched.page_tokens));
   }
 
   // Trace: file path or synthetic:<count>.
@@ -651,68 +645,22 @@ int CmdServe(int argc, char** argv) {
   }
   serving::ServingEngine engine(std::move(layers), engine_cfg);
 
-  std::printf("serving %s: %d layers, hidden %d, %d experts (top-%d), %s activation\n",
-              cfg.name.c_str(), opt.layers, cfg.hidden, cfg.num_experts, cfg.top_k,
-              cfg.activation == Activation::kSilu ? "SiLU" : "GELU-tanh");
-  std::printf("scheduler: %s, token budget %lld, %d expert threads\n",
-              serving::SchedulerPolicyName(sched.policy),
-              static_cast<long long>(sched.token_budget), engine_cfg.threads);
-  if (sched.chunk_tokens > 0) {
-    std::printf("chunked prefill: <= %lld rows per chunk, %s policy (long prompts interleave "
-                "with decode; outputs identical to one-shot prefill)\n",
-                static_cast<long long>(sched.chunk_tokens),
-                serving::ChunkPolicyName(sched.chunk_policy));
+  // The banner is the report's config section: the engine's provenance plus
+  // the workload fields and the command line, which records every flag.
+  serving::ReportProvenance config = engine.Provenance();
+  for (int i = 1; i < argc; ++i) {
+    config.command += (i == 1 ? "" : " ") + std::string(argv[i]);
   }
-  if (opt.async) {
-    std::printf("async server: %s clock, mailbox %s\n", serving::ServerClockName(opt.server.clock),
-                opt.server.mailbox_capacity > 0
-                    ? std::to_string(opt.server.mailbox_capacity).c_str()
-                    : "unbounded");
-  }
-  std::printf("kernel backend: %s (bit-exact)\n", KernelBackendName(engine_cfg.kernel_backend));
-  if (engine_cfg.shards > 1) {
-    const DeviceSpec& dev = engine.cluster().device(0);
-    std::printf("sharding: %d shards, %s placement, link %.0f GB/s + %.1f us (%s)\n",
-                engine_cfg.shards, serving::ShardPlacementName(engine_cfg.placement),
-                dev.link_bandwidth_gbps, dev.link_latency_us, dev.name.c_str());
-  }
-  if (sched.max_pages > 0) {
-    std::printf("kv-cache: %lld pages x %lld tokens, preemption %s\n",
-                static_cast<long long>(sched.max_pages),
-                static_cast<long long>(sched.page_tokens), sched.preempt ? "on" : "off");
-  } else {
-    std::printf("kv-cache: unbounded pool of %lld-token pages\n",
-                static_cast<long long>(sched.page_tokens));
-  }
-  if (engine.prefix_cache() != nullptr) {
-    std::printf("prefix-cache: on (radix sharing, copy-on-write pages)\n");
-  }
-  if (engine.swap_enabled()) {
-    const DeviceSpec& dev = engine.cluster().device(0);
-    std::printf("swap: host tier %s pages over %.0f GB/s + %.1f us host link\n",
-                engine_cfg.host_pages > 0 ? std::to_string(engine_cfg.host_pages).c_str()
-                                          : "unbounded",
-                dev.host_bandwidth_gbps, dev.host_latency_us);
-  }
-  if (!engine_cfg.faults.empty()) {
-    std::printf("faults: %zu rules, seed %llu (deterministic replay)\n", engine_cfg.faults.size(),
-                static_cast<unsigned long long>(engine_cfg.fault_seed));
-  }
-  if (opt.deadline_steps > 0) {
-    std::printf("deadlines: %lld steps from arrival (overdue sessions time out)\n",
-                static_cast<long long>(opt.deadline_steps));
-  }
-  if (engine_cfg.ingress_capacity > 0) {
-    std::printf("overload: ingress queue capped at %lld (lowest-priority shed)\n",
-                static_cast<long long>(engine_cfg.ingress_capacity));
-  }
-  if (engine_cfg.watchdog_steps > 0) {
-    std::printf("watchdog: trips after %lld steps without progress%s%s\n",
-                static_cast<long long>(engine_cfg.watchdog_steps),
-                opt.watchdog_dump.empty() ? "" : ", flight recorder -> ",
-                opt.watchdog_dump.c_str());
-  }
-  std::printf("trace: %zu requests\n\n", entries.size());
+  char model_echo[128];
+  std::snprintf(model_echo, sizeof(model_echo),
+                "%s layers=%d hidden=%d inter=%d experts=%d top_k=%d heads=%d shared=%d",
+                cfg.name.c_str(), opt.layers, cfg.hidden, cfg.intermediate, cfg.num_experts,
+                cfg.top_k, engine_cfg.heads, cfg.shared_experts);
+  config.model = model_echo;
+  config.trace = opt.trace;
+  config.seed = static_cast<int64_t>(opt.seed);
+  serving::EngineMetrics::PrintConfig(config, stdout);
+  std::printf("\n");
 
   // Streaming delivery: rows print as they finalize inside Step(), tagged
   // with the session and sequence positions — the client-visible view of
@@ -816,16 +764,11 @@ int CmdServe(int argc, char** argv) {
                 static_cast<long long>(tracer.dropped_events()));
   }
 
+  // The config lines opened the run; the results close it.
   serving::ServingReport report = engine.Report();
-  char model_echo[128];
-  std::snprintf(model_echo, sizeof(model_echo),
-                "%s layers=%d hidden=%d inter=%d experts=%d top_k=%d heads=%d shared=%d",
-                cfg.name.c_str(), opt.layers, cfg.hidden, cfg.intermediate, cfg.num_experts,
-                cfg.top_k, engine_cfg.heads, cfg.shared_experts);
-  report.provenance.model = model_echo;
-  report.provenance.trace = opt.trace;
-  report.provenance.seed = static_cast<int64_t>(opt.seed);
-  serving::EngineMetrics::Print(report, stdout);
+  report.provenance = config;
+  std::printf("\n");
+  serving::EngineMetrics::PrintResults(report, stdout);
   if (!opt.report_json.empty()) {
     std::FILE* f = std::fopen(opt.report_json.c_str(), "w");
     if (f == nullptr) {

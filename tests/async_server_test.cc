@@ -358,6 +358,25 @@ TEST(AsyncServerTest, MailboxBackpressureShedsLowestPriorityBelowArrival) {
   EXPECT_EQ(server.WaitTerminal(2).status, RequestStatus::kShedded);
   server.Stop();
   EXPECT_EQ(engine.kv_cache().allocator().used_pages(), 0);
+
+  // A tie in the lowest class sheds the younger submission, the engine's
+  // ingress rule (RequestQueue::ShedVictim): ids 10 and 11 pending at
+  // priority 0, a priority-1 arrival displaces 11.
+  ServingEngine tie_engine(BuildTinyModel(rng, 1, cfg), BaseEngineConfig());
+  AsyncServer tie_server(tie_engine, server_cfg);
+  EXPECT_TRUE(tie_server.Submit(make(10, 0)));
+  EXPECT_TRUE(tie_server.Submit(make(11, 0)));
+  EXPECT_TRUE(tie_server.Submit(make(12, 1)));
+  EXPECT_TRUE(tie_server.Poll(11).terminal);
+  EXPECT_EQ(tie_server.Poll(11).status, RequestStatus::kShedded);
+  EXPECT_FALSE(tie_server.Poll(10).terminal);
+  tie_server.Start();
+  tie_server.Drain();
+  EXPECT_EQ(tie_server.WaitTerminal(10).status, RequestStatus::kFinished);
+  EXPECT_EQ(tie_server.WaitTerminal(12).status, RequestStatus::kFinished);
+  EXPECT_EQ(tie_server.WaitTerminal(11).status, RequestStatus::kShedded);
+  tie_server.Stop();
+  EXPECT_EQ(tie_engine.kv_cache().allocator().used_pages(), 0);
 }
 
 TEST(AsyncServerTest, WallClockStampsArrivalsAtDrainTime) {

@@ -105,17 +105,18 @@ TEST(CliTest, KernelBackendFlagIsStrictlyParsed) {
   EXPECT_EQ(bad_case.exit_code, 2) << bad_case.output;
 
   // scalar and auto are runnable everywhere; the run must succeed and the
-  // report provenance must name the backend that actually executed.
+  // printed config must name the backend that actually executed.
   const CliResult scalar =
       RunCli("serve tiny synthetic:2 --rate=2 --budget=16 --kernel-backend=scalar");
   EXPECT_EQ(scalar.exit_code, 0) << scalar.output;
-  EXPECT_NE(scalar.output.find("kernel backend: scalar"), std::string::npos)
+  EXPECT_NE(scalar.output.find("kernel_backend: \"scalar\""), std::string::npos)
       << scalar.output;
 
   const CliResult auto_backend =
       RunCli("serve tiny synthetic:2 --rate=2 --budget=16 --kernel-backend=auto");
   EXPECT_EQ(auto_backend.exit_code, 0) << auto_backend.output;
-  EXPECT_NE(auto_backend.output.find("kernel backend: "), std::string::npos)
+  EXPECT_TRUE(std::regex_search(auto_backend.output,
+                                std::regex("kernel_backend: \"(scalar|avx2|avx512|neon)\"")))
       << auto_backend.output;
 }
 
@@ -171,6 +172,17 @@ TEST(CliTest, ChaosFlagsRunEndToEnd) {
   double injected = 0.0;
   ASSERT_TRUE(FindJsonNumber(json, "injected_faults", &injected));
   EXPECT_GT(injected, 0.0);
+  // config.command records the serve arguments, so the report names the
+  // fault schedule and seed that produced it.
+  std::smatch command;
+  ASSERT_TRUE(std::regex_search(json, command, std::regex("\"command\": \"([^\"]*)\"")))
+      << json;
+  EXPECT_EQ(command[1].str().rfind("serve tiny synthetic:8 --rate=4 --budget=24 ", 0), 0u)
+      << command[1];
+  for (const char* flag : {"--preempt=1", "--faults=kv-alloc~0.2,swap-corrupt~0.5",
+                           "--fault-seed=5", "--deadline-steps=200", "--ingress-cap=16"}) {
+    EXPECT_NE(command[1].str().find(flag), std::string::npos) << flag << " in " << command[1];
+  }
   std::remove(report_path.c_str());
 }
 

@@ -8,12 +8,16 @@
 //   * the empty-run edge: a freshly-constructed EngineMetrics summarizes and
 //     serializes to valid JSON full of zeros, not NaNs ("nan" is not JSON);
 //   * provenance strings are escaped, so a hostile trace path ("ba\"d.txt")
-//     cannot corrupt the artifact.
+//     cannot corrupt the artifact;
+//   * the printed summary (EngineMetrics::Print) is the same tables: one
+//     "key: value" line per config and report key ToJson emits, in order.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <regex>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -93,7 +97,7 @@ TEST(ReportJsonTest, KeyCoverageOnARealRun) {
   // this order; timeline keys repeat once per request.
   const std::vector<std::string> header = {"schema_version", "config"};
   const std::vector<std::string> config = {
-      "model", "trace", "seed", "shards", "placement", "policy", "threads", "token_budget",
+      "command", "model", "trace", "seed", "shards", "placement", "policy", "threads", "token_budget",
       "chunk_tokens", "page_tokens", "max_pages", "prefix_cache", "swap", "host_pages",
       "kernel_backend", "llc_bytes", "llc_bandwidth_gbps", "dram_bandwidth_gbps",
       "chunk_policy"};
@@ -117,7 +121,7 @@ TEST(ReportJsonTest, KeyCoverageOnARealRun) {
       "id", "prompt_len", "arrival_step", "admit_step", "first_output_step", "finish_step",
       "cancel_step", "timeout_step", "prefill_chunks", "preemptions", "cached_prompt_tokens",
       "ttft_ms", "turnaround_ms"};
-  EXPECT_EQ(config.size(), 19u);
+  EXPECT_EQ(config.size(), 20u);
   EXPECT_EQ(report.size(), 62u);  // 61 fields + "request_timelines"
   EXPECT_EQ(timeline.size(), 13u);
   std::vector<std::string> expected = header;
@@ -170,8 +174,8 @@ TEST(ReportJsonTest, NumbersRoundTrip) {
   ASSERT_TRUE(FindJsonNumber(json, "steps", &v));
   EXPECT_EQ(static_cast<int64_t>(v), rep.steps);
   ASSERT_TRUE(FindJsonNumber(json, "schema_version", &v));
-  EXPECT_EQ(static_cast<int64_t>(v), 3);
-  EXPECT_EQ(rep.provenance.schema_version, 3);
+  EXPECT_EQ(static_cast<int64_t>(v), 4);
+  EXPECT_EQ(rep.provenance.schema_version, 4);
   ASSERT_TRUE(FindJsonNumber(json, "token_budget", &v));
   EXPECT_EQ(static_cast<int64_t>(v), 16);
   // Doubles are printed with enough digits to survive a parse round-trip at
@@ -214,6 +218,50 @@ TEST(ReportJsonTest, ProvenanceStringsAreEscaped) {
   EXPECT_NE(json.find("\\\"quoted\\\""), std::string::npos);
   EXPECT_NE(json.find("\\u000a"), std::string::npos);  // control chars as \uXXXX
   EXPECT_EQ(json.find("backslashes\nand"), std::string::npos);  // never raw
+}
+
+// Print and ToJson walk the same field tables: every config and report key
+// of the JSON (request_timelines aside) is one printed "key: value" line,
+// with the JSON's value text, in the JSON's order, and nothing else prints.
+TEST(ReportJsonTest, PrintedSummaryIsTheJsonFields) {
+  ServingReport rep = RunTinyWorkload();
+  rep.provenance.command = "serve tiny synthetic:3 --budget=16";
+  rep.provenance.model = "tiny \"quoted\" model";
+  const std::string json = rep.ToJson();
+
+  std::vector<std::string> expected;
+  std::istringstream json_lines(json.substr(0, json.find("\"request_timelines\"")));
+  const std::regex field("^ *\"(\\w+)\": (.*)$");
+  for (std::string line; std::getline(json_lines, line);) {
+    std::smatch m;
+    if (!std::regex_match(line, m, field) || m[1] == "schema_version" || m[1] == "config") {
+      continue;
+    }
+    std::string value = m[2].str();
+    if (!value.empty() && value.back() == ',') {
+      value.pop_back();
+    }
+    expected.push_back(m[1].str() + ": " + value);
+  }
+  EXPECT_EQ(expected.size(), 20u + 61u);
+
+  std::FILE* f = std::tmpfile();
+  ASSERT_NE(f, nullptr);
+  EngineMetrics::Print(rep, f);
+  std::rewind(f);
+  std::vector<std::string> printed;
+  std::string line;
+  for (int c = std::fgetc(f); c != EOF; c = std::fgetc(f)) {
+    if (c == '\n') {
+      printed.push_back(line);
+      line.clear();
+    } else {
+      line += static_cast<char>(c);
+    }
+  }
+  std::fclose(f);
+  EXPECT_TRUE(line.empty());  // every line newline-terminated
+  EXPECT_EQ(printed, expected);
 }
 
 }  // namespace
