@@ -11,7 +11,8 @@
 //     the workspace-enabled MoE forward allocates in steady state;
 //   * the run FAILS if the optimized kernel, on any backend, is not
 //     bit-identical to the fragment-model reference, or the dispatched dense
-//     GEMM to the scalar loop;
+//     GEMM or gated SiLU to its scalar loop, or if the dispatched gated SiLU
+//     runs below 3x its scalar loop on an AVX2/AVX-512 host;
 //   * --json=PATH emits machine-readable results (tokens/s, GFLOP/s, alloc
 //     counts) so the perf trajectory is tracked from PR 3 onward;
 //   * --smoke shrinks every measurement for fast CI sanity runs.
@@ -32,11 +33,13 @@
 #include "src/core/samoyeds_kernel.h"
 #include "src/core/ssmm_workspace.h"
 #include "src/moe/decoder_layer.h"
+#include "src/moe/expert.h"
 #include "src/moe/moe_layer.h"
 #include "src/moe/router.h"
 #include "src/serving/engine.h"
 #include "src/serving/expert_pool.h"
 #include "src/sptc/mma_sp.h"
+#include "src/tensor/bf16.h"
 #include "src/tensor/gemm_ref.h"
 #include "src/tensor/rng.h"
 
@@ -236,6 +239,85 @@ bool BenchDenseGemm(double seconds, std::vector<BenchResult>& results) {
   return bit_identical;
 }
 
+// gate := bf16(silu(gate) * up) on the live rows of one expert call at
+// perfbench prefill_burst's shape (hidden 64, intermediate 1024, 120 selected
+// tokens, format 1:2:32): the scalar loop against the row kernel
+// GatedActivationRows dispatches to. Returns false (and says why) unless the
+// two are bit-identical and, where a SIMD kernel runs, the dispatched one is
+// at least 3x the scalar loop. Its tokens_per_s column counts elements.
+bool BenchGatedSilu(double seconds, std::vector<BenchResult>& results) {
+  Rng rng(17);  // own stream: the other rows keep their inputs
+  const int64_t hidden = 64;
+  const int64_t inter = 1024;
+  const int64_t tokens = 120;
+  const SamoyedsExpertWeights w = SamoyedsExpertWeights::Encode(
+      ExpertWeights::Random(rng, static_cast<int>(hidden), static_cast<int>(inter)),
+      SamoyedsConfig{1, 2, 32});
+  const std::vector<int32_t>& rows = w.live_rows;
+  const MatrixF gate0 = rng.GaussianMatrix(inter, tokens, 3.0f);
+  const MatrixF up = rng.GaussianMatrix(inter, tokens);
+  const int64_t elements = static_cast<int64_t>(rows.size()) * tokens;
+
+  MatrixF scalar = gate0;
+  BenchResult scalar_row = Measure("gated_silu_scalar", seconds, elements, 0.0, [&] {
+    std::copy(gate0.data(), gate0.data() + gate0.size(), scalar.data());
+    for (const int32_t r : rows) {
+      float* g = scalar.data() + r * tokens;
+      const float* u = up.data() + r * tokens;
+      for (int64_t j = 0; j < tokens; ++j) {
+        g[j] = RoundToBf16(ApplyActivation(Activation::kSilu, g[j]) * u[j]);
+      }
+    }
+  });
+  MatrixF dispatched = gate0;
+  BenchResult dispatched_row = Measure("gated_silu", seconds, elements, 0.0, [&] {
+    std::copy(gate0.data(), gate0.data() + gate0.size(), dispatched.data());
+    GatedActivationRows(dispatched, up, Activation::kSilu, rows);
+  });
+  results.push_back(scalar_row);
+  PrintResult(scalar_row);
+  results.push_back(dispatched_row);
+  PrintResult(dispatched_row);
+  const double speedup = dispatched_row.ms_per_iter > 0.0
+                             ? scalar_row.ms_per_iter / dispatched_row.ms_per_iter
+                             : 0.0;
+  const bool simd = WidestKernel(&GetGatedSiluKernel) != nullptr;
+  std::printf("  gated_silu: %zu live rows x %lld tokens, %.2fx vs the scalar loop (%s)\n",
+              rows.size(), static_cast<long long>(tokens), speedup,
+              simd ? "SIMD row kernel" : "scalar loop");
+  bool ok = true;
+  if (std::memcmp(scalar.data(), dispatched.data(), sizeof(float) * scalar.size()) != 0) {
+    std::fprintf(stderr, "FAIL: dispatched gated SiLU is not bit-identical to the scalar loop\n");
+    ok = false;
+  }
+  if (simd && speedup < 3.0) {
+    std::fprintf(stderr, "FAIL: dispatched gated SiLU is %.2fx the scalar loop, below 3x\n",
+                 speedup);
+    ok = false;
+  }
+  return ok;
+}
+
+// One routed expert call, ExpertForwardSamoyeds on the scalar backend, at the
+// same prefill_burst shape.
+void BenchExpertForward(double seconds, std::vector<BenchResult>& results) {
+  Rng rng(19);
+  const int64_t hidden = 64;
+  const int64_t inter = 1024;
+  const int64_t tokens = 120;
+  const SamoyedsExpertWeights w = SamoyedsExpertWeights::Encode(
+      ExpertWeights::Random(rng, static_cast<int>(hidden), static_cast<int>(inter)),
+      SamoyedsConfig{1, 2, 32});
+  const MatrixF x = rng.GaussianMatrix(tokens, hidden);
+  const Selection sel = Selection::All(tokens);
+  SsmmWorkspace ws;
+  MatrixF out(tokens, hidden);
+  results.push_back(Measure("expert_forward", seconds, tokens,
+                            2.0 * 3.0 * static_cast<double>(hidden * inter * tokens),
+                            [&] { ExpertForwardSamoyeds(x, w, sel, Activation::kSilu, ws, out); }));
+  PrintResult(results.back());
+}
+
 int RunBench(int argc, char** argv) {
   bool smoke = false;
   std::string json_path;
@@ -412,6 +494,11 @@ int RunBench(int argc, char** argv) {
   const bool dense_bit_identical = BenchDenseGemm(seconds, results);
   failed = failed || !dense_bit_identical;
 
+  // --- expert FFN: the gated SiLU and one whole expert call ---------------
+  const bool gated_silu_ok = BenchGatedSilu(seconds, results);
+  failed = failed || !gated_silu_ok;
+  BenchExpertForward(seconds, results);
+
   // --- MoE forward through the workspace API ------------------------------
   MoeModelConfig cfg;
   cfg.name = "bench";
@@ -536,11 +623,13 @@ int RunBench(int argc, char** argv) {
                   "\"experts\": %d, \"top_k\": %d, \"format\": [1, 2, 32]},\n"
                   "  \"kernel_speedup\": %.3f,\n  \"bit_identical\": %s,\n"
                   "  \"dense_gemm_bit_identical\": %s,\n"
+                  "  \"gated_silu_ok\": %s,\n"
                   "  \"moe_workspace_steady_allocs\": %.2f,\n",
                   smoke ? "smoke" : "full", threads, seconds, static_cast<long long>(hidden),
                   static_cast<long long>(inter), static_cast<long long>(tokens), num_experts,
                   top_k, kernel_speedup, bit_identical ? "true" : "false",
-                  dense_bit_identical ? "true" : "false", moe_steady_allocs);
+                  dense_bit_identical ? "true" : "false", gated_silu_ok ? "true" : "false",
+                  moe_steady_allocs);
     std::FILE* f = std::fopen(json_path.c_str(), "w");
     if (f == nullptr) {
       std::fprintf(stderr, "cannot write %s\n", json_path.c_str());

@@ -31,10 +31,12 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/moe/decoder_layer.h"
+#include "src/moe/model_configs.h"
 #include "src/obs/tracer.h"
 #include "src/serving/engine.h"
 #include "src/serving/scheduler.h"
@@ -91,7 +93,27 @@ struct Workload {
   // Leading prompt rows of every request copied from the first request's:
   // a shared "system prompt" a prefix cache can serve from shared pages.
   int64_t shared_rows = 0;
+
+  // The report's `config.trace`.
+  std::string Describe() const {
+    char buf[192];
+    std::snprintf(buf, sizeof(buf),
+                  "synthetic:%d rate=%g prompt=%lld..%lld decode=%lld..%lld skew=%g "
+                  "long_tail=%d shared_rows=%lld",
+                  requests, rate, static_cast<long long>(prompt_lo),
+                  static_cast<long long>(prompt_hi), static_cast<long long>(decode_lo),
+                  static_cast<long long>(decode_hi), skew, long_tail ? 1 : 0,
+                  static_cast<long long>(shared_rows));
+    return buf;
+  }
 };
+
+// The workload-level provenance a report carries beside the engine's own.
+void StampProvenance(serving::ServingReport& rep, uint64_t seed, std::string trace) {
+  rep.provenance.model = ModelEcho(BenchModelConfig(), /*layers=*/1, kHeads);
+  rep.provenance.trace = std::move(trace);
+  rep.provenance.seed = static_cast<int64_t>(seed);
+}
 
 // The bench engine: token-budget admission over a 48-row budget; callers
 // set the knobs their family sweeps.
@@ -143,6 +165,7 @@ CellRun RunCell(uint64_t seed, const serving::EngineConfig& cfg, const Workload&
 
   CellRun run;
   run.report = engine.Report();
+  StampProvenance(run.report, seed, w.Describe());
   for (size_t i = 0; i < entries.size(); ++i) {
     const serving::RequestResult* result = engine.Result(static_cast<int64_t>(i));
     const bool done = result != nullptr &&
@@ -235,6 +258,10 @@ OpenLoopRun RunOpenLoopCell(uint64_t seed, bool async, serving::ChunkPolicy chun
   run.wall_ms = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - start).count();
   run.report = engine.Report();
+  char trace[96];
+  std::snprintf(trace, sizeof(trace), "poisson:%d mean_gap_ms=%g prompt=24..48 decode=4..12 skew=2",
+                requests, mean_gap_ms);
+  StampProvenance(run.report, seed, trace);
   int64_t finished_tokens = 0;
   for (int i = 0; i < requests; ++i) {
     const serving::RequestResult* result = engine.Result(i);
@@ -267,12 +294,16 @@ double MeanTtftSteps(const serving::ServingReport& rep, bool hit, int64_t* sessi
 // report key under the report's own names.
 class JsonCells {
  public:
+  // `command`: the bench's own command line, every cell's `config.command`.
+  explicit JsonCells(std::string command) : command_(std::move(command)) {}
+
   // `identical`: 1/0 for cells a bit-identity gate actually compared, -1 for
   // ungated cells (the field is omitted — absence means "not checked", so a
   // JSON consumer can tell verified cells from merely-emitted ones).
   void Add(const char* section, const std::string& params, serving::ServingReport rep,
            int identical = -1) {
     rep.request_timelines.clear();
+    rep.provenance.command = command_;
     std::string report = rep.ToJson();
     report.pop_back();  // ToJson's trailing newline
     if (!cells_.empty()) {
@@ -313,6 +344,7 @@ class JsonCells {
   }
 
  private:
+  std::string command_;
   std::string cells_;
 };
 
@@ -342,7 +374,11 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  JsonCells cells;
+  std::string command = "bench_serving_throughput";
+  for (int i = 1; i < argc; ++i) {
+    command += std::string(" ") + argv[i];
+  }
+  JsonCells cells(command);
 
   if (!smoke) {
   PrintHeader("Serving throughput sweep: arrival rate x routing skew "

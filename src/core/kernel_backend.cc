@@ -22,6 +22,8 @@ void PanelKernelAvx512(const PanelGroupTask& task);
 void PanelKernelNeon(const PanelGroupTask& task);
 void DenseGemmAvx2(const DenseGemmTask& task);
 void DenseGemmAvx512(const DenseGemmTask& task);
+void GatedSiluRowAvx2(float* gate, const float* up, int64_t n);
+void GatedSiluRowAvx512(float* gate, const float* up, int64_t n);
 
 namespace {
 
@@ -154,6 +156,20 @@ DenseGemmFn GetDenseGemmKernel(KernelBackend b) {
       return &DenseGemmAvx512;
     default:
       return nullptr;  // scalar (and neon) run the loop in gemm_ref.cc
+  }
+}
+
+GatedSiluRowFn GetGatedSiluKernel(KernelBackend b) {
+  if (!KernelBackendSupported(b)) {
+    return nullptr;
+  }
+  switch (b) {
+    case KernelBackend::kAvx2:
+      return &GatedSiluRowAvx2;
+    case KernelBackend::kAvx512:
+      return &GatedSiluRowAvx512;
+    default:
+      return nullptr;  // scalar (and neon) run the loop in expert.cc
   }
 }
 

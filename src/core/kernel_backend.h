@@ -1,5 +1,5 @@
-// Runtime-dispatched SIMD backends for the SSMM packed-panel inner loops and
-// for the dense GEMM.
+// Runtime-dispatched SIMD backends for the SSMM packed-panel inner loops, the
+// dense GEMM and the expert's gated SiLU.
 //
 // The packed execution path (SamoyedsKernel::RunPanel) spends its time in
 // branch-free contiguous axpys: for each (sub-row window, compressed row)
@@ -23,6 +23,12 @@
 //             a(i,p) * b(p,j) for p ascending with the same a(i,p) == 0
 //             skip, so a -0 already in C keeps its sign and 0 * inf never
 //             enters.
+//   gated SiLU (avx512 / avx2; the Samoyeds expert forward's
+//             GatedActivationRows) — g = bf16(silu(g) * u) with
+//             silu(x) = x / (1 + ExpF(-x)): ExpF's steps (src/tensor/expf.h),
+//             the add, the divide and the multiply in the scalar order, and
+//             RoundToBf16's round-to-nearest-even and NaN rule in integer
+//             lanes.
 //
 // Fusing would not be exact: the panel operands are bf16, but a product
 // of two bf16 values below the fp32 normal range rounds, and an FMA that
@@ -35,9 +41,10 @@
 // support) decides what the machine can run and `auto` resolves to the
 // widest supported variant. Panel callers pass the backend explicitly (the
 // serving engine resolves EngineConfig::kernel_backend once and threads it
-// down; every other caller defaults to kScalar). The dense dispatch has no
-// knob: GemmAccumulateRef resolves it once from CpuHasAvx512() /
-// CpuHasAvx2() (widest first, scalar loop as the portable fallback). Each
+// down; every other caller defaults to kScalar). The dense GEMM and the
+// gated SiLU have no knob: GemmAccumulateRef and GatedActivationRows each
+// resolve their kernel once from CpuHasAvx512() / CpuHasAvx2() (widest
+// first, the scalar loop as the portable fallback and the tests' oracle). Each
 // SIMD variant lives in its own translation unit compiled with just that
 // ISA's flags, so the core library still runs on the baseline ISA.
 
@@ -87,6 +94,10 @@ struct DenseGemmTask {
 
 using DenseGemmFn = void (*)(const DenseGemmTask&);
 
+// gate[j] = RoundToBf16(silu(gate[j]) * up[j]) for j in [0, n), in place:
+// one live row of the expert's gated activation (src/moe/expert.cc).
+using GatedSiluRowFn = void (*)(float* gate, const float* up, int64_t n);
+
 // ---- CPU feature detection (cpuid + xgetbv on x86, compile-time on arm) ----
 bool CpuHasAvx2();
 bool CpuHasAvx512();
@@ -106,6 +117,22 @@ PanelKernelFn GetPanelKernel(KernelBackend b);
 // and runnable here. GemmAccumulateRef picks its kernel from these once;
 // tests call each variant explicitly.
 DenseGemmFn GetDenseGemmKernel(KernelBackend b);
+
+// The backend's gated-SiLU row kernel, under the same rule as
+// GetDenseGemmKernel; GatedActivationRows picks from these once.
+GatedSiluRowFn GetGatedSiluKernel(KernelBackend b);
+
+// The widest variant `get` returns on this machine (avx512, then avx2), or
+// nullptr for the portable scalar loop: how the knob-less kernels pick theirs.
+template <typename Fn>
+Fn WidestKernel(Fn (*get)(KernelBackend)) {
+  for (KernelBackend b : {KernelBackend::kAvx512, KernelBackend::kAvx2}) {
+    if (Fn fn = get(b)) {
+      return fn;
+    }
+  }
+  return nullptr;
+}
 
 const char* KernelBackendName(KernelBackend b);
 // Parses "auto" | "scalar" | "avx2" | "avx512" | "neon". Returns false on

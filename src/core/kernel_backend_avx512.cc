@@ -1,10 +1,10 @@
-// AVX-512F variants of the SSMM panel-group kernel and of the dense GEMM.
-// Compiled with -mavx512f on x86 builds (see CMakeLists); elsewhere this
-// unit is a stub.
+// AVX-512F variants of the SSMM panel-group kernel, the dense GEMM and the
+// gated-SiLU row. Compiled with -mavx512f on x86 builds (see CMakeLists);
+// elsewhere this unit is a stub.
 //
-// Both kernels are bit-exact against their scalar loops (kernel_backend.h):
+// Every kernel is bit-exact against its scalar loop (kernel_backend.h):
 // each output element keeps the scalar order of operations with a separate
-// multiply then add, never an FMA. The panel kernel vectorizes across the
+// multiply then add, never an FMA. The kernels vectorize across the
 // panel-column (token) dimension; ragged edges use opmask loads/stores, so
 // the tail columns take the same path as the full vectors.
 
@@ -12,9 +12,17 @@
 
 #if defined(__AVX512F__)
 
+// GCC 12's unmasked AVX-512 intrinsics (max, min, roundscale, the shifts)
+// start from a self-initialized placeholder that -Wmaybe-uninitialized
+// reports wherever they inline (GCC bug 105593, fixed in GCC 13).
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #include <immintrin.h>
+#pragma GCC diagnostic pop
 
 #include <algorithm>
+
+#include "src/tensor/expf.h"
 
 namespace samoyeds {
 
@@ -126,6 +134,65 @@ void DenseGemmAvx512(const DenseGemmTask& t) {
   }
 }
 
+namespace {
+
+// ExpF (src/tensor/expf.h) on 16 lanes: the same clamp, constants and
+// operations in the same order. max(lo, x) and min(hi, x) return their
+// second operand when either is NaN, so a NaN lane stays NaN throughout.
+__m512 ExpF16(__m512 x) {
+  using namespace expf_detail;
+  x = _mm512_min_ps(_mm512_set1_ps(kClampHi), _mm512_max_ps(_mm512_set1_ps(kClampLo), x));
+  const __m512 fx = _mm512_add_ps(_mm512_mul_ps(x, _mm512_set1_ps(kLog2e)), _mm512_set1_ps(0.5f));
+  const __m512 fn = _mm512_roundscale_ps(fx, _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
+  __m512 r = _mm512_sub_ps(x, _mm512_mul_ps(fn, _mm512_set1_ps(kLn2Hi)));
+  r = _mm512_sub_ps(r, _mm512_mul_ps(fn, _mm512_set1_ps(kLn2Lo)));
+  const __m512 z = _mm512_mul_ps(r, r);
+  __m512 p = _mm512_set1_ps(kP0);
+  p = _mm512_add_ps(_mm512_mul_ps(p, r), _mm512_set1_ps(kP1));
+  p = _mm512_add_ps(_mm512_mul_ps(p, r), _mm512_set1_ps(kP2));
+  p = _mm512_add_ps(_mm512_mul_ps(p, r), _mm512_set1_ps(kP3));
+  p = _mm512_add_ps(_mm512_mul_ps(p, r), _mm512_set1_ps(kP4));
+  p = _mm512_add_ps(_mm512_mul_ps(p, r), _mm512_set1_ps(kP5));
+  p = _mm512_add_ps(_mm512_add_ps(_mm512_mul_ps(p, z), r), _mm512_set1_ps(1.0f));
+  const __m512i n = _mm512_cvttps_epi32(fn);
+  const __m512i n1 = _mm512_srai_epi32(n, 1);
+  const __m512i bias = _mm512_set1_epi32(127);
+  const __m512 s1 = _mm512_castsi512_ps(_mm512_slli_epi32(_mm512_add_epi32(n1, bias), 23));
+  const __m512 s2 = _mm512_castsi512_ps(
+      _mm512_slli_epi32(_mm512_add_epi32(_mm512_sub_epi32(n, n1), bias), 23));
+  return _mm512_mul_ps(_mm512_mul_ps(p, s1), s2);
+}
+
+// RoundToBf16 (src/tensor/bf16.h) on 16 lanes: a NaN keeps its sign and top
+// payload bits and is made quiet; anything else rounds to nearest even.
+__m512 RoundToBf16x16(__m512 v) {
+  const __m512i bits = _mm512_castps_si512(v);
+  const __m512i high = _mm512_set1_epi32(static_cast<int>(0xffff0000u));
+  const __mmask16 nan = _mm512_cmpgt_epu32_mask(
+      _mm512_and_si512(bits, _mm512_set1_epi32(0x7fffffff)), _mm512_set1_epi32(0x7f800000));
+  const __m512i quiet = _mm512_and_si512(_mm512_or_si512(bits, _mm512_set1_epi32(0x00400000)), high);
+  const __m512i round = _mm512_add_epi32(
+      _mm512_set1_epi32(0x7fff), _mm512_and_si512(_mm512_srli_epi32(bits, 16), _mm512_set1_epi32(1)));
+  const __m512i rounded = _mm512_and_si512(_mm512_add_epi32(bits, round), high);
+  return _mm512_castsi512_ps(_mm512_mask_blend_epi32(nan, rounded, quiet));
+}
+
+}  // namespace
+
+void GatedSiluRowAvx512(float* gate, const float* up, int64_t n) {
+  const __m512i sign = _mm512_set1_epi32(static_cast<int>(0x80000000u));
+  for (int64_t j = 0; j < n; j += 16) {
+    const int64_t remaining = n - j;
+    const __mmask16 mask = remaining >= 16 ? static_cast<__mmask16>(0xFFFF)
+                                           : static_cast<__mmask16>((1u << remaining) - 1u);
+    const __m512 x = _mm512_maskz_loadu_ps(mask, gate + j);
+    const __m512 neg = _mm512_castsi512_ps(_mm512_xor_si512(_mm512_castps_si512(x), sign));
+    const __m512 silu = _mm512_div_ps(x, _mm512_add_ps(_mm512_set1_ps(1.0f), ExpF16(neg)));
+    const __m512 h = _mm512_mul_ps(silu, _mm512_maskz_loadu_ps(mask, up + j));
+    _mm512_mask_storeu_ps(gate + j, mask, RoundToBf16x16(h));
+  }
+}
+
 }  // namespace samoyeds
 
 #else  // !__AVX512F__
@@ -136,6 +203,7 @@ extern const bool kPanelKernelAvx512Compiled = false;
 
 void PanelKernelAvx512(const PanelGroupTask&) {}  // unreachable: dispatch guards
 void DenseGemmAvx512(const DenseGemmTask&) {}     // unreachable: dispatch guards
+void GatedSiluRowAvx512(float*, const float*, int64_t) {}  // unreachable: dispatch guards
 
 }  // namespace samoyeds
 

@@ -227,8 +227,8 @@ void PackAInto(const SamoyedsMatrix& a, std::vector<float>& out_vals,
   out_rows.resize(static_cast<size_t>(n_windows * c_rows));
   out_vals.resize(static_cast<size_t>(c_rows * c_cols));  // nnz upper bound
   out_cols.resize(static_cast<size_t>(c_rows * c_cols));
-  float* const vals = out_vals.data();
-  int32_t* const cols = out_cols.data();
+  float* __restrict const vals = out_vals.data();
+  int32_t* __restrict const cols = out_cols.data();
 
   int64_t group = 0;
   int64_t cursor = 0;
@@ -238,16 +238,28 @@ void PackAInto(const SamoyedsMatrix& a, std::vector<float>& out_vals,
     for (int64_t cr = 0; cr < c_rows; ++cr) {
       const float* arow = a.data.data() + cr * c_cols;
       const uint8_t* mrow = a.meta.data() + cr * c_cols;
-      for (int64_t pc = pc0; pc < pc0 + packed_per_window; ++pc) {
-        const float v = RoundToBf16(arow[pc]);
-        if (v == 0.0f) {
-          continue;
+      // Packed column pc holds kept element meta(cr, pc) of 4-wide group
+      // pc / 2 (pc0 is even, v being a multiple of 4); ordered metadata makes
+      // this ascending within a group. The whole window is written first (a
+      // loop the compiler vectorizes, in 32-bit lanes), then compacted over
+      // its zeros, which most windows do not have.
+      const int32_t col0 = static_cast<int32_t>(pc0 / 2 * 4);
+      int32_t zeros = 0;
+      for (int32_t i = 0; i < static_cast<int32_t>(packed_per_window); ++i) {
+        const float v = RoundToBf16(arow[pc0 + i]);
+        vals[cursor + i] = v;
+        cols[cursor + i] = col0 + (i / 2) * 4 + mrow[pc0 + i];
+        zeros += v == 0.0f;
+      }
+      if (zeros == 0) {
+        cursor += packed_per_window;
+      } else {
+        const int64_t window_end = cursor + packed_per_window;
+        for (int64_t i = cursor; i < window_end; ++i) {
+          vals[cursor] = vals[i];
+          cols[cursor] = cols[i];
+          cursor += vals[i] != 0.0f;
         }
-        // Packed column pc holds kept element meta(cr, pc) of 4-wide group
-        // pc / 2; ordered metadata makes this ascending within a group.
-        vals[cursor] = v;
-        cols[cursor] = static_cast<int32_t>((pc / 2) * 4 + mrow[pc]);
-        ++cursor;
       }
       out_rows[static_cast<size_t>(group)] =
           static_cast<int32_t>((cr / a.config.n) * a.config.m + a.indices(cr, w));
@@ -299,11 +311,30 @@ void RunPanelImpl(const SamoyedsMatrix& a, const float* a_vals, const int32_t* a
         continue;  // all-zero group contributes an exact +0
       }
       std::fill_n(partial, n_out, 0.0f);
-      for (int64_t e = begin; e < end; ++e) {
-        const float av = a_vals[e];
-        const float* brow = pdata + static_cast<int64_t>(a_cols[e]) * n_out;
+      // Four entries per pass over the partial, added in entry order: the
+      // same per-element sums as one entry per pass, with a quarter of the
+      // partial's loads and stores.
+      const auto brow = [&](int64_t e) {
+        return pdata + static_cast<int64_t>(a_cols[e]) * n_out;
+      };
+      int64_t e = begin;
+      for (; e + 4 <= end; e += 4) {
+        const float a0 = a_vals[e], a1 = a_vals[e + 1], a2 = a_vals[e + 2], a3 = a_vals[e + 3];
+        const float *b0 = brow(e), *b1 = brow(e + 1), *b2 = brow(e + 2), *b3 = brow(e + 3);
         for (int64_t j = 0; j < n_out; ++j) {
-          partial[j] += av * brow[j];
+          float p = partial[j];
+          p += a0 * b0[j];
+          p += a1 * b1[j];
+          p += a2 * b2[j];
+          p += a3 * b3[j];
+          partial[j] = p;
+        }
+      }
+      for (; e < end; ++e) {
+        const float av = a_vals[e];
+        const float* b = brow(e);
+        for (int64_t j = 0; j < n_out; ++j) {
+          partial[j] += av * b[j];
         }
       }
       float* orow = out.data() + static_cast<int64_t>(a_rows[group]) * n_out;

@@ -4,7 +4,9 @@
 #include <cmath>
 #include <vector>
 
+#include "src/core/kernel_backend.h"
 #include "src/tensor/bf16.h"
+#include "src/tensor/expf.h"
 #include "src/tensor/gemm_ref.h"
 
 namespace samoyeds {
@@ -12,7 +14,7 @@ namespace samoyeds {
 float ApplyActivation(Activation act, float x) {
   switch (act) {
     case Activation::kSilu:
-      return x / (1.0f + std::exp(-x));
+      return x / (1.0f + ExpF(-x));
     case Activation::kGeluTanh: {
       const float c = 0.7978845608028654f;  // sqrt(2/pi)
       return 0.5f * x * (1.0f + std::tanh(c * (x + 0.044715f * x * x * x)));
@@ -114,18 +116,11 @@ MatrixF GatedActivation(const MatrixF& gate_out, const MatrixF& up_out, Activati
   return h;
 }
 
-// gate := bf16(act(gate) ⊙ up) in place, on the listed rows only.
-void GatedActivationRows(MatrixF& gate, const MatrixF& up, Activation act,
-                         const std::vector<int32_t>& rows) {
-  assert(gate.rows() == up.rows() && gate.cols() == up.cols());
-  const int64_t n = gate.cols();
-  for (const int32_t r : rows) {
-    float* g = gate.data() + r * n;
-    const float* u = up.data() + r * n;
-    for (int64_t j = 0; j < n; ++j) {
-      g[j] = RoundToBf16(ApplyActivation(act, g[j]) * u[j]);
-    }
-  }
+// The widest bit-exact SIMD gated-SiLU row kernel this machine runs,
+// resolved once from cpuid; nullptr keeps the scalar loop (kernel_backend.h).
+GatedSiluRowFn GatedSiluKernel() {
+  static const GatedSiluRowFn kernel = WidestKernel(&GetGatedSiluKernel);
+  return kernel;
 }
 
 MatrixF GatherRows(const MatrixF& x, const Selection& sel) {
@@ -140,6 +135,24 @@ MatrixF GatherRows(const MatrixF& x, const Selection& sel) {
 }
 
 }  // namespace
+
+void GatedActivationRows(MatrixF& gate, const MatrixF& up, Activation act,
+                         const std::vector<int32_t>& rows) {
+  assert(gate.rows() == up.rows() && gate.cols() == up.cols());
+  const int64_t n = gate.cols();
+  const GatedSiluRowFn simd = act == Activation::kSilu ? GatedSiluKernel() : nullptr;
+  for (const int32_t r : rows) {
+    float* g = gate.data() + r * n;
+    const float* u = up.data() + r * n;
+    if (simd != nullptr) {
+      simd(g, u, n);
+      continue;
+    }
+    for (int64_t j = 0; j < n; ++j) {
+      g[j] = RoundToBf16(ApplyActivation(act, g[j]) * u[j]);
+    }
+  }
+}
 
 MatrixF ExpertForwardDense(const MatrixF& x, const ExpertWeights& w, const Selection& sel,
                            Activation act) {

@@ -24,6 +24,8 @@
 
 namespace samoyeds {
 
+// SiLU is x / (1 + ExpF(-x)) (src/tensor/expf.h), so it gives the same bits
+// whatever the host's libm; GELU-tanh uses std::tanh.
 float ApplyActivation(Activation act, float x);
 
 // Weight layout: gate/up are (intermediate x hidden), down is
@@ -67,6 +69,12 @@ struct SamoyedsExpertWeights {
 // on-device storage format. Output has sel.selected() rows.
 MatrixF ExpertForwardDense(const MatrixF& x, const ExpertWeights& w, const Selection& sel,
                            Activation act);
+
+// gate := bf16(act(gate) ⊙ up) in place, on the listed rows only. SiLU runs
+// the widest gated-SiLU row kernel this CPU has (resolved once from cpuid,
+// no knob); every kernel gives the scalar loop's bits (kernel_backend.h).
+void GatedActivationRows(MatrixF& gate, const MatrixF& up, Activation act,
+                         const std::vector<int32_t>& rows);
 
 // Same computation through the Samoyeds SSMM kernel (dual-side sparse).
 MatrixF ExpertForwardSamoyeds(const MatrixF& x, const SamoyedsExpertWeights& w,

@@ -1,5 +1,6 @@
 #include "src/moe/model_configs.h"
 
+#include <cstdio>
 #include <cstdlib>
 #include <iostream>
 
@@ -81,6 +82,15 @@ const MoeModelConfig& ModelByName(const std::string& name) {
   }
   std::cerr << "unknown model: " << name << "\n";
   std::abort();
+}
+
+std::string ModelEcho(const MoeModelConfig& cfg, int layers, int heads) {
+  char echo[160];
+  std::snprintf(echo, sizeof(echo),
+                "%s layers=%d hidden=%d inter=%d experts=%d top_k=%d heads=%d shared=%d",
+                cfg.name.c_str(), layers, cfg.hidden, cfg.intermediate, cfg.num_experts,
+                cfg.top_k, heads, cfg.shared_experts);
+  return echo;
 }
 
 }  // namespace samoyeds

@@ -45,6 +45,10 @@ std::vector<MoeModelConfig> PaperModels();
 // Lookup by name; aborts on unknown names (programming error).
 const MoeModelConfig& ModelByName(const std::string& name);
 
+// The model-shape echo a serving report's `config.model` carries:
+// "<name> layers=2 hidden=32 inter=64 experts=8 top_k=2 heads=4 shared=0".
+std::string ModelEcho(const MoeModelConfig& cfg, int layers, int heads);
+
 }  // namespace samoyeds
 
 #endif  // SAMOYEDS_SRC_MOE_MODEL_CONFIGS_H_

@@ -12,14 +12,7 @@ namespace {
 // The widest bit-exact SIMD variant this machine runs, resolved once from
 // cpuid; nullptr keeps the portable scalar loop (see kernel_backend.h).
 DenseGemmFn DenseKernel() {
-  static const DenseGemmFn kernel = [] {
-    for (KernelBackend b : {KernelBackend::kAvx512, KernelBackend::kAvx2}) {
-      if (DenseGemmFn fn = GetDenseGemmKernel(b)) {
-        return fn;
-      }
-    }
-    return DenseGemmFn{nullptr};
-  }();
+  static const DenseGemmFn kernel = WidestKernel(&GetDenseGemmKernel);
   return kernel;
 }
 

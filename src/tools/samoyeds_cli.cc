@@ -651,12 +651,7 @@ int CmdServe(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     config.command += (i == 1 ? "" : " ") + std::string(argv[i]);
   }
-  char model_echo[128];
-  std::snprintf(model_echo, sizeof(model_echo),
-                "%s layers=%d hidden=%d inter=%d experts=%d top_k=%d heads=%d shared=%d",
-                cfg.name.c_str(), opt.layers, cfg.hidden, cfg.intermediate, cfg.num_experts,
-                cfg.top_k, engine_cfg.heads, cfg.shared_experts);
-  config.model = model_echo;
+  config.model = ModelEcho(cfg, opt.layers, engine_cfg.heads);
   config.trace = opt.trace;
   config.seed = static_cast<int64_t>(opt.seed);
   serving::EngineMetrics::PrintConfig(config, stdout);

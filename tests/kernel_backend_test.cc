@@ -22,9 +22,11 @@
 #include "src/core/samoyeds_kernel.h"
 #include "src/core/ssmm_workspace.h"
 #include "src/moe/decoder_layer.h"
+#include "src/moe/expert.h"
 #include "src/serving/engine.h"
 #include "src/serving/trace.h"
 #include "src/simgpu/device_spec.h"
+#include "src/tensor/bf16.h"
 #include "src/tensor/gemm_ref.h"
 #include "src/tensor/rng.h"
 #include "tests/test_util.h"
@@ -152,14 +154,15 @@ TEST(KernelBackendEquivalenceTest, RandomizedBackendsMatchReference) {
 }
 
 TEST(KernelBackendEquivalenceTest, TinyTailWidthsAllBackends) {
-  // n_out in 1..3: narrower than every vector width, pure-tail execution.
+  // n_out in 1..17: every remainder of the 8- and 16-wide bodies, including
+  // pure-tail widths narrower than every vector.
   Rng rng(913);
   const SamoyedsConfig fmt{1, 2, 32};
   const MatrixF w = RandomBf16Matrix(rng, 32, 64);
   const SamoyedsMatrix enc = SamoyedsMatrix::Encode(w, fmt);
   SsmmWorkspace ws;
   MatrixF out;
-  for (int64_t n = 1; n <= 3; ++n) {
+  for (int64_t n = 1; n <= 17; ++n) {
     const MatrixF b = RandomBf16Matrix(rng, 64, n);
     const Selection sel = Selection::All(n);
     const MatrixF expect = SamoyedsKernel::RunReference(enc, b, sel);
@@ -224,6 +227,78 @@ TEST(KernelBackendEquivalenceTest, SubnormalProductRoundsBeforeTheAdd) {
       EXPECT_EQ(wrong, 0) << KernelBackendName(backend) << " n_out=" << n_out
                           << ", column 0 holds 0x" << std::hex << Bits(got[0]);
     }
+  }
+}
+
+// ---- Gated SiLU: every row kernel bit-exact against the scalar loop --------
+
+TEST(GatedSiluTest, EveryKernelMatchesTheScalarLoopBitForBit) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  std::vector<float> specials = {0.0f,    -0.0f,   denorm,   -denorm,  1e-40f, -1e-40f,
+                                 inf,     -inf,    std::nanf(""), -std::nanf("")};
+  // Around the ends of ExpF's range: ln(FLT_MAX) ~ 88.72, the last normal
+  // result at -87.34, the clamp at -104 and the +0 underflow just above it.
+  for (float edge : {87.0f, 87.3365f, 88.0f, 88.7228f, 89.0f, 103.0f, 103.9721f, 104.0f}) {
+    for (float v : {std::nextafter(edge, 0.0f), edge, std::nextafter(edge, 200.0f)}) {
+      specials.push_back(v);
+      specials.push_back(-v);
+    }
+  }
+  const std::vector<int32_t> one_row = {0};
+  Rng rng(1777);
+  int kernels = 0;
+  for (KernelBackend b : {KernelBackend::kAvx2, KernelBackend::kAvx512}) {
+    const GatedSiluRowFn fn = GetGatedSiluKernel(b);
+    if (fn == nullptr) {
+      continue;
+    }
+    ++kernels;
+    for (int64_t n = 1; n <= 33; ++n) {
+      for (float scale : {3.0f, 40.0f}) {
+        MatrixF g = rng.GaussianMatrix(1, n, scale);
+        // Finite, non-NaN up values: two NaN operands of a multiply give
+        // whichever payload the compiler puts first, on either path.
+        MatrixF u = rng.GaussianMatrix(1, n, 1.0f);
+        for (int64_t j = 0; j < n; ++j) {
+          if (rng.NextU64() % 3 == 0) {
+            g(0, j) = specials[rng.NextU64() % specials.size()];
+          }
+          if (rng.NextU64() % 17 == 0) {
+            u(0, j) = rng.NextU64() % 2 == 0 ? inf : 0.0f;
+          }
+        }
+        MatrixF want = g;
+        for (int64_t j = 0; j < n; ++j) {
+          want(0, j) = RoundToBf16(ApplyActivation(Activation::kSilu, g(0, j)) * u(0, j));
+        }
+        MatrixF got = g;
+        fn(got.data(), u.data(), n);
+        for (int64_t j = 0; j < n; ++j) {
+          ASSERT_EQ(Bits(got(0, j)), Bits(want(0, j)))
+              << KernelBackendName(b) << " n=" << n << " j=" << j << " g=" << g(0, j)
+              << " u=" << u(0, j);
+        }
+        // The dispatched expert path gives the same bits.
+        MatrixF dispatched = g;
+        GatedActivationRows(dispatched, u, Activation::kSilu, one_row);
+        ASSERT_EQ(std::memcmp(dispatched.data(), want.data(), sizeof(float) * n), 0)
+            << "dispatched n=" << n;
+      }
+    }
+  }
+  if (kernels == 0) {
+    GTEST_SKIP() << "no gated-SiLU SIMD kernel runnable on this machine";
+  }
+}
+
+TEST(GatedSiluTest, KernelPresenceMatchesSupport) {
+  for (KernelBackend b : {KernelBackend::kScalar, KernelBackend::kNeon, KernelBackend::kAuto}) {
+    EXPECT_EQ(GetGatedSiluKernel(b), nullptr) << KernelBackendName(b);
+  }
+  for (KernelBackend b : {KernelBackend::kAvx2, KernelBackend::kAvx512}) {
+    EXPECT_EQ(GetGatedSiluKernel(b) != nullptr, KernelBackendSupported(b))
+        << KernelBackendName(b);
   }
 }
 

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <utility>
 #include <vector>
@@ -95,6 +96,25 @@ TEST(ActivationTest, SiluValues) {
   EXPECT_NEAR(ApplyActivation(Activation::kSilu, 0.0f), 0.0f, 1e-6f);
   EXPECT_NEAR(ApplyActivation(Activation::kSilu, 10.0f), 10.0f, 1e-3f);
   EXPECT_LT(ApplyActivation(Activation::kSilu, -1.0f), 0.0f);
+}
+
+TEST(ActivationTest, SiluBf16MatchesTheStdExpDefinition) {
+  // SiLU is defined with ExpF, not the host's std::exp. Through the bf16
+  // rounding of the gated activation, the two definitions should agree on
+  // all but a rare tie-breaking input.
+  Rng rng(2024);
+  const int64_t n = 1'000'000;
+  int64_t differ = 0;
+  for (int64_t i = 0; i < n; ++i) {
+    const float x = 3.0f * rng.NextGaussian();
+    const float u = rng.NextGaussian();
+    const float libm = x / (1.0f + std::exp(-x));
+    differ += RoundToBf16(ApplyActivation(Activation::kSilu, x) * u) != RoundToBf16(libm * u);
+  }
+  EXPECT_LE(differ, n / 10'000);
+  EXPECT_TRUE(std::signbit(ApplyActivation(Activation::kSilu, -89.0f)));
+  EXPECT_EQ(ApplyActivation(Activation::kSilu, -89.0f), 0.0f);
+  EXPECT_EQ(ApplyActivation(Activation::kSilu, -1000.0f), 0.0f);
 }
 
 TEST(ActivationTest, GeluValues) {

@@ -10,18 +10,22 @@
 //   * provenance strings are escaped, so a hostile trace path ("ba\"d.txt")
 //     cannot corrupt the artifact;
 //   * the printed summary (EngineMetrics::Print) is the same tables: one
-//     "key: value" line per config and report key ToJson emits, in order.
+//     "key: value" line per config and report key ToJson emits, in order;
+//   * every cell of the committed BENCH_serving.json says which command,
+//     model, trace and seed produced it.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <regex>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/moe/decoder_layer.h"
+#include "src/moe/model_configs.h"
 #include "src/serving/engine.h"
 #include "src/serving/metrics.h"
 #include "src/serving/scheduler.h"
@@ -262,6 +266,32 @@ TEST(ReportJsonTest, PrintedSummaryIsTheJsonFields) {
   std::fclose(f);
   EXPECT_TRUE(line.empty());  // every line newline-terminated
   EXPECT_EQ(printed, expected);
+}
+
+TEST(ReportJsonTest, ServingBenchCellsCarryTheirProvenance) {
+  std::ifstream in(SAMOYEDS_BENCH_SERVING_PATH);
+  ASSERT_TRUE(in) << SAMOYEDS_BENCH_SERVING_PATH;
+  std::stringstream text;
+  text << in.rdbuf();
+  const std::string json = text.str();
+  const auto count = [&json](const std::regex& re) {
+    return std::distance(std::sregex_iterator(json.begin(), json.end(), re),
+                         std::sregex_iterator());
+  };
+  const auto cells = count(std::regex("\"section\": "));
+  ASSERT_GT(cells, 0);
+  EXPECT_EQ(count(std::regex("\"command\": \"bench_serving_throughput[^\"]*\"")), cells);
+  EXPECT_EQ(count(std::regex("\"model\": \"serving-bench layers=1 [^\"]+\"")), cells);
+  EXPECT_EQ(count(std::regex("\"trace\": \"(synthetic|poisson):[1-9][^\"]*\"")), cells);
+  // A cell's seed is followed by its shards; the envelope's seed is not.
+  EXPECT_EQ(count(std::regex("\"seed\": [1-9][0-9]*,\\s+\"shards\"")), cells);
+}
+
+TEST(ReportJsonTest, ModelEchoNamesTheShape) {
+  MoeModelConfig cfg = TinyConfig();
+  cfg.shared_experts = 1;
+  EXPECT_EQ(ModelEcho(cfg, /*layers=*/2, /*heads=*/4),
+            "tiny layers=2 hidden=32 inter=64 experts=4 top_k=2 heads=4 shared=1");
 }
 
 }  // namespace

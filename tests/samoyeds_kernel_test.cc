@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/core/samoyeds_kernel.h"
 #include "src/simgpu/timing_model.h"
 #include "src/tensor/gemm_ref.h"
@@ -118,6 +120,50 @@ TEST(SamoyedsKernelBitIdentityTest, RandomizedRunMatchesReferenceExactly) {
         << fmt.v << ")";
     ASSERT_TRUE(SamoyedsKernel::Run(enc, b, sel) == expect)
         << "allocating Run diverged at trial " << trial;
+  }
+}
+
+TEST(SamoyedsKernelBitIdentityTest, ScalarPanelLoopMatchesReferenceAtEveryGroupSize) {
+  // The scalar loop takes a group's packed entries four at a time, then one
+  // at a time: groups of 1..9 entries reach every remainder of 4 after zero,
+  // one and two full passes. Each (window, compressed row) group keeps
+  // 1 + (row + window) % 9 of its 16 packed values; the rest are zeroed,
+  // which packing drops.
+  Rng rng(773);
+  const SamoyedsConfig fmt{1, 2, 32};
+  const int64_t m = 36;
+  const int64_t k = 64;
+  SamoyedsMatrix enc = SamoyedsMatrix::Encode(rng.GaussianMatrix(m, k), fmt);
+  const int64_t per_window = fmt.v / 2;
+  for (int64_t cr = 0; cr < enc.compressed_rows(); ++cr) {
+    for (int64_t w = 0; w < enc.block_cols(); ++w) {
+      const int64_t keep = 1 + (cr + w) % 9;
+      for (int64_t pc = keep; pc < per_window; ++pc) {
+        enc.data(cr, w * per_window + pc) = 0.0f;
+      }
+    }
+  }
+  SsmmPackedA packed;
+  SamoyedsKernel::PackWeights(enc, packed);
+  std::vector<bool> seen(10, false);
+  for (size_t g = 0; g + 1 < packed.off.size(); ++g) {
+    const int64_t entries = packed.off[g + 1] - packed.off[g];
+    ASSERT_GE(entries, 1);
+    ASSERT_LE(entries, 9);
+    seen[static_cast<size_t>(entries)] = true;
+  }
+  for (int64_t entries = 1; entries <= 9; ++entries) {
+    EXPECT_TRUE(seen[static_cast<size_t>(entries)]) << entries << "-entry group missing";
+  }
+  SsmmWorkspace ws;
+  MatrixF out;
+  for (int64_t n : {1, 3, 8, 17, 40, 120}) {
+    // Full-precision panel values: every add of the partial rounds, so any
+    // change of order shows.
+    const MatrixF b = rng.GaussianMatrix(k, n);
+    const Selection sel = Selection::All(n);
+    SamoyedsKernel::Run(enc, b, sel, ws, out, KernelBackend::kScalar);
+    ASSERT_TRUE(out == SamoyedsKernel::RunReference(enc, b, sel)) << "n=" << n;
   }
 }
 

@@ -1,8 +1,13 @@
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 
 #include <gtest/gtest.h>
 
 #include "src/tensor/bf16.h"
+#include "src/tensor/expf.h"
 #include "src/tensor/gemm_ref.h"
 #include "src/tensor/matrix.h"
 #include "src/tensor/rng.h"
@@ -140,6 +145,79 @@ TEST(Bf16Test, NanStaysNan) {
 TEST(Bf16Test, InfinityPreserved) {
   EXPECT_TRUE(std::isinf(RoundToBf16(INFINITY)));
   EXPECT_TRUE(std::isinf(RoundToBf16(-INFINITY)));
+}
+
+// Floats in sign-magnitude order made monotone: consecutive floats map to
+// consecutive integers (+0 and -0 both to 0).
+int64_t FloatOrder(float f) {
+  int32_t i = 0;
+  std::memcpy(&i, &f, sizeof(i));
+  return i < 0 ? -static_cast<int64_t>(i & 0x7fffffff) : static_cast<int64_t>(i);
+}
+
+float FloatAt(int64_t order) {
+  const int32_t i = order < 0 ? static_cast<int32_t>(-order) | INT32_MIN
+                              : static_cast<int32_t>(order);
+  float f = 0.0f;
+  std::memcpy(&f, &i, sizeof(f));
+  return f;
+}
+
+int64_t UlpDistance(float a, float b) {
+  const int64_t d = FloatOrder(a) - FloatOrder(b);
+  return d < 0 ? -d : d;
+}
+
+// Calls fn on every `step`-th float of [lo, hi].
+template <typename Fn>
+void ForEachFloat(float lo, float hi, int64_t step, Fn&& fn) {
+  for (int64_t o = FloatOrder(lo); o <= FloatOrder(hi); o += step) {
+    fn(FloatAt(o));
+  }
+}
+
+TEST(ExpFTest, WithinTwoUlpOfStdExpOnADenseSweep) {
+  // Every 97th float of [-87, 88], where exp is a normal float.
+  int64_t checked = 0;
+  int64_t worst = 0;
+  ForEachFloat(-87.0f, 88.0f, 97, [&](float x) {
+    worst = std::max(worst, UlpDistance(ExpF(x), std::exp(x)));
+    ++checked;
+  });
+  EXPECT_GT(checked, 20'000'000);
+  EXPECT_LE(worst, 2);
+}
+
+TEST(ExpFTest, OverflowsUnderflowsAndPropagatesNanLikeStdExp) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float fmax = std::numeric_limits<float>::max();
+  // Above ln(FLT_MAX) every float overflows to +inf; at or below -104 every
+  // float underflows to +0.
+  const float above_max_log = 88.72283935546875f;  // the first float > ln(FLT_MAX)
+  int64_t wrong = 0;
+  ForEachFloat(above_max_log, fmax, 1 << 10, [&](float x) {
+    wrong += ExpF(x) != inf || std::exp(x) != inf;
+  });
+  ForEachFloat(-fmax, -104.0f, 1 << 10, [&](float x) {
+    wrong += FloatOrder(ExpF(x)) != 0 || std::signbit(ExpF(x));
+  });
+  EXPECT_EQ(wrong, 0);
+  EXPECT_EQ(ExpF(inf), inf);
+  EXPECT_EQ(ExpF(-inf), 0.0f);
+  EXPECT_FALSE(std::signbit(ExpF(-inf)));
+  // In between, every float is within 2 ulp, subnormal results included.
+  int64_t worst = 0;
+  ForEachFloat(-104.0f, -87.0f, 1, [&](float x) {
+    worst = std::max(worst, UlpDistance(ExpF(x), std::exp(x)));
+  });
+  ForEachFloat(88.0f, above_max_log, 1, [&](float x) {
+    worst = std::max(worst, UlpDistance(ExpF(x), std::exp(x)));
+  });
+  EXPECT_LE(worst, 2);
+  EXPECT_TRUE(std::isnan(ExpF(std::nanf(""))));
+  EXPECT_TRUE(std::isnan(ExpF(-std::nanf(""))));
+  EXPECT_EQ(ExpF(0.0f), 1.0f);
+  EXPECT_EQ(ExpF(-0.0f), 1.0f);
 }
 
 TEST(GemmRefTest, SmallKnownProduct) {
